@@ -274,10 +274,10 @@ class SeparablePiecewise:
 class Problem:
     """Immutable structured instance with derived curvature/rate constants.
 
-    Built by build_problem only. The inner-minimization cache (Cholesky factor
-    of H, precomputed maps for the dual gradient) is attached here so repeated
-    evaluations along a trajectory stay cheap and the object remains safe to
-    share read-only across threads.
+    Built by build_problem only. The inner-minimization cache (the unconstrained
+    minimizer and the precomputed maps for the dual gradient) is attached here
+    so repeated evaluations along a trajectory stay cheap and the object
+    remains safe to share read-only across threads.
     """
 
     f: QuadraticSmoothFn
@@ -296,11 +296,10 @@ class Problem:
     hpack: SeparablePiecewise = field(repr=False)
     # inner-solve cache; fields depend on the X/H structure
     inner_mode: str = field(repr=False)               # "free" | "box_diag" | "box_dense"
-    x_base: np.ndarray | None = field(repr=False)     # -H^{-1} c (free), or -c/diag(H)
-    dual_map: np.ndarray | None = field(repr=False)   # H^{-1} A' (free), or A'/diag(H)[:,None]
+    x_base: np.ndarray = field(repr=False)            # -H^{-1} c (-c/diag(H) for box_diag)
+    dual_map: np.ndarray = field(repr=False)          # H^{-1} A' (A'/diag(H)[:,None] for box_diag)
     dual_gram: np.ndarray | None = field(repr=False)  # A H^{-1} A' (free only)
     grad_base: np.ndarray | None = field(repr=False)  # A @ x_base (free only)
-    chol: np.ndarray | None = field(repr=False)       # lower Cholesky factor of H
 
     @property
     def n(self) -> int:
@@ -357,28 +356,26 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
     beta = min(fj.beta for fj in h)
     gamma = min(2.0 * beta, 2.0 * kappa1 / f.alpha_m)
 
-    if X.kind is SetKind.FREE:
-        chol = np.linalg.cholesky(f.H)
-        x_base = cholesky_solve(chol, -f.c)
-        dual_map = cholesky_solve(chol, A.T)
-        mode, dual_gram, grad_base = "free", A @ dual_map, A @ x_base
-    elif f.is_diagonal:
+    if X.kind is SetKind.BOX and f.is_diagonal:
         hd = np.diagonal(f.H)
-        chol = None
         x_base = -f.c / hd
         dual_map = A.T / hd[:, None]
         mode, dual_gram, grad_base = "box_diag", None, None
     else:
         chol = np.linalg.cholesky(f.H)
-        x_base, dual_map, dual_gram, grad_base = None, None, None, None
-        mode = "box_dense"
+        x_base = cholesky_solve(chol, -f.c)
+        dual_map = cholesky_solve(chol, A.T)
+        if X.kind is SetKind.FREE:
+            mode, dual_gram, grad_base = "free", A @ dual_map, A @ x_base
+        else:
+            mode, dual_gram, grad_base = "box_dense", None, None
 
     return Problem(
         f=f, h=h, A=A, B=B, C=C, X=X, Omega=Omega,
         alpha=f.alpha, alpha_m=f.alpha_m, beta=beta, kappa1=kappa1, gamma=gamma,
         Bt=np.ascontiguousarray(B.T), hpack=SeparablePiecewise(h),
         inner_mode=mode, x_base=x_base, dual_map=dual_map,
-        dual_gram=dual_gram, grad_base=grad_base, chol=chol,
+        dual_gram=dual_gram, grad_base=grad_base,
     )
 
 

@@ -1,14 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppdgd import (
     BoxSet,
+    IntegratorConfig,
     PiecewiseScalarFn,
     QuadraticSmoothFn,
+    State,
     build_problem,
+    integrate,
     solve_inner,
     strong_concavity_check,
 )
+from ppdgd.random_problems import random_problem
 
 
 def quad(p):
@@ -89,6 +97,7 @@ def test_box_dense_hessian_projected_gradient():
 def test_box_dense_divergence_reported(monkeypatch):
     import ppdgd.inner as inner
 
+    monkeypatch.setattr(inner, "_active_set_cap", lambda n: 0)
     monkeypatch.setattr(inner, "PGD_MAX_ITER", 1)
     monkeypatch.setattr(inner, "PGD_TOL", 0.0)
     monkeypatch.setattr(inner, "PGD_FAIL_RESIDUAL", 0.0)
@@ -96,9 +105,113 @@ def test_box_dense_divergence_reported(monkeypatch):
     P = make_problem(H, np.array([0.3, -0.2]), np.eye(2),
                      BoxSet.box([-0.5, -0.5], [0.5, 0.5]))
     from ppdgd import InnerSolveDiverged
-    # mixed active/interior solution: one crippled iteration cannot reach it
+    # mixed active/interior solution: no active-set step and one crippled
+    # projected-gradient iteration cannot reach it
     with pytest.raises(InnerSolveDiverged):
         inner.solve_inner(P, np.array([0.9, 0.0]))
+
+
+def enumerated_box_qp(H, lin, lo, hi):
+    """min 0.5 x'Hx + lin'x over [lo, hi] by trying all 3^n lower/free/upper patterns.
+
+    Each pattern fixes the pinned coordinates and solves the reduced system on
+    the free ones; the pattern whose point best satisfies KKT (free
+    coordinates inside the box with zero gradient, multipliers of the right
+    sign at the pinned ones) is the minimizer.
+    """
+    n = H.shape[0]
+    best, best_viol = None, np.inf
+    for pattern in itertools.product((-1, 0, 1), repeat=n):
+        pattern = np.array(pattern)
+        free = pattern == 0
+        x = np.where(pattern < 0, lo, hi).astype(float)
+        if free.any():
+            rhs = -(lin + H @ np.where(free, 0.0, x))[free]
+            x[free] = np.linalg.solve(H[np.ix_(free, free)], rhs)
+        g = H @ x + lin
+        viol = max(
+            np.max(np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)),
+            np.max(np.abs(g[free]), initial=0.0),
+            np.max(np.maximum(-g[pattern < 0], 0.0), initial=0.0),
+            np.max(np.maximum(g[pattern > 0], 0.0), initial=0.0),
+        )
+        if viol < best_viol:
+            best, best_viol = x, viol
+    return best
+
+
+def box_dense_problem(rng, n, cond, degenerate):
+    """Dense H with condition number cond, random c and A, box X with some lo == hi."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eigs = np.geomspace(1.0, cond, n) * rng.uniform(0.5, 2.0) / np.sqrt(cond)
+    H = (Q * eigs) @ Q.T
+    p = int(rng.integers(1, n + 1))
+    lo = rng.uniform(-1.5, 0.0, size=n)
+    hi = lo + rng.uniform(0.1, 2.0, size=n)
+    hi[degenerate[:n]] = lo[degenerate[:n]]
+    P = make_problem(H, rng.normal(size=n), rng.normal(size=(p, n)), BoxSet.box(lo, hi), m=p)
+    assert P.inner_mode == "box_dense"
+    return P
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    log_cond=st.floats(0.0, 4.0),
+    lam_scale=st.sampled_from([0.0, 0.3, 3.0, 100.0]),
+    degenerate=st.lists(st.booleans(), min_size=5, max_size=5),
+)
+def test_box_dense_matches_enumerated_oracle(n, seed, log_cond, lam_scale, degenerate):
+    rng = np.random.default_rng(seed)
+    P = box_dense_problem(rng, n, 10.0**log_cond, np.array(degenerate))
+    lam = lam_scale * rng.normal(size=P.p)
+    sol = solve_inner(P, lam)
+    expected = enumerated_box_qp(P.f.H, P.f.c + P.A.T @ lam, P.X.lo, P.X.hi)
+    assert sol.residual <= 1e-10
+    assert np.max(np.abs(sol.x_star - expected)) <= 1e-9
+
+
+def test_box_dense_fallback_matches_active_set(monkeypatch):
+    import ppdgd.inner as inner
+
+    rng = np.random.default_rng(7)
+    P = box_dense_problem(rng, 5, 10.0, np.zeros(5, dtype=bool))
+    lams = [rng.normal(size=P.p) * s for s in (0.5, 2.0, 5.0)]
+    exact = [solve_inner(P, lam) for lam in lams]
+    assert max(sol.iterations for sol in exact) >= 1   # some bound binds
+    monkeypatch.setattr(inner, "_active_set_cap", lambda n: 0)
+    for lam, sol in zip(lams, exact):
+        fallback = solve_inner(P, lam)
+        assert fallback.residual <= 1e-10
+        assert np.max(np.abs(fallback.x_star - sol.x_star)) <= 1e-8
+
+
+def test_box_dense_stall_safeguard_ends_cycling(monkeypatch):
+    import ppdgd.inner as inner
+
+    rng = np.random.default_rng(79)
+    P = box_dense_problem(rng, 3, 1e3, np.zeros(3, dtype=bool))
+    lam = 3.0 * rng.normal(size=P.p)
+    cap = inner._active_set_cap(P.n)
+    sol = solve_inner(P, lam)
+    expected = enumerated_box_qp(P.f.H, P.f.c + P.A.T @ lam, P.X.lo, P.X.hi)
+    assert sol.iterations <= cap
+    assert np.max(np.abs(sol.x_star - expected)) <= 1e-9
+    # unguarded block steps cycle here and leave the instance to the fallback
+    monkeypatch.setattr(inner, "STALL_STEPS", cap + 1)
+    assert solve_inner(P, lam).iterations > cap
+
+
+def test_box_dense_steps_along_trajectory():
+    R = random_problem(np.random.default_rng(20240811))
+    X = BoxSet.box(np.full(R.n, -1.0), np.full(R.n, 1.0))
+    P = build_problem(R.f, R.h, R.A, R.B, R.C, X, R.Omega)
+    assert P.inner_mode == "box_dense"
+    traj = integrate(P, State(y=np.zeros(P.m), lam=np.zeros(P.p)),
+                     IntegratorConfig(dt=2e-3, t_end=2.0))
+    steps = [solve_inner(P, lam).iterations for lam in traj.lam]
+    assert np.mean(steps) <= 2
 
 
 def test_solve_inner_deterministic(case_problem):

@@ -23,7 +23,7 @@ from .errors import (
     OracleFailed,
     PointOutsideSet,
 )
-from .geometry import ACTIVITY_TOL
+from .geometry import ACTIVITY_TOL, MEMBER_TOL, active_faces
 from .model import Problem, SetKind
 from .dynamics import Trajectory
 
@@ -96,8 +96,7 @@ def _normal_interval(v: np.ndarray, S, tol: float = ACTIVITY_TOL):
     m = v.size
     if S.kind is SetKind.FREE:
         return np.zeros(m), np.zeros(m)
-    at_lo = v <= S.lo + tol
-    at_hi = v >= S.hi - tol
+    at_lo, at_hi = active_faces(v, S, tol)
     low = np.where(at_lo, -np.inf, 0.0)
     high = np.where(at_hi, np.inf, 0.0)
     return low, high
@@ -357,6 +356,20 @@ def envelope_series(P: Problem, traj: Trajectory, eq: Equilibrium):
     rel_t = traj.t - traj.t[0]
     bound = dist[0] * np.exp(-0.5 * P.gamma * traj.config.tau * rel_t) * (1.0 + ENVELOPE_SLACK)
     return traj.t, bound, dist
+
+
+def write_envelope_csv(path, t, bound, dist) -> None:
+    """Write the (t, bound, distance) series of envelope_series as CSV."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,bound,distance\n")
+        for k in range(t.size):
+            fh.write(f"{t[k]:.17g},{bound[k]:.17g},{dist[k]:.17g}\n")
+
+
+def omega_invariant(P: Problem, traj: Trajectory) -> bool:
+    """True iff every recorded y lies in Omega within MEMBER_TOL."""
+    lo, hi = P.Omega.lo - MEMBER_TOL, P.Omega.hi + MEMBER_TOL
+    return bool(np.all(traj.y >= lo) and np.all(traj.y <= hi))
 
 
 def certify_envelope(P: Problem, traj: Trajectory, eq: Equilibrium) -> ConvergenceReport:

@@ -12,13 +12,13 @@ any of the certified quantities.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import ConvergenceReport, certify_envelope, envelope_series, equilibrium_oracle
+from .analysis import (ConvergenceReport, certify_envelope, envelope_series,
+                       equilibrium_oracle, omega_invariant, write_envelope_csv)
 from .dynamics import IntegratorConfig, State, Trajectory, integrate
 from .errors import CertificationFailed
 from .model import BoxSet, PiecewiseScalarFn, Problem, QuadraticSmoothFn, build_problem
@@ -116,10 +116,7 @@ def run_case(
     eq = equilibrium_oracle(P)
     report = certify_envelope(P, traj, eq)
 
-    inv_ok = bool(
-        np.all(traj.y >= P.Omega.lo - 1e-9) and np.all(traj.y <= P.Omega.hi + 1e-9)
-    )
-    if not inv_ok:
+    if not omega_invariant(P, traj):
         raise CertificationFailed("a recorded q sample violates its box beyond 1e-9")
     if not report.envelope_ok:
         raise CertificationFailed(
@@ -134,11 +131,7 @@ def run_case(
         traj_path = out / f"trajectory_tau{tag}.csv"
         traj.write_csv(traj_path)
         env_path = out / f"envelope_tau{tag}.csv"
-        t, bound, dist = envelope_series(P, traj, eq)
-        with open(env_path, "w", encoding="utf-8") as fh:
-            fh.write("t,bound,distance\n")
-            for k in range(t.size):
-                fh.write(f"{t[k]:.17g},{bound[k]:.17g},{dist[k]:.17g}\n")
+        write_envelope_csv(env_path, *envelope_series(P, traj, eq))
         rep_path = out / f"report_tau{tag}.json"
         report.write_json(rep_path)
         files = [traj_path, env_path, rep_path]
@@ -146,14 +139,10 @@ def run_case(
 
 
 def run_sweep(taus, out_dir=None, feeder: FeederSpec | None = None, **config_overrides):
-    """Run several tau values concurrently over one shared problem instance.
+    """Run the tau values one after another over one shared problem instance.
 
     config_overrides are forwarded to case_config (dt, t_end, method, ...).
     """
     P = build_case(feeder)
-    with ThreadPoolExecutor(max_workers=max(1, len(taus))) as pool:
-        futures = [
-            pool.submit(run_case, tau, case_config(tau, **config_overrides), out_dir, None, P)
-            for tau in taus
-        ]
-        return [f.result() for f in futures]
+    return [run_case(tau, case_config(tau, **config_overrides), out_dir, problem=P)
+            for tau in taus]

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import casestudy as cs
-from .analysis import certify_envelope, envelope_series, equilibrium_oracle
-from .dynamics import IntegratorConfig, Method, State, integrate
+from .analysis import (certify_envelope, envelope_series, equilibrium_oracle,
+                       omega_invariant, write_envelope_csv)
+from .dynamics import IntegratorConfig, Method, State, Trajectory, integrate
 from .errors import (
     CertificationFailed,
     DimensionMismatch,
@@ -111,14 +112,17 @@ def _initial_state(P: Problem, seed) -> State:
     return State(y0, np.zeros(P.p))
 
 
-def _cmd_run(args) -> int:
+def _load_and_integrate(args) -> tuple[Problem, Trajectory]:
     P = _load(args.problem)
-    cfg = _config_from(args, args.tau)
     try:
-        traj = integrate(P, _initial_state(P, args.seed), cfg)
+        return P, integrate(P, _initial_state(P, args.seed), _config_from(args, args.tau))
     except _INTEGRATION_ERRORS as exc:
         print(f"integration failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
+        raise SystemExit(EXIT_INTEGRATION)
+
+
+def _cmd_run(args) -> int:
+    _, traj = _load_and_integrate(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "trajectory.csv"
@@ -132,13 +136,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    P = _load(args.problem)
-    cfg = _config_from(args, args.tau)
-    try:
-        traj = integrate(P, _initial_state(P, args.seed), cfg)
-    except _INTEGRATION_ERRORS as exc:
-        print(f"integration failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
+    P, traj = _load_and_integrate(args)
     try:
         eq = equilibrium_oracle(P)
         report = certify_envelope(P, traj, eq)
@@ -148,15 +146,9 @@ def _cmd_certify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     traj.write_csv(out / "trajectory.csv")
-    t, bound, dist = envelope_series(P, traj, eq)
-    with open(out / "envelope.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,bound,distance\n")
-        for k in range(t.size):
-            fh.write(f"{t[k]:.17g},{bound[k]:.17g},{dist[k]:.17g}\n")
+    write_envelope_csv(out / "envelope.csv", *envelope_series(P, traj, eq))
     report.write_json(out / "report.json")
-    invariant = bool(
-        np.all(traj.y >= P.Omega.lo - 1e-9) and np.all(traj.y <= P.Omega.hi + 1e-9)
-    )
+    invariant = omega_invariant(P, traj)
     print(f"envelope_ok = {report.envelope_ok}")
     print(f"invariance_ok = {invariant}")
     print(f"gamma_bound = {report.gamma_bound!r}")

@@ -1,12 +1,13 @@
 """Right-hand side and fixed-step integration of the projected dynamics.
 
-The flow keeps y inside Omega by construction: the default scheme steps along
-the raw drift -g - B'lam and re-projects onto the box (the discrete analogue
-of the normal-cone form of the inclusion), while the RK4 variant integrates
-the tangent-projected field and re-projects the result as a safeguard. The
-subgradient g is the minimal-norm selection: the target -B'lam clamped into
-the generalized-gradient interval, which reproduces sliding along kinks and
-makes the discrete flow deterministic.
+One kernel, _unit_field, evaluates the field at tau = 1 for rhs and for every
+step of integrate (Euler, and each RK4 stage). Its y part is the raw drift
+-g - B'lam, with g the minimal-norm subgradient of h (the target -B'lam
+clamped into the generalized-gradient interval, which reproduces sliding along
+kinks), projected onto the tangent cone of Omega; its lam part is the dual
+gradient A x*(lam) + B y - C. Euler steps along the raw drift and re-projects
+onto the box (the discrete normal-cone form of the inclusion); RK4 integrates
+the tangent-projected field and re-projects the result as a safeguard.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InitialPointOutsideOmega, NonFiniteState
-from .geometry import ACTIVITY_TOL, tangent_project
-from .inner import _grad_phi, solve_inner
+from .geometry import _check_dim, _check_member, active_faces, tangent_rule
+from .inner import _grad_phi
 from .model import Problem
 
 
@@ -90,6 +91,19 @@ class Trajectory:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _unit_field(P: Problem, y: np.ndarray, lam: np.ndarray):
+    """Field at tau = 1: (raw drift -g - B'lam, its tangent projection, dlam).
+
+    Does no checks; _grad_phi is looked up at call time, so a replacement of
+    the module global reaches every evaluation.
+    """
+    target = -(P.Bt @ lam)
+    raw = target - P.hpack.select(y, target)
+    dy = tangent_rule(raw, *active_faces(y, P.Omega))
+    dlam = _grad_phi(P, lam) + P.B @ y - P.C
+    return raw, dy, dlam
+
+
 def select_subgradient(P: Problem, y, lam) -> np.ndarray:
     """Minimal-norm selection from the generalized gradient of h at y.
 
@@ -100,9 +114,7 @@ def select_subgradient(P: Problem, y, lam) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    target = -(P.Bt @ lam)
-    glo, ghi = P.hpack.clarke(y)
-    return np.clip(target, glo, ghi)
+    return P.hpack.select(y, -(P.Bt @ lam))
 
 
 def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -112,11 +124,10 @@ def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]
     dlam = tau * (grad phi(lam) + B y - C). Raises PointOutsideSet when
     s.y is not in Omega.
     """
-    g = select_subgradient(P, s.y, s.lam)
-    raw = -g - P.Bt @ s.lam
-    dy = tau * tangent_project(s.y, raw, P.Omega)
-    dlam = tau * (solve_inner(P, s.lam).grad_phi + P.B @ s.y - P.C)
-    return dy, dlam
+    y = _check_dim(s.y, P.Omega, "y")
+    _check_member(y, P.Omega)
+    _, dy, dlam = _unit_field(P, y, np.asarray(s.lam, dtype=float))
+    return tau * dy, tau * dlam
 
 
 def _drift_lipschitz_estimate(P: Problem) -> float:
@@ -152,45 +163,10 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
         )
 
     lo, hi = P.Omega.lo, P.Omega.hi
-    lo_act, hi_act = lo + ACTIVITY_TOL, hi - ACTIVITY_TOL
-    B, Bt = P.B, P.Bt
-    hp = P.hpack
-    bp, bp_ext, c2m, qm, rows = hp.bp, hp.redge, hp.c2, hp.q, hp._rows
-    nbp = bp.shape[1]
-    mode = P.inner_mode
-    if mode == "free":
-        dual_gram = P.dual_gram
-        lam_shift = P.C - P.grad_base
-    elif mode == "box_diag":
-        x_base, dual_map, xlo, xhi, A_ = P.x_base, P.dual_map, P.X.lo, P.X.hi, P.A
     dtau = cfg.dt * cfg.tau
     t0 = float(s0.t)
     n_steps = max(0, math.ceil((cfg.t_end - t0) / cfg.dt - 1e-12))
     euler = cfg.method is Method.PROJECTED_EULER
-
-    def unit_field(yv, lamv):
-        bt = Bt @ lamv
-        if nbp:
-            idx = (bp < yv[:, None]).sum(1)
-            g = c2m[rows, idx] * yv + qm[rows, idx]
-            hit = bp_ext[rows, idx] == yv
-            if hit.any():
-                ridx = idx + hit
-                ghi = c2m[rows, ridx] * yv + qm[rows, ridx]
-                g = np.minimum(np.maximum(-bt, g), ghi)
-        else:
-            g = c2m[:, 0] * yv + qm[:, 0]
-        raw = -g - bt
-        dy = np.where(yv <= lo_act, np.maximum(0.0, raw), raw)
-        dy = np.where(yv >= hi_act, np.minimum(0.0, dy), dy)
-        if mode == "free":
-            dlam = B @ yv - dual_gram @ lamv - lam_shift
-        elif mode == "box_diag":
-            x = np.minimum(np.maximum(x_base - dual_map @ lamv, xlo), xhi)
-            dlam = A_ @ x + B @ yv - P.C
-        else:
-            dlam = _grad_phi(P, lamv) + B @ yv - P.C
-        return raw, dy, dlam
 
     ts: list[float] = []
     ys: list[np.ndarray] = []
@@ -207,7 +183,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     t = t0
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up raises NonFiniteState
         while True:
-            raw, dy_u, dlam_u = unit_field(y, lam)
+            raw, dy_u, dlam_u = _unit_field(P, y, lam)
             drift = math.sqrt(float(dy_u @ dy_u) + float(dlam_u @ dlam_u))
             if not math.isfinite(drift):
                 raise NonFiniteState(f"non-finite state at t = {t}; reduce dt")
@@ -226,9 +202,9 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             else:
                 half = 0.5 * dtau
                 k1y, k1l = dy_u, dlam_u
-                _, k2y, k2l = unit_field(np.clip(y + half * k1y, lo, hi), lam + half * k1l)
-                _, k3y, k3l = unit_field(np.clip(y + half * k2y, lo, hi), lam + half * k2l)
-                _, k4y, k4l = unit_field(np.clip(y + dtau * k3y, lo, hi), lam + dtau * k3l)
+                _, k2y, k2l = _unit_field(P, np.clip(y + half * k1y, lo, hi), lam + half * k1l)
+                _, k3y, k3l = _unit_field(P, np.clip(y + half * k2y, lo, hi), lam + half * k2l)
+                _, k4y, k4l = _unit_field(P, np.clip(y + dtau * k3y, lo, hi), lam + dtau * k3l)
                 y = np.clip(y + (dtau / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y), lo, hi)
                 lam = lam + (dtau / 6.0) * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
             k += 1

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PointOutsideSet
-from .model import BoxSet, SetKind
+from .model import ACTIVITY_TOL, BoxSet, SetKind
 
-ACTIVITY_TOL = 1e-9
 MEMBER_TOL = 1e-9
 
 
@@ -50,6 +49,18 @@ def project_box(v, S: BoxSet) -> np.ndarray:
     return np.clip(v, S.lo, S.hi)
 
 
+def active_faces(y, S: BoxSet, tol: float = ACTIVITY_TOL):
+    """Masks of the lower and upper faces of the box S that are active at y."""
+    lo_act, hi_act = S.face_thresholds if tol == ACTIVITY_TOL else (S.lo + tol, S.hi - tol)
+    return y <= lo_act, y >= hi_act
+
+
+def tangent_rule(v, at_lo, at_hi) -> np.ndarray:
+    """Componentwise tangent-cone projection of v given the active-face masks (unchecked)."""
+    out = np.where(at_lo, np.maximum(0.0, v), v)
+    return np.where(at_hi, np.minimum(0.0, out), out)
+
+
 def tangent_cone_projection(y, v, S: BoxSet, tol: float = ACTIVITY_TOL) -> ConeQueryResult:
     """Project direction v onto the tangent cone of S at y (y must lie in S).
 
@@ -63,11 +74,9 @@ def tangent_cone_projection(y, v, S: BoxSet, tol: float = ACTIVITY_TOL) -> ConeQ
         empty = np.empty(0, dtype=int)
         return ConeQueryResult(v.copy(), empty, empty)
     _check_member(y, S)
-    at_lo = y <= S.lo + tol
-    at_hi = y >= S.hi - tol
-    out = np.where(at_lo, np.maximum(0.0, v), v)
-    out = np.where(at_hi, np.minimum(0.0, out), out)
-    return ConeQueryResult(out, np.flatnonzero(at_lo), np.flatnonzero(at_hi))
+    at_lo, at_hi = active_faces(y, S, tol)
+    return ConeQueryResult(tangent_rule(v, at_lo, at_hi),
+                           np.flatnonzero(at_lo), np.flatnonzero(at_hi))
 
 
 def tangent_project(y, v, S: BoxSet) -> np.ndarray:
@@ -92,8 +101,7 @@ def normal_cone_contains(y, w, S: BoxSet, tol: float = ACTIVITY_TOL) -> bool:
     if S.kind is SetKind.FREE:
         return bool(np.all(np.abs(w) <= tol))
     _check_member(y, S)
-    at_lo = y <= S.lo + tol
-    at_hi = y >= S.hi - tol
+    at_lo, at_hi = active_faces(y, S, tol)
     ok = np.where(at_lo & at_hi, True,
                   np.where(at_lo, w <= tol,
                            np.where(at_hi, w >= -tol, np.abs(w) <= tol)))

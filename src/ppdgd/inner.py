@@ -109,15 +109,22 @@ def _pgd_box_dense(P: Problem, lin: np.ndarray, x: np.ndarray):
     return x, PGD_MAX_ITER, residual
 
 
+def _x_star(P: Problem, lam: np.ndarray) -> tuple[np.ndarray, int]:
+    """Inner minimizer x*(lam) and the active-set steps it took, per inner_mode."""
+    if P.inner_mode == "box_dense":
+        x, iterations, _ = _box_dense_minimizer(P, lam)
+        return x, iterations
+    x = P.x_base - P.dual_map @ lam
+    if P.inner_mode == "box_diag":
+        x = np.minimum(np.maximum(x, P.X.lo), P.X.hi)
+    return x, 0
+
+
 def _grad_phi(P: Problem, lam: np.ndarray) -> np.ndarray:
     """Dual gradient A x*(lam) without the full InnerSolution (hot path)."""
-    if P.inner_mode == "free":
+    if P.inner_mode == "free":   # affine in lam: one cached product instead of two
         return P.grad_base - P.dual_gram @ lam
-    if P.inner_mode == "box_diag":
-        x = np.clip(P.x_base - P.dual_map @ lam, P.X.lo, P.X.hi)
-        return P.A @ x
-    x, _, _ = _box_dense_minimizer(P, lam)
-    return P.A @ x
+    return P.A @ _x_star(P, lam)[0]
 
 
 def solve_inner(P: Problem, lam) -> InnerSolution:
@@ -125,13 +132,7 @@ def solve_inner(P: Problem, lam) -> InnerSolution:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (P.p,):
         raise DimensionMismatch(f"lambda has shape {lam.shape}, expected ({P.p},)")
-    iterations = 0
-    if P.inner_mode == "free":
-        x = P.x_base - P.dual_map @ lam
-    elif P.inner_mode == "box_diag":
-        x = np.clip(P.x_base - P.dual_map @ lam, P.X.lo, P.X.hi)
-    else:
-        x, iterations, _ = _box_dense_minimizer(P, lam)
+    x, iterations = _x_star(P, lam)
     g = P.f.grad(x) + P.A.T @ lam
     residual = float(np.linalg.norm(x - project_box(x - g, P.X)))
     ax = P.A @ x

@@ -4,13 +4,14 @@ A problem instance couples a strongly convex quadratic f(x) on X with a
 separable, strongly convex, piecewise-quadratic (possibly kinked) h(y) on a
 compact box Omega through the affine constraint A x + B y = C. All derived
 curvature and rate constants are computed once at build time and the instance
-is immutable afterwards, so it can be shared across concurrent solver runs.
+is immutable afterwards.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import (
 
 CONTINUITY_TOL = 1e-12
 RANK_RATIO_TOL = 1e-10
+ACTIVITY_TOL = 1e-9   # a coordinate this close to a bound sits on that face
 
 
 def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -74,6 +76,11 @@ class BoxSet:
         if self.kind is SetKind.FREE:
             return True
         return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
+
+    @cached_property
+    def face_thresholds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo + ACTIVITY_TOL, hi - ACTIVITY_TOL), computed once per box."""
+        return self.lo + ACTIVITY_TOL, self.hi - ACTIVITY_TOL
 
     def center(self) -> np.ndarray:
         if self.kind is SetKind.FREE:
@@ -205,8 +212,8 @@ class PiecewiseScalarFn:
 class SeparablePiecewise:
     """m piecewise-quadratic coordinates packed into padded arrays.
 
-    Enables vectorized Clarke-interval queries (hot path of the dynamics) and
-    exact per-coordinate proximal steps (used by the equilibrium oracle).
+    Enables vectorized Clarke intervals and subgradient selection (hot path of
+    the dynamics) and exact per-coordinate proximal steps (equilibrium oracle).
     Padding pieces carry an empty interval [+inf, +inf] so they can never win
     a candidate comparison.
     """
@@ -216,7 +223,6 @@ class SeparablePiecewise:
         m = len(fns)
         kmax = max(f.breakpoints.size for f in fns)
         npieces = kmax + 1
-        self.m = m
         self.bp = np.full((m, kmax), np.inf)
         self.c2 = np.ones((m, npieces))     # second derivative 2p per piece
         self.q = np.zeros((m, npieces))
@@ -235,20 +241,25 @@ class SeparablePiecewise:
         self.beta = min(f.beta for f in fns)
 
     def _piece_index(self, y: np.ndarray) -> np.ndarray:
-        if self.bp.shape[1] == 0:
-            return np.zeros(self.m, dtype=int)
         return (self.bp < y[:, None]).sum(axis=1)
 
     def clarke(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized interval [glo, ghi] of the generalized gradient at y."""
+        """Vectorized interval [glo, ghi] of the generalized gradient at y.
+
+        When no coordinate sits exactly on a breakpoint, ghi is glo itself.
+        """
         idx = self._piece_index(y)
         glo = self.c2[self._rows, idx] * y + self.q[self._rows, idx]
-        if self.bp.shape[1] == 0:
-            return glo, glo.copy()
-        hit = self.bp[self._rows, np.minimum(idx, self.bp.shape[1] - 1)] == y
+        hit = self.redge[self._rows, idx] == y
+        if not np.count_nonzero(hit):   # cheaper than hit.any() on short vectors
+            return glo, glo
         ridx = idx + hit
-        ghi = self.c2[self._rows, ridx] * y + self.q[self._rows, ridx]
-        return glo, np.where(hit, ghi, glo)
+        return glo, self.c2[self._rows, ridx] * y + self.q[self._rows, ridx]
+
+    def select(self, y: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Minimal-norm selection: target clamped componentwise into the interval at y."""
+        glo, ghi = self.clarke(y)
+        return glo if ghi is glo else np.minimum(np.maximum(target, glo), ghi)
 
     def value(self, y: np.ndarray) -> np.ndarray:
         idx = self._piece_index(y)
@@ -276,8 +287,7 @@ class Problem:
 
     Built by build_problem only. The inner-minimization cache (the unconstrained
     minimizer and the precomputed maps for the dual gradient) is attached here
-    so repeated evaluations along a trajectory stay cheap and the object
-    remains safe to share read-only across threads.
+    so repeated evaluations along a trajectory stay cheap.
     """
 
     f: QuadraticSmoothFn

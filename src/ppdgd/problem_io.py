@@ -7,13 +7,15 @@
      "X": {"kind": "free"} or {"kind": "box", "lo": [...], "hi": [...]},
      "Omega": {"kind": "box", "lo": [...], "hi": [...]}}
 
-Structural errors raise ProblemFormatError citing the JSON path of the
-offending value; semantic violations surface as the model's build errors.
+Structural errors, non-finite numbers (NaN, Infinity) included, raise
+ProblemFormatError citing the JSON path of the offending value; semantic
+violations surface as the model's build errors.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 
 import numpy as np
@@ -40,7 +42,13 @@ def _get(obj, key, path):
 def _number(v, path) -> float:
     if not isinstance(v, numbers.Real) or isinstance(v, bool):
         raise ProblemFormatError(f"{path}: expected number, got {type(v).__name__}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:   # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ProblemFormatError(f"{path}: expected a finite number, got {x}")
+    return x
 
 
 def _integer(v, path) -> int:

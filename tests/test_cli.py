@@ -87,6 +87,53 @@ def test_validate_infeasible_boxes_exit_3(tmp_path, capsys):
     assert "check feasible: fail" in capsys.readouterr().out
 
 
+def _three_dim_doc():
+    return {
+        "n": 3, "m": 3, "p": 2,
+        "H": [[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 2.0]], "c": [0.1, -0.2, 0.3],
+        "A": [[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]],
+        "B": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.5]],
+        "C": [0.2, -0.1],
+        "h": [{"breakpoints": [0.0], "pieces": [{"p": 0.5, "q": -0.1, "r": 0.0},
+                                               {"p": 0.5, "q": 0.1, "r": 0.0}]},
+              {"breakpoints": [], "pieces": [{"p": 1.0, "q": 0.0, "r": 0.0}]},
+              {"breakpoints": [], "pieces": [{"p": 0.75, "q": 0.0, "r": 0.0}]}],
+        "X": {"kind": "free"},
+        "Omega": {"kind": "box", "lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+    }
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("keys, value, json_path", [
+    (("A", 0, 1), float("nan"), "$.A[0][1]"),
+    (("B", 1, 0), float("nan"), "$.B[1][0]"),
+    (("C", 0), float("inf"), "$.C[0]"),
+    (("c", 2), float("nan"), "$.c[2]"),
+    (("h", 0, "pieces", 1, "q"), float("nan"), "$.h[0].pieces[1].q"),
+    (("H", 0, 0), float("nan"), "$.H[0][0]"),
+    (("h", 0, "breakpoints", 0), float("nan"), "$.h[0].breakpoints[0]"),
+    (("Omega", "hi", 1), float("-inf"), "$.Omega.hi[1]"),
+    (("C", 1), 10**400, "$.C[1]"),   # an integer beyond the float range
+])
+def test_non_finite_number_exits_2_naming_its_path(command, keys, value, json_path,
+                                                   tmp_path, capsys):
+    doc = _three_dim_doc()
+    clean = tmp_path / "clean.json"
+    clean.write_text(json.dumps(doc))
+    assert main(["validate", str(clean)]) == 0
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc))   # writes NaN / Infinity / -Infinity literals
+    capsys.readouterr()
+    argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json_path in err[0]
+
+
 def test_run_toy_converges(toy_file, tmp_path, capsys):
     out = tmp_path / "runout"
     assert main(["run", toy_file, "--out", str(out), "--t-end", "20"]) == 0

@@ -14,6 +14,7 @@ from ppdgd import (
     build_problem,
     clarke_interval,
 )
+from ppdgd.model import SeparablePiecewise
 from ppdgd.random_problems import random_piecewise
 
 
@@ -203,3 +204,32 @@ def test_box_validation():
     S = BoxSet.box([-1.0, 0.0], [1.0, 0.0])  # degenerate coordinate allowed
     assert S.contains(np.array([0.0, 0.0]))
     assert not S.contains(np.array([0.0, 0.5]))
+
+
+def test_packed_clarke_and_selection_match_scalar_clarke():
+    # rows with 0, 1 and 3 kinks, so the 0- and 1-kink rows carry padding
+    rng = np.random.default_rng(2024)
+    fns = [random_piecewise(rng, -1.0, 1.0, k) for k in (0, 1, 3, 3, 0, 1)]
+    pack = SeparablePiecewise(fns)
+    bounds = np.array([-1.0, 1.0])
+    candidates = []
+    for fn in fns:
+        bp = fn.breakpoints
+        edges = np.concatenate([bounds[:1], bp, bounds[1:]])
+        pts = [bounds, 0.5 * (edges[:-1] + edges[1:]),
+               bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)]
+        candidates.append(np.concatenate(pts))
+    # every candidate of every row, beside candidates of the other rows, so the
+    # vectors mix breakpoint hits with points on no breakpoint
+    longest = max(c.size for c in candidates)
+    ys = [np.array([c[(r + shift) % c.size] for c in candidates])
+          for r in range(longest) for shift in (0, 1, 2)]
+    ys += [np.array([rng.choice(c) for c in candidates]) for _ in range(50)]
+    ys.append(np.array([c[2] for c in candidates]))   # interiors only: no row on a kink
+    for y in ys:
+        ref_lo, ref_hi = np.array([fn.clarke(s) for fn, s in zip(fns, y)]).T
+        glo, ghi = pack.clarke(y)
+        assert np.array_equal(glo, ref_lo) and np.array_equal(ghi, ref_hi)
+        for target in (ref_lo - 1.0, 0.5 * (ref_lo + ref_hi), ref_hi + 1.0,
+                       np.where(rng.random(y.size) < 0.5, ref_lo - 1.0, ref_hi + 1.0)):
+            assert np.array_equal(pack.select(y, target), np.clip(target, ref_lo, ref_hi))

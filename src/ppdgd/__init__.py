@@ -30,6 +30,7 @@ from .errors import (
     InitialPointOutsideOmega,
     InnerSolveDiverged,
     NonCompactOmega,
+    NonFiniteInput,
     NonFiniteState,
     NotStronglyConvex,
     OracleFailed,

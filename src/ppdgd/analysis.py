@@ -25,7 +25,7 @@ from .errors import (
 )
 from .geometry import ACTIVITY_TOL, MEMBER_TOL, active_faces
 from .model import Problem, SetKind
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _write_csv
 
 KKT_TARGET = 1e-6
 ENVELOPE_SLACK = 1e-6
@@ -360,10 +360,7 @@ def envelope_series(P: Problem, traj: Trajectory, eq: Equilibrium):
 
 def write_envelope_csv(path, t, bound, dist) -> None:
     """Write the (t, bound, distance) series of envelope_series as CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,bound,distance\n")
-        for k in range(t.size):
-            fh.write(f"{t[k]:.17g},{bound[k]:.17g},{dist[k]:.17g}\n")
+    _write_csv(path, ("t", "bound", "distance"), (t, bound, dist))
 
 
 def omega_invariant(P: Problem, traj: Trajectory) -> bool:

@@ -27,6 +27,7 @@ from .errors import (
     InitialPointOutsideOmega,
     InnerSolveDiverged,
     NonCompactOmega,
+    NonFiniteInput,
     NonFiniteState,
     NotStronglyConvex,
     OracleFailed,
@@ -43,7 +44,9 @@ EXIT_ASSUMPTION = 3
 EXIT_INTEGRATION = 4
 EXIT_CERTIFICATION = 5
 
-_ASSUMPTION_ERRORS = (RankDeficient, NotStronglyConvex, NonCompactOmega, DimensionMismatch)
+_ASSUMPTION_ERRORS = (
+    RankDeficient, NotStronglyConvex, NonCompactOmega, DimensionMismatch, NonFiniteInput,
+)
 _INTEGRATION_ERRORS = (
     InitialPointOutsideOmega, NonFiniteState, InnerSolveDiverged, PointOutsideSet,
 )

@@ -8,6 +8,12 @@ kinks), projected onto the tangent cone of Omega; its lam part is the dual
 gradient A x*(lam) + B y - C. Euler steps along the raw drift and re-projects
 onto the box (the discrete normal-cone form of the inclusion); RK4 integrates
 the tangent-projected field and re-projects the result as a safeguard.
+
+integrate writes each recorded sample (the start, every record_every-th step
+and the last step) into preallocated t, y, lam and drift arrays. They start
+with room for the whole run, capped at RECORD_BLOCK rows, and double when
+full, so a long t_end costs no memory up front; the Trajectory gets trimmed
+copies. write_csv formats RECORD_BLOCK rows at a time, one format per row.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from .errors import InitialPointOutsideOmega, NonFiniteState
 from .geometry import _check_dim, _check_member, active_faces, tangent_rule
 from .inner import _grad_phi
 from .model import Problem
+
+RECORD_BLOCK = 4096   # rows of the first sample buffer and of each CSV write
 
 
 class Method(enum.Enum):
@@ -84,22 +92,38 @@ class Trajectory:
         p = self.lam.shape[1]
         cols = ["t"] + [f"y_{j + 1}" for j in range(m)] \
             + [f"lambda_{i + 1}" for i in range(p)] + ["drift_norm"]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for k in range(self.t.size):
-                row = [self.t[k], *self.y[k], *self.lam[k], self.drift_norm[k]]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_csv(path, cols, (self.t, self.y, self.lam, self.drift_norm))
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write CSV rows of equal-length columns, each 1-D or a 2-D block of columns.
+
+    Every value gets 17 significant digits, so it reads back exactly. Rows are
+    formatted RECORD_BLOCK at a time, which bounds the text held in memory.
+    """
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for a in range(0, len(columns[0]), RECORD_BLOCK):
+            block = np.column_stack([c[a:a + RECORD_BLOCK] for c in columns]).tolist()
+            fh.write("".join([row % tuple(values) for values in block]))
 
 
 def _unit_field(P: Problem, y: np.ndarray, lam: np.ndarray):
     """Field at tau = 1: (raw drift -g - B'lam, its tangent projection, dlam).
 
-    Does no checks; _grad_phi is looked up at call time, so a replacement of
-    the module global reaches every evaluation.
+    Off every face of Omega the tangent cone is the whole space and the
+    projection is raw itself, the same array. Does no checks; _grad_phi is
+    looked up at call time, so a replacement of the module global reaches
+    every evaluation.
     """
     target = -(P.Bt @ lam)
     raw = target - P.hpack.select(y, target)
-    dy = tangent_rule(raw, *active_faces(y, P.Omega))
+    at_lo, at_hi = active_faces(y, P.Omega)
+    if np.count_nonzero(at_lo) or np.count_nonzero(at_hi):
+        dy = tangent_rule(raw, at_lo, at_hi)
+    else:
+        dy = raw
     dlam = _grad_phi(P, lam) + P.B @ y - P.C
     return raw, dy, dlam
 
@@ -163,38 +187,35 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
         )
 
     lo, hi = P.Omega.lo, P.Omega.hi
-    dtau = cfg.dt * cfg.tau
+    dt, every, stop_tol = cfg.dt, cfg.record_every, cfg.stop_tol
+    dtau = dt * cfg.tau
     t0 = float(s0.t)
-    n_steps = max(0, math.ceil((cfg.t_end - t0) / cfg.dt - 1e-12))
+    n_steps = max(0, math.ceil((cfg.t_end - t0) / dt - 1e-12))
     euler = cfg.method is Method.PROJECTED_EULER
 
-    ts: list[float] = []
-    ys: list[np.ndarray] = []
-    lams: list[np.ndarray] = []
-    drifts: list[float] = []
-
-    def record(t, drift):
-        ts.append(t)
-        ys.append(y.copy())
-        lams.append(lam.copy())
-        drifts.append(drift)
+    # never sized by t_end alone: a run may stop at stop_tol long before it
+    rows = min(n_steps // every + 2, RECORD_BLOCK)
+    ts, drifts = np.empty(rows), np.empty(rows)
+    ys, lams = np.empty((rows, P.m)), np.empty((rows, P.p))
+    n = 0
 
     k = 0
     t = t0
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up raises NonFiniteState
         while True:
             raw, dy_u, dlam_u = _unit_field(P, y, lam)
-            drift = math.sqrt(float(dy_u @ dy_u) + float(dlam_u @ dlam_u))
+            drift = math.sqrt(dy_u @ dy_u + dlam_u @ dlam_u)
             if not math.isfinite(drift):
                 raise NonFiniteState(f"non-finite state at t = {t}; reduce dt")
-            recorded = k % cfg.record_every == 0
-            if recorded:
-                record(t, drift)
-            if drift <= cfg.stop_tol:
-                reason = TerminationReason.STOP_TOL
-                break
-            if k >= n_steps:
-                reason = TerminationReason.TIME_LIMIT
+            stop = drift <= stop_tol
+            last = stop or k >= n_steps
+            if last or k % every == 0:
+                if n == ts.size:
+                    ts, drifts, ys, lams = (np.concatenate((b, np.empty_like(b)))
+                                            for b in (ts, drifts, ys, lams))
+                ts[n], drifts[n], ys[n], lams[n] = t, drift, y, lam
+                n += 1
+            if last:
                 break
             if euler:
                 y = np.minimum(np.maximum(y + dtau * raw, lo), hi)
@@ -208,16 +229,13 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                 y = np.clip(y + (dtau / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y), lo, hi)
                 lam = lam + (dtau / 6.0) * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
             k += 1
-            t = t0 + k * cfg.dt
-
-    if not recorded:
-        record(t, drift)
+            t = t0 + k * dt
 
     return Trajectory(
-        t=np.array(ts),
-        y=np.array(ys),
-        lam=np.array(lams),
-        drift_norm=np.array(drifts),
+        t=ts[:n].copy(),
+        y=ys[:n].copy(),
+        lam=lams[:n].copy(),
+        drift_norm=drifts[:n].copy(),
         config=cfg,
-        terminated_by=reason,
+        terminated_by=TerminationReason.STOP_TOL if stop else TerminationReason.TIME_LIMIT,
     )

@@ -29,6 +29,10 @@ class InnerSolveDiverged(PpdgdError):
     """Inner minimization hit its iteration cap with a large residual."""
 
 
+class NonFiniteInput(PpdgdError):
+    """A problem array passed to a constructor holds NaN or an infinity."""
+
+
 class NonFiniteState(PpdgdError):
     """Integration produced NaN or Inf (step size too large)."""
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NonCompactOmega,
+    NonFiniteInput,
     NotStronglyConvex,
     RankDeficient,
 )
@@ -25,6 +26,14 @@ from .errors import (
 CONTINUITY_TOL = 1e-12
 RANK_RATIO_TOL = 1e-10
 ACTIVITY_TOL = 1e-9   # a coordinate this close to a bound sits on that face
+
+
+def _require_finite(name: str, a: np.ndarray) -> None:
+    """Raise NonFiniteInput naming the argument and its first NaN or infinite entry."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NonFiniteInput(f"{name}{list(idx)} = {a[idx]} is not finite")
 
 
 def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,6 +110,8 @@ class QuadraticSmoothFn:
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
         c = np.asarray(self.c, dtype=float)
+        _require_finite("H", H)
+        _require_finite("c", c)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DimensionMismatch(f"H must be square, got shape {H.shape}")
         if c.shape != (H.shape[0],):
@@ -148,6 +159,8 @@ class PiecewiseScalarFn:
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float).reshape(-1)
         cf = np.asarray(self.coeffs, dtype=float)
+        _require_finite("breakpoints", bp)
+        _require_finite("coeffs", cf)
         if cf.ndim != 2 or cf.shape[1] != 3:
             raise DimensionMismatch(f"coeffs must be (K+1, 3), got {cf.shape}")
         if cf.shape[0] != bp.size + 1:
@@ -214,7 +227,8 @@ class SeparablePiecewise:
 
     Enables vectorized Clarke intervals and subgradient selection (hot path of
     the dynamics) and exact per-coordinate proximal steps (equilibrium oracle).
-    Padding pieces carry an empty interval [+inf, +inf] so they can never win
+    Padding breakpoints are +inf, so they never count below a finite y, and
+    padding pieces carry an empty interval [+inf, +inf] so they can never win
     a candidate comparison.
     """
 
@@ -237,24 +251,29 @@ class SeparablePiecewise:
         self.redge = np.concatenate([self.bp, np.full((m, 1), np.inf)], axis=1)
         # piece 0 of a padded row must still start at -inf; rows with fewer
         # real pieces get ledge = +inf on the padding, which empties them
-        self._rows = np.arange(m)
+        # piece k of coordinate j sits at flat index _offsets[j] + k of the
+        # raveled tables, so each lookup gathers with one 1-D index
+        self.bpT = np.ascontiguousarray(self.bp.T)
+        self._offsets = np.arange(m) * npieces
+        self._c2f, self._qf, self._rf = self.c2.ravel(), self.q.ravel(), self.r.ravel()
         self.beta = min(f.beta for f in fns)
 
-    def _piece_index(self, y: np.ndarray) -> np.ndarray:
-        return (self.bp < y[:, None]).sum(axis=1)
+    def _flat_piece(self, y: np.ndarray) -> np.ndarray:
+        """Flat index of the piece covering each y_j; at a breakpoint, the left piece."""
+        return (self.bpT < y).sum(axis=0) + self._offsets
 
     def clarke(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized interval [glo, ghi] of the generalized gradient at y.
 
         When no coordinate sits exactly on a breakpoint, ghi is glo itself.
         """
-        idx = self._piece_index(y)
-        glo = self.c2[self._rows, idx] * y + self.q[self._rows, idx]
-        hit = self.redge[self._rows, idx] == y
+        flat = self._flat_piece(y)
+        glo = self._c2f[flat] * y + self._qf[flat]
+        hit = self.bpT == y   # rows are strictly increasing: at most one hit per coordinate
         if not np.count_nonzero(hit):   # cheaper than hit.any() on short vectors
             return glo, glo
-        ridx = idx + hit
-        return glo, self.c2[self._rows, ridx] * y + self.q[self._rows, ridx]
+        rflat = flat + hit.any(axis=0)
+        return glo, self._c2f[rflat] * y + self._qf[rflat]
 
     def select(self, y: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Minimal-norm selection: target clamped componentwise into the interval at y."""
@@ -262,9 +281,9 @@ class SeparablePiecewise:
         return glo if ghi is glo else np.minimum(np.maximum(target, glo), ghi)
 
     def value(self, y: np.ndarray) -> np.ndarray:
-        idx = self._piece_index(y)
-        p = 0.5 * self.c2[self._rows, idx]
-        return p * y * y + self.q[self._rows, idx] * y + self.r[self._rows, idx]
+        flat = self._flat_piece(y)
+        p = 0.5 * self._c2f[flat]
+        return p * y * y + self._qf[flat] * y + self._rf[flat]
 
     def total(self, y: np.ndarray) -> float:
         return float(self.value(y).sum())
@@ -277,8 +296,7 @@ class SeparablePiecewise:
         u = np.clip(u, left, right)
         obj = (0.5 * self.c2) * u * u + self.q * u + self.r + (u - v[:, None]) ** 2 / (2.0 * t)
         obj = np.where(left <= right, obj, np.inf)
-        best = np.argmin(obj, axis=1)
-        return u[self._rows, best]
+        return u.ravel()[self._offsets + np.argmin(obj, axis=1)]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -329,13 +347,16 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
 
     kappa1 is the smallest eigenvalue of A A' (symmetric eigendecomposition);
     the decay-rate constant is gamma = min(2 beta, 2 kappa1 / alpha_m).
-    Raises RankDeficient, NotStronglyConvex, DimensionMismatch or
-    NonCompactOmega when the structural assumptions fail.
+    Raises NonFiniteInput when A, B or C holds NaN or an infinity, and
+    RankDeficient, NotStronglyConvex, DimensionMismatch or NonCompactOmega
+    when the structural assumptions fail.
     """
     h = tuple(h)
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     C = np.asarray(C, dtype=float)
+    for name, a in (("A", A), ("B", B), ("C", C)):
+        _require_finite(name, a)
     n = f.dim
     m = len(h)
     if m == 0:

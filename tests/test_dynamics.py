@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,16 @@ from ppdgd import (
     QuadraticSmoothFn,
     State,
     TerminationReason,
+    Trajectory,
     build_problem,
     integrate,
     kkt_residual,
+    project_box,
     rhs,
     select_subgradient,
     solve_inner,
 )
+from ppdgd.analysis import write_envelope_csv
 from ppdgd.random_problems import random_problem
 
 
@@ -171,22 +176,52 @@ def test_lambda_stays_bounded_randomized():
         assert np.max(np.linalg.norm(traj.lam, axis=1)) <= bound + 1e-6
 
 
-def test_single_euler_step_matches_public_field_ops():
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("steps", [1, 5000])
+def test_euler_steps_match_public_field_ops(steps, every):
+    # every recorded row of integrate against a plain loop over the public ops;
+    # 5000 steps recorded one by one outgrow the first 4096-row sample buffer,
+    # and the last step is recorded whatever its index
     rng = np.random.default_rng(123)
-    from ppdgd import project_box
+    dt = 2.0 ** -10   # steps * dt / dt is exactly steps
+    cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0, record_every=every)
+    starts = []
     for _ in range(10):
         P = random_problem(rng, max_dim=6)
-        y0 = rng.uniform(P.Omega.lo, P.Omega.hi)
-        lam0 = rng.normal(size=P.p)
-        dt = 1e-3
-        traj = integrate(P, State(y0, lam0),
-                         IntegratorConfig(dt=dt, t_end=dt, stop_tol=0.0))
-        g = select_subgradient(P, y0, lam0)
-        raw = -g - P.Bt @ lam0
-        y_expect = project_box(y0 + dt * raw, P.Omega)
-        _, dlam = rhs(P, State(y0, lam0), 1.0)
-        assert np.array_equal(traj.y[1], y_expect)
-        assert np.array_equal(traj.lam[1], lam0 + dt * dlam)
+        starts.append((P, rng.uniform(P.Omega.lo, P.Omega.hi), rng.normal(size=P.p)))
+    # one more start with y_1 on a face of Omega: the lower one if the raw drift
+    # points out of it there, else the upper one
+    P, y0, lam0 = starts[0]
+    y0 = y0.copy()
+    y0[0] = P.Omega.lo[0]
+    if (-select_subgradient(P, y0, lam0) - P.Bt @ lam0)[0] >= 0.0:
+        y0[0] = P.Omega.hi[0]
+    starts.append((P, y0, lam0))
+    for P, y0, lam0 in starts:
+        traj = integrate(P, State(y0, lam0), cfg)
+        rows = []
+        y, lam = y0, lam0
+        for k in range(steps + 1):
+            dy, dlam = rhs(P, State(y, lam), 1.0)
+            if k % every == 0 or k == steps:
+                rows.append((k * dt, y, lam, math.sqrt(float(dy @ dy) + float(dlam @ dlam))))
+            raw = -select_subgradient(P, y, lam) - P.Bt @ lam
+            y, lam = project_box(y + dt * raw, P.Omega), lam + dt * dlam
+        t, ys, lams, drifts = (np.array(c) for c in zip(*rows))
+        assert traj.terminated_by is TerminationReason.TIME_LIMIT
+        assert np.array_equal(traj.t, t)
+        assert np.array_equal(traj.y, ys)
+        assert np.array_equal(traj.lam, lams)
+        assert np.array_equal(traj.drift_norm, drifts)
+
+
+def test_early_stop_allocates_nothing_in_proportion_to_t_end():
+    # 1e15 steps to t_end: sample buffers sized for them could not be allocated
+    P = boundary_equilibrium_problem()
+    traj = integrate(P, State(np.array([1.0]), np.array([-2.0])),
+                     IntegratorConfig(dt=1e-6, t_end=1e9))
+    assert traj.terminated_by is TerminationReason.STOP_TOL
+    assert len(traj) == 1
 
 
 def test_euler_and_rk4_agree_on_smooth_interior_flow():
@@ -235,3 +270,31 @@ def test_record_every_keeps_final_state(one_dim_problem):
     traj = integrate(one_dim_problem, State(np.array([0.5]), np.zeros(1)), cfg)
     # steps at 0, 4, 8 recorded by stride; step 11 is the forced final sample
     assert np.allclose(traj.t, [0.0, 0.004, 0.008, 0.011], atol=1e-15)
+
+
+def _per_value_csv(header, columns) -> bytes:
+    """Reference writer: one f-string per value, one row at a time."""
+    lines = [",".join(header)]
+    for k in range(len(columns[0])):
+        row = [v for c in columns for v in np.atleast_1d(c[k])]
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("rows", [1, 4096, 4097])
+def test_csv_writers_match_per_value_formatting(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    data = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-300, 300, size=(rows, 6))
+    # values whose text is easy to get wrong, in the first and in the last row
+    edge = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+    data[0, :4] = edge
+    data[-1, 2:] = edge
+    traj = Trajectory(t=data[:, 0], y=data[:, 1:3], lam=data[:, 3:5], drift_norm=data[:, 5],
+                      config=IntegratorConfig(), terminated_by=TerminationReason.TIME_LIMIT)
+    traj.write_csv(tmp_path / "trajectory.csv")
+    assert (tmp_path / "trajectory.csv").read_bytes() == _per_value_csv(
+        ["t", "y_1", "y_2", "lambda_1", "lambda_2", "drift_norm"],
+        [traj.t, traj.y, traj.lam, traj.drift_norm])
+    write_envelope_csv(tmp_path / "envelope.csv", data[:, 0], data[:, 1], data[:, 2])
+    assert (tmp_path / "envelope.csv").read_bytes() == _per_value_csv(
+        ["t", "bound", "distance"], [data[:, 0], data[:, 1], data[:, 2]])

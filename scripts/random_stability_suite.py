@@ -47,10 +47,7 @@ def main() -> int:
         y0 = rng.uniform(P.Omega.lo, P.Omega.hi)
         traj = integrate(P, State(y0, np.zeros(P.p)), cfg)
         report = certify_envelope(P, traj, eq)
-        violation = max(
-            float(np.max(P.Omega.lo - traj.y, initial=0.0)),
-            float(np.max(traj.y - P.Omega.hi, initial=0.0)),
-        )
+        violation = P.Omega.violation(traj.y)
         gap = float(np.linalg.norm(np.concatenate(
             [traj.y[-1] - eq.y_star, traj.lam[-1] - eq.lambda_star])))
         x_end = solve_inner(P, traj.lam[-1]).x_star

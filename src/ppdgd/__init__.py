@@ -12,10 +12,9 @@ from .analysis import (
     kkt_residual,
     lyapunov_value,
 )
-from .casestudy import FeederSpec, build_case, default_feeder, run_case, run_sweep
+from .casestudy import build_case, run_case, run_sweep
 from .dynamics import (
     IntegratorConfig,
-    Method,
     State,
     TerminationReason,
     Trajectory,

@@ -23,13 +23,17 @@ from .errors import (
     OracleFailed,
     PointOutsideSet,
 )
-from .geometry import ACTIVITY_TOL, MEMBER_TOL, active_faces
-from .model import Problem, SetKind
+from .geometry import active_faces
+from .model import MEMBER_TOL, Problem, SetKind
 from .dynamics import Trajectory, _write_csv
 
 KKT_TARGET = 1e-6
 ENVELOPE_SLACK = 1e-6
 FIT_FLOOR = 1e-10
+ORACLE_STAGES = 8       # penalty 10**k at stage k
+STAGE_TOL_FLOOR = 1e-10
+STAGE_MAX_ITER = 30_000
+LSQ_ACT_TOL = 1e-6      # coordinates this close to a bound or kink give no multiplier row
 
 
 @dataclass(frozen=True)
@@ -91,12 +95,12 @@ def _interval_distance(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.maximum(low, -high))
 
 
-def _normal_interval(v: np.ndarray, S, tol: float = ACTIVITY_TOL):
+def _normal_interval(v: np.ndarray, S):
     """Shift interval ends by the normal-cone interval of S at v."""
     m = v.size
     if S.kind is SetKind.FREE:
         return np.zeros(m), np.zeros(m)
-    at_lo, at_hi = active_faces(v, S, tol)
+    at_lo, at_hi = active_faces(v, S)
     low = np.where(at_lo, -np.inf, 0.0)
     high = np.where(at_hi, np.inf, 0.0)
     return low, high
@@ -188,27 +192,27 @@ def _solve_stage(P: Problem, x, y, shift, rho, lip, tol, max_iter):
     return z[:n], z[n:]
 
 
-def _lambda_least_squares(P: Problem, x, y, act_tol=1e-6):
+def _lambda_least_squares(P: Problem, x, y):
     """Multiplier from stationarity rows of strictly inactive coordinates."""
     rows = []
     rhs = []
     gx = P.f.grad(x)
     for i in range(P.n):
         if P.X.kind is SetKind.BOX and (
-            x[i] <= P.X.lo[i] + act_tol or x[i] >= P.X.hi[i] - act_tol
+            x[i] <= P.X.lo[i] + LSQ_ACT_TOL or x[i] >= P.X.hi[i] - LSQ_ACT_TOL
         ):
             continue
         rows.append(P.A[:, i])
         rhs.append(-gx[i])
     glo, ghi = P.hpack.clarke(y)
     for j in range(P.m):
-        if y[j] <= P.Omega.lo[j] + act_tol or y[j] >= P.Omega.hi[j] - act_tol:
+        if y[j] <= P.Omega.lo[j] + LSQ_ACT_TOL or y[j] >= P.Omega.hi[j] - LSQ_ACT_TOL:
             continue
         if ghi[j] - glo[j] > 0.0:
             continue
         near_kink = P.h[j].breakpoints.size and np.min(
             np.abs(P.h[j].breakpoints - y[j])
-        ) <= act_tol
+        ) <= LSQ_ACT_TOL
         if near_kink:
             continue
         rows.append(P.B[:, j])
@@ -285,19 +289,11 @@ def _candidate_total(P, cand):
         return np.inf
 
 
-def equilibrium_oracle(
-    P: Problem,
-    *,
-    stages: int = 8,
-    rho0: float = 1.0,
-    inner_tol: float = 1e-10,
-    max_inner: int = 30_000,
-    target: float = KKT_TARGET,
-) -> Equilibrium:
+def equilibrium_oracle(P: Problem) -> Equilibrium:
     """Solve min f(x) + h(y) s.t. Ax + By = C, x in X, y in Omega independently
     of the dynamics, and certify the result by its KKT residual.
 
-    Raises OracleFailed when no candidate reaches kkt total <= target.
+    Raises OracleFailed when no candidate reaches kkt total <= KKT_TARGET.
     """
     lip = float(np.linalg.norm(np.hstack([P.A, P.B]), 2))
     x = _box_project(np.linalg.solve(P.f.H, -P.f.c), P.X)
@@ -315,11 +311,11 @@ def equilibrium_oracle(
         if total < best_total:
             best, best_total = cand, total
 
-    for k in range(stages):
-        rho = rho0 * 10.0 ** k
+    for k in range(ORACLE_STAGES):
+        rho = 10.0 ** k
         gap = float(np.linalg.norm(P.A @ x + P.B @ y - P.C))
-        tol = max(inner_tol, min(1e-6, 1e-2 * gap))
-        x, y = _solve_stage(P, x, y, shift, rho, lip, tol, max_inner)
+        tol = max(STAGE_TOL_FLOOR, min(1e-6, 1e-2 * gap))
+        x, y = _solve_stage(P, x, y, shift, rho, lip, tol, STAGE_MAX_ITER)
         shift = shift + rho * (P.A @ x + P.B @ y - P.C)
         for act_tol in (1e-8, 1e-6, 1e-4):
             consider(_polish(P, x, y, shift, act_tol))
@@ -333,9 +329,9 @@ def equilibrium_oracle(
             consider(_polish(P, x, y, lam_ls, act_tol))
     consider((x, y, shift))
 
-    if best is None or best_total > target:
+    if best is None or best_total > KKT_TARGET:
         raise OracleFailed(
-            f"no candidate reached KKT total <= {target:g} (best {best_total:.3e})"
+            f"no candidate reached KKT total <= {KKT_TARGET:g} (best {best_total:.3e})"
         )
     return Equilibrium(*(np.asarray(v, dtype=float) for v in best))
 
@@ -365,8 +361,7 @@ def write_envelope_csv(path, t, bound, dist) -> None:
 
 def omega_invariant(P: Problem, traj: Trajectory) -> bool:
     """True iff every recorded y lies in Omega within MEMBER_TOL."""
-    lo, hi = P.Omega.lo - MEMBER_TOL, P.Omega.hi + MEMBER_TOL
-    return bool(np.all(traj.y >= lo) and np.all(traj.y <= hi))
+    return P.Omega.violation(traj.y) <= MEMBER_TOL
 
 
 def certify_envelope(P: Problem, traj: Trajectory, eq: Equilibrium) -> ConvergenceReport:

@@ -12,7 +12,6 @@ any of the certified quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,48 +45,20 @@ def regulation_cost() -> PiecewiseScalarFn:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FeederSpec:
-    """Feeder data in per-unit (kVar limits divided by the 100 kVA base)."""
-
-    n_buses: int = N_BUSES
-    q_hi: np.ndarray = field(default_factory=lambda: Q_LIMITS_KVAR / KVA_BASE)
-    q_lo: np.ndarray = field(default_factory=lambda: -Q_LIMITS_KVAR / KVA_BASE)
-    C: np.ndarray = field(default_factory=lambda: C_DEFAULT.copy())
-    a: float = A_DEFAULT
-    B_net: np.ndarray = field(default_factory=radial_feeder_matrix)
-
-    def __post_init__(self):
-        if self.B_net.shape != (self.n_buses, self.n_buses):
-            raise ValueError(f"B_net must be {self.n_buses}x{self.n_buses}")
-        lam_min = float(np.linalg.eigvalsh(0.5 * (self.B_net + self.B_net.T))[0])
-        if abs(lam_min - MIN_EIGENVALUE) > 1e-6:
-            raise ValueError(
-                f"lambda_min(B_net) = {lam_min:.8f}, expected {MIN_EIGENVALUE} within 1e-6"
-            )
-        if not np.array_equal(self.q_lo, -self.q_hi):
-            raise ValueError("reactive limits must be symmetric (q_lo = -q_hi)")
-        if self.C.shape != (self.n_buses,) or self.a <= 0:
-            raise ValueError("C must have one entry per bus and a must be positive")
-
-
-def default_feeder() -> FeederSpec:
-    return FeederSpec()
-
-
-def build_case(feeder: FeederSpec | None = None) -> Problem:
+def build_case() -> Problem:
     """Map the feeder data onto the generic structured problem.
 
-    x = U (free), y = q in the box, A = B_net, B = -I, C as given; the smooth
-    cost is (a/2)||U - 1||^2 and each h_j is the kinked regulation cost.
+    x = U (free), y = q in the box |q| <= Q_LIMITS_KVAR / KVA_BASE (per unit),
+    A = B_net, B = -I, C = C_DEFAULT; the smooth cost is (a/2)||U - 1||^2 with
+    a = A_DEFAULT and each h_j is the kinked regulation cost.
     """
-    fs = feeder or default_feeder()
-    n = fs.n_buses
-    f = QuadraticSmoothFn(fs.a * np.eye(n), -fs.a * np.ones(n), 0.5 * fs.a * n)
+    n, a = N_BUSES, A_DEFAULT
+    q_hi = Q_LIMITS_KVAR / KVA_BASE
+    f = QuadraticSmoothFn(a * np.eye(n), -a * np.ones(n), 0.5 * a * n)
     h = [regulation_cost() for _ in range(n)]
     return build_problem(
-        f, h, fs.B_net, -np.eye(n), fs.C,
-        BoxSet.free(n), BoxSet.box(fs.q_lo, fs.q_hi),
+        f, h, radial_feeder_matrix(), -np.eye(n), C_DEFAULT.copy(),
+        BoxSet.free(n), BoxSet.box(-q_hi, q_hi),
     )
 
 
@@ -101,7 +72,6 @@ def run_case(
     tau: float,
     cfg: IntegratorConfig | None = None,
     out_dir=None,
-    feeder: FeederSpec | None = None,
     problem: Problem | None = None,
 ) -> tuple[Trajectory, ConvergenceReport, list[Path]]:
     """Integrate the case from q(0) = 0, lam(0) = 0, certify, and export.
@@ -110,7 +80,7 @@ def run_case(
     report_tau<tau>.json under out_dir when given. Raises CertificationFailed
     if any recorded q leaves its box or the decay envelope is violated.
     """
-    P = problem if problem is not None else build_case(feeder)
+    P = problem if problem is not None else build_case()
     cfg = cfg or case_config(tau)
     traj = integrate(P, State(np.zeros(P.m), np.zeros(P.p)), cfg)
     eq = equilibrium_oracle(P)
@@ -138,11 +108,11 @@ def run_case(
     return traj, report, files
 
 
-def run_sweep(taus, out_dir=None, feeder: FeederSpec | None = None, **config_overrides):
+def run_sweep(taus, out_dir=None, **config_overrides):
     """Run the tau values one after another over one shared problem instance.
 
-    config_overrides are forwarded to case_config (dt, t_end, method, ...).
+    config_overrides are forwarded to case_config (dt, t_end, stop_tol, record_every).
     """
-    P = build_case(feeder)
+    P = build_case()
     return [run_case(tau, case_config(tau, **config_overrides), out_dir, problem=P)
             for tau in taus]

@@ -4,8 +4,8 @@ Subcommands: validate (structural assumptions and rate constants), run
 (integrate a problem file), certify (integrate + equilibrium oracle +
 envelope certificate), casestudy (the feeder demo, with repeatable --tau).
 
-Exit codes: 0 success, 2 problem-file parse error, 3 assumption failure,
-4 integration failure, 5 certification failure.
+Exit codes: 0 success, 2 parse error (problem file or flags), 3 assumption
+failure, 4 integration failure, 5 certification failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import casestudy as cs
 from .analysis import (certify_envelope, envelope_series, equilibrium_oracle,
                        omega_invariant, write_envelope_csv)
-from .dynamics import IntegratorConfig, Method, State, Trajectory, integrate
+from .dynamics import IntegratorConfig, State, Trajectory, integrate
 from .errors import (
     CertificationFailed,
     DimensionMismatch,
@@ -50,7 +50,6 @@ _ASSUMPTION_ERRORS = (
 _INTEGRATION_ERRORS = (
     InitialPointOutsideOmega, NonFiniteState, InnerSolveDiverged, PointOutsideSet,
 )
-_METHODS = {"euler": Method.PROJECTED_EULER, "rk4": Method.TANGENT_RK4}
 
 
 def _load(path: str) -> Problem:
@@ -96,14 +95,13 @@ def _cmd_validate(args) -> int:
 
 
 def _config_from(args, tau: float) -> IntegratorConfig:
-    return IntegratorConfig(
-        method=_METHODS[args.method],
-        dt=args.dt,
-        tau=tau,
-        t_end=args.t_end,
-        stop_tol=args.stop_tol,
-        record_every=args.record_every,
-    )
+    """Integrator config of the flags; a value it rejects exits 2, like a bad flag."""
+    try:
+        return IntegratorConfig(dt=args.dt, tau=tau, t_end=args.t_end,
+                                stop_tol=args.stop_tol, record_every=args.record_every)
+    except ValueError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
 
 
 def _initial_state(P: Problem, seed) -> State:
@@ -116,9 +114,10 @@ def _initial_state(P: Problem, seed) -> State:
 
 
 def _load_and_integrate(args) -> tuple[Problem, Trajectory]:
+    cfg = _config_from(args, args.tau)
     P = _load(args.problem)
     try:
-        return P, integrate(P, _initial_state(P, args.seed), _config_from(args, args.tau))
+        return P, integrate(P, _initial_state(P, args.seed), cfg)
     except _INTEGRATION_ERRORS as exc:
         print(f"integration failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INTEGRATION)
@@ -164,6 +163,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_casestudy(args) -> int:
     taus = args.tau or [1.0]
+    for tau in taus:
+        _config_from(args, tau)   # every flag is checked before a file is written
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     P = cs.build_case()
@@ -171,7 +172,7 @@ def _cmd_casestudy(args) -> int:
     try:
         results = cs.run_sweep(
             taus, out_dir=out,
-            dt=args.dt, t_end=args.t_end, method=_METHODS[args.method],
+            dt=args.dt, t_end=args.t_end,
             stop_tol=args.stop_tol, record_every=args.record_every,
         )
     except _INTEGRATION_ERRORS as exc:
@@ -198,7 +199,6 @@ def _add_run_flags(sp, tau_repeatable: bool, record_default: int = 1):
     else:
         sp.add_argument("--tau", type=float, default=1.0)
     sp.add_argument("--t-end", type=float, default=50.0, dest="t_end")
-    sp.add_argument("--method", choices=sorted(_METHODS), default="euler")
     sp.add_argument("--stop-tol", type=float, default=1e-8, dest="stop_tol")
     sp.add_argument("--record-every", type=int, default=record_default,
                     dest="record_every")

@@ -1,13 +1,13 @@
 """Right-hand side and fixed-step integration of the projected dynamics.
 
 One kernel, _unit_field, evaluates the field at tau = 1 for rhs and for every
-step of integrate (Euler, and each RK4 stage). Its y part is the raw drift
--g - B'lam, with g the minimal-norm subgradient of h (the target -B'lam
-clamped into the generalized-gradient interval, which reproduces sliding along
-kinks), projected onto the tangent cone of Omega; its lam part is the dual
-gradient A x*(lam) + B y - C. Euler steps along the raw drift and re-projects
-onto the box (the discrete normal-cone form of the inclusion); RK4 integrates
-the tangent-projected field and re-projects the result as a safeguard.
+step of integrate. Its y part is the raw drift -g - B'lam, with g the
+minimal-norm subgradient of h (the target -B'lam clamped into the
+generalized-gradient interval, which reproduces sliding along kinks),
+projected onto the tangent cone of Omega; its lam part is the dual gradient
+A x*(lam) + B y - C. integrate takes projected Euler steps: y moves along the
+raw drift and is re-projected onto the box (the discrete normal-cone form of
+the inclusion), and the tangent-projected drift gives the stopping norm.
 
 integrate writes each recorded sample (the start, every record_every-th step
 and the last step) into preallocated t, y, lam and drift arrays. They start
@@ -33,11 +33,6 @@ from .model import Problem
 RECORD_BLOCK = 4096   # rows of the first sample buffer and of each CSV write
 
 
-class Method(enum.Enum):
-    PROJECTED_EULER = "euler"
-    TANGENT_RK4 = "rk4"
-
-
 class TerminationReason(enum.Enum):
     TIME_LIMIT = "time_limit"
     STOP_TOL = "stop_tol"
@@ -54,7 +49,6 @@ class State:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: Method = Method.PROJECTED_EULER
     dt: float = 1e-3
     tau: float = 1.0
     t_end: float = 10.0
@@ -62,6 +56,8 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.dt, self.tau, self.t_end, self.stop_tol))):
+            raise ValueError("dt, tau, t_end and stop_tol must be finite")
         if self.dt <= 0 or self.tau <= 0 or self.t_end <= 0:
             raise ValueError("dt, tau and t_end must be positive")
         if self.stop_tol < 0:
@@ -191,7 +187,6 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     dtau = dt * cfg.tau
     t0 = float(s0.t)
     n_steps = max(0, math.ceil((cfg.t_end - t0) / dt - 1e-12))
-    euler = cfg.method is Method.PROJECTED_EULER
 
     # never sized by t_end alone: a run may stop at stop_tol long before it
     rows = min(n_steps // every + 2, RECORD_BLOCK)
@@ -217,17 +212,8 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                 n += 1
             if last:
                 break
-            if euler:
-                y = np.minimum(np.maximum(y + dtau * raw, lo), hi)
-                lam = lam + dtau * dlam_u
-            else:
-                half = 0.5 * dtau
-                k1y, k1l = dy_u, dlam_u
-                _, k2y, k2l = _unit_field(P, np.clip(y + half * k1y, lo, hi), lam + half * k1l)
-                _, k3y, k3l = _unit_field(P, np.clip(y + half * k2y, lo, hi), lam + half * k2l)
-                _, k4y, k4l = _unit_field(P, np.clip(y + dtau * k3y, lo, hi), lam + dtau * k3l)
-                y = np.clip(y + (dtau / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y), lo, hi)
-                lam = lam + (dtau / 6.0) * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
+            y = np.minimum(np.maximum(y + dtau * raw, lo), hi)
+            lam = lam + dtau * dlam_u
             k += 1
             t = t0 + k * dt
 

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PointOutsideSet
-from .model import ACTIVITY_TOL, BoxSet, SetKind
-
-MEMBER_TOL = 1e-9
+from .model import ACTIVITY_TOL, MEMBER_TOL, BoxSet, SetKind
 
 
 def _check_dim(v: np.ndarray, S: BoxSet, name: str) -> np.ndarray:
@@ -26,10 +24,9 @@ def _check_dim(v: np.ndarray, S: BoxSet, name: str) -> np.ndarray:
 
 
 def _check_member(y: np.ndarray, S: BoxSet):
-    if S.kind is SetKind.BOX:
-        viol = max(float(np.max(S.lo - y, initial=0.0)), float(np.max(y - S.hi, initial=0.0)))
-        if viol > MEMBER_TOL:
-            raise PointOutsideSet(f"point violates the box by {viol:.3e}")
+    viol = S.violation(y)
+    if not viol <= MEMBER_TOL:   # a NaN coordinate fails too
+        raise PointOutsideSet(f"point violates the box by {viol:.3e}")
 
 
 @dataclass(frozen=True)
@@ -49,9 +46,9 @@ def project_box(v, S: BoxSet) -> np.ndarray:
     return np.clip(v, S.lo, S.hi)
 
 
-def active_faces(y, S: BoxSet, tol: float = ACTIVITY_TOL):
+def active_faces(y, S: BoxSet):
     """Masks of the lower and upper faces of the box S that are active at y."""
-    lo_act, hi_act = S.face_thresholds if tol == ACTIVITY_TOL else (S.lo + tol, S.hi - tol)
+    lo_act, hi_act = S.face_thresholds
     return y <= lo_act, y >= hi_act
 
 
@@ -61,12 +58,12 @@ def tangent_rule(v, at_lo, at_hi) -> np.ndarray:
     return np.where(at_hi, np.minimum(0.0, out), out)
 
 
-def tangent_cone_projection(y, v, S: BoxSet, tol: float = ACTIVITY_TOL) -> ConeQueryResult:
+def tangent_cone_projection(y, v, S: BoxSet) -> ConeQueryResult:
     """Project direction v onto the tangent cone of S at y (y must lie in S).
 
     Componentwise: max(0, v_j) at an active lower bound, min(0, v_j) at an
     active upper bound, 0 where lo_j = hi_j, v_j otherwise. Activity is
-    detected within tol.
+    detected within ACTIVITY_TOL.
     """
     y = _check_dim(y, S, "y")
     v = _check_dim(v, S, "v")
@@ -74,7 +71,7 @@ def tangent_cone_projection(y, v, S: BoxSet, tol: float = ACTIVITY_TOL) -> ConeQ
         empty = np.empty(0, dtype=int)
         return ConeQueryResult(v.copy(), empty, empty)
     _check_member(y, S)
-    at_lo, at_hi = active_faces(y, S, tol)
+    at_lo, at_hi = active_faces(y, S)
     return ConeQueryResult(tangent_rule(v, at_lo, at_hi),
                            np.flatnonzero(at_lo), np.flatnonzero(at_hi))
 
@@ -90,18 +87,19 @@ def tangent_project_limit(y, v, S: BoxSet, delta: float = 1e-7) -> np.ndarray:
     return (project_box(y + delta * v, S) - y) / delta
 
 
-def normal_cone_contains(y, w, S: BoxSet, tol: float = ACTIVITY_TOL) -> bool:
-    """True iff w lies in the normal cone of S at y (within tol).
+def normal_cone_contains(y, w, S: BoxSet) -> bool:
+    """True iff w lies in the normal cone of S at y (within tol = ACTIVITY_TOL).
 
     Componentwise: |w_j| <= tol in the interior, w_j <= tol at a lower bound,
     w_j >= -tol at an upper bound, anything where lo_j = hi_j.
     """
+    tol = ACTIVITY_TOL
     y = _check_dim(y, S, "y")
     w = _check_dim(w, S, "w")
     if S.kind is SetKind.FREE:
         return bool(np.all(np.abs(w) <= tol))
     _check_member(y, S)
-    at_lo, at_hi = active_faces(y, S, tol)
+    at_lo, at_hi = active_faces(y, S)
     ok = np.where(at_lo & at_hi, True,
                   np.where(at_lo, w <= tol,
                            np.where(at_hi, w >= -tol, np.abs(w) <= tol)))

@@ -26,6 +26,7 @@ from .errors import (
 CONTINUITY_TOL = 1e-12
 RANK_RATIO_TOL = 1e-10
 ACTIVITY_TOL = 1e-9   # a coordinate this close to a bound sits on that face
+MEMBER_TOL = 1e-9     # a point at most this far outside a box still belongs to it
 
 
 def _require_finite(name: str, a: np.ndarray) -> None:
@@ -78,13 +79,22 @@ class BoxSet:
             raise DimensionMismatch(f"lo[{bad}] > hi[{bad}] ({lo[bad]} > {hi[bad]})")
         return BoxSet(SetKind.BOX, lo.size, lo, hi)
 
-    def contains(self, v, tol: float = 1e-9) -> bool:
+    def violation(self, v) -> float:
+        """Largest distance by which an entry of v (a point, or rows of points) leaves the box.
+
+        0 for FREE; NaN when v holds a NaN.
+        """
+        if self.kind is SetKind.FREE:
+            return 0.0
+        v = np.asarray(v, dtype=float)
+        return float(np.max(np.maximum(self.lo - v, v - self.hi), initial=0.0))
+
+    def contains(self, v) -> bool:
+        """True iff v lies in the box within MEMBER_TOL."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise DimensionMismatch(f"expected vector of length {self.dim}, got {v.shape}")
-        if self.kind is SetKind.FREE:
-            return True
-        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
+        return self.violation(v) <= MEMBER_TOL
 
     @cached_property
     def face_thresholds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -112,6 +122,7 @@ class QuadraticSmoothFn:
         c = np.asarray(self.c, dtype=float)
         _require_finite("H", H)
         _require_finite("c", c)
+        _require_finite("d", np.asarray(self.d, dtype=float))
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DimensionMismatch(f"H must be square, got shape {H.shape}")
         if c.shape != (H.shape[0],):
@@ -233,7 +244,6 @@ class SeparablePiecewise:
     """
 
     def __init__(self, fns: tuple[PiecewiseScalarFn, ...]):
-        self.fns = tuple(fns)
         m = len(fns)
         kmax = max(f.breakpoints.size for f in fns)
         npieces = kmax + 1
@@ -255,19 +265,16 @@ class SeparablePiecewise:
         # raveled tables, so each lookup gathers with one 1-D index
         self.bpT = np.ascontiguousarray(self.bp.T)
         self._offsets = np.arange(m) * npieces
-        self._c2f, self._qf, self._rf = self.c2.ravel(), self.q.ravel(), self.r.ravel()
+        self._c2f, self._qf = self.c2.ravel(), self.q.ravel()
         self.beta = min(f.beta for f in fns)
-
-    def _flat_piece(self, y: np.ndarray) -> np.ndarray:
-        """Flat index of the piece covering each y_j; at a breakpoint, the left piece."""
-        return (self.bpT < y).sum(axis=0) + self._offsets
 
     def clarke(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized interval [glo, ghi] of the generalized gradient at y.
 
         When no coordinate sits exactly on a breakpoint, ghi is glo itself.
         """
-        flat = self._flat_piece(y)
+        # flat index of the piece covering each y_j; at a breakpoint, the left piece
+        flat = (self.bpT < y).sum(axis=0) + self._offsets
         glo = self._c2f[flat] * y + self._qf[flat]
         hit = self.bpT == y   # rows are strictly increasing: at most one hit per coordinate
         if not np.count_nonzero(hit):   # cheaper than hit.any() on short vectors
@@ -279,14 +286,6 @@ class SeparablePiecewise:
         """Minimal-norm selection: target clamped componentwise into the interval at y."""
         glo, ghi = self.clarke(y)
         return glo if ghi is glo else np.minimum(np.maximum(target, glo), ghi)
-
-    def value(self, y: np.ndarray) -> np.ndarray:
-        flat = self._flat_piece(y)
-        p = 0.5 * self._c2f[flat]
-        return p * y * y + self._qf[flat] * y + self._rf[flat]
-
-    def total(self, y: np.ndarray) -> float:
-        return float(self.value(y).sum())
 
     def prox(self, v: np.ndarray, t: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """argmin_{u in [lo, hi]} h_j(u) + (u - v_j)^2 / (2t), exactly per coordinate."""

@@ -111,10 +111,11 @@ def test_oracle_randomized_residuals():
         assert kkt_residual(P, *eq).total <= 1e-6
 
 
-def test_oracle_failure_when_target_unreachable(one_dim_problem):
-    from ppdgd import OracleFailed
+def test_oracle_failure_when_target_unreachable(one_dim_problem, monkeypatch):
+    from ppdgd import OracleFailed, analysis
+    monkeypatch.setattr(analysis, "KKT_TARGET", -1.0)
     with pytest.raises(OracleFailed):
-        equilibrium_oracle(one_dim_problem, target=-1.0)
+        equilibrium_oracle(one_dim_problem)
 
 
 def test_oracle_handles_kink_pinned_equilibrium(kinked_cost):

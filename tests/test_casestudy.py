@@ -11,10 +11,8 @@ from ppdgd import (
     solve_inner,
 )
 from ppdgd.casestudy import (
-    FeederSpec,
     build_case,
     case_config,
-    default_feeder,
     radial_feeder_matrix,
     run_case,
     run_sweep,
@@ -32,22 +30,13 @@ def test_feeder_matrix_spectrum():
     assert np.all(np.diagonal(B, 1) > 0)
 
 
-def test_feeder_spec_validation():
-    fs = default_feeder()
-    assert np.array_equal(fs.q_lo, -fs.q_hi)
-    assert np.array_equal(fs.q_hi, np.array([80, 80, 88, 80, 104, 80, 96]) / 100.0)
-    with pytest.raises(ValueError):
-        FeederSpec(B_net=np.eye(7))  # wrong smallest eigenvalue
-    with pytest.raises(ValueError):
-        FeederSpec(q_lo=-2 * default_feeder().q_hi)
-
-
 def test_case_problem_mapping(case_problem):
     P = case_problem
     assert P.n == P.m == P.p == 7
     assert P.X.kind is SetKind.FREE
     assert np.array_equal(P.B, -np.eye(7))
-    assert np.array_equal(P.Omega.hi, default_feeder().q_hi)
+    assert np.array_equal(P.Omega.hi, np.array([80, 80, 88, 80, 104, 80, 96]) / 100.0)
+    assert np.array_equal(P.Omega.lo, -P.Omega.hi)
     assert np.allclose(P.f.H, 8.0 * np.eye(7))
 
 

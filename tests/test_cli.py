@@ -196,11 +196,6 @@ def test_certify_case_exits_0(case_file, tmp_path, capsys):
     assert (out / "envelope.csv").exists()
 
 
-def test_certify_rk4_method_flag(toy_file, tmp_path):
-    assert main(["certify", toy_file, "--out", str(tmp_path), "--method", "rk4",
-                 "--t-end", "10"]) == 0
-
-
 def test_casestudy_sweep_files(tmp_path, capsys):
     out = tmp_path / "cs"
     code = main(["casestudy", "--tau", "1", "--tau", "2", "--out", str(out),
@@ -216,3 +211,24 @@ def test_casestudy_sweep_files(tmp_path, capsys):
     rows = (out / "trajectory_tau1.csv").read_text().splitlines()
     assert len(rows) - 1 == 61
     assert rows[-1].startswith("12,") or rows[-1].startswith("12.0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "CASE", "--dt", "nan"],
+    ["run", "CASE", "--dt", "inf"],
+    ["run", "CASE", "--t-end", "inf"],
+    ["run", "CASE", "--record-every", "0"],
+    ["run", "CASE", "--tau", "-1"],
+    ["run", "CASE", "--stop-tol", "nan"],
+    ["certify", "CASE", "--dt", "nan"],
+    ["casestudy", "--tau", "1", "--tau", "nan"],
+])
+def test_rejected_integrator_flag_exits_2_before_any_output(argv, case_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [case_file if a == "CASE" else a for a in argv] + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error: ")
+    assert captured.out == ""
+    assert not out.exists()

@@ -7,7 +7,6 @@ from ppdgd import (
     BoxSet,
     InitialPointOutsideOmega,
     IntegratorConfig,
-    Method,
     NonFiniteState,
     PiecewiseScalarFn,
     QuadraticSmoothFn,
@@ -222,32 +221,6 @@ def test_early_stop_allocates_nothing_in_proportion_to_t_end():
                      IntegratorConfig(dt=1e-6, t_end=1e9))
     assert traj.terminated_by is TerminationReason.STOP_TOL
     assert len(traj) == 1
-
-
-def test_euler_and_rk4_agree_on_smooth_interior_flow():
-    rng = np.random.default_rng(0)
-    H = np.diag(rng.uniform(1, 2, 3))
-    B = rng.normal(size=(3, 3)) * 0.3
-    P = build_problem(
-        QuadraticSmoothFn(H, rng.normal(size=3) * 0.1),
-        [PiecewiseScalarFn.quadratic(0.7)] * 3,
-        np.eye(3), B, np.zeros(3),
-        BoxSet.free(3), BoxSet.box([-5.0] * 3, [5.0] * 3),
-    )
-    s0 = State(np.array([1.0, -1.0, 0.5]), np.zeros(3))
-    dt = 1e-3
-    te = integrate(P, s0, IntegratorConfig(dt=dt, t_end=10.0, stop_tol=0.0))
-    tr = integrate(P, s0, IntegratorConfig(dt=dt, t_end=10.0, stop_tol=0.0,
-                                           method=Method.TANGENT_RK4))
-    gap = np.linalg.norm(np.concatenate([te.y[-1] - tr.y[-1], te.lam[-1] - tr.lam[-1]]))
-    assert gap <= 10 * dt
-
-
-def test_rk4_keeps_omega_invariance(kink_flow_problem):
-    cfg = IntegratorConfig(dt=5e-3, t_end=10.0, method=Method.TANGENT_RK4)
-    traj = integrate(kink_flow_problem, State(np.array([0.9]), np.array([2.0])), cfg)
-    assert np.all(traj.y >= -1.0 - 1e-9)
-    assert np.all(traj.y <= 1.0 + 1e-9)
 
 
 def test_trajectory_csv_format(tmp_path, one_dim_problem):

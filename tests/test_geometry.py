@@ -6,13 +6,22 @@ from hypothesis import strategies as st
 from ppdgd import (
     BoxSet,
     DimensionMismatch,
+    IntegratorConfig,
+    PiecewiseScalarFn,
     PointOutsideSet,
+    QuadraticSmoothFn,
+    State,
+    TerminationReason,
+    Trajectory,
+    build_problem,
     normal_cone_contains,
     project_box,
+    rhs,
     tangent_cone_projection,
     tangent_project,
     tangent_project_limit,
 )
+from ppdgd.analysis import omega_invariant
 
 boxes = st.integers(1, 5).flatmap(
     lambda d: st.tuples(
@@ -178,3 +187,30 @@ def test_normal_cone_against_grid_inner_products():
         w = rng.uniform(-1, 1, size=2)
         grid_says = bool(np.all((Z - y) @ w <= 1e-12))
         assert normal_cone_contains(y, w, S) == grid_says
+
+
+@pytest.mark.parametrize("offset, inside", [(0.5e-9, True), (2e-9, False)])
+def test_one_membership_check_at_its_bound(offset, inside):
+    # coordinate 1 is degenerate (lo == hi); each face is left by offset in turn
+    S = BoxSet.box([-1.0, 0.5], [1.0, 0.5])
+    P = build_problem(QuadraticSmoothFn(np.eye(2), np.zeros(2)),
+                      [PiecewiseScalarFn.quadratic(0.5)] * 2,
+                      np.eye(2), -np.eye(2), np.zeros(2), BoxSet.free(2), S)
+    center = np.array([0.0, 0.5])
+    for j in range(2):
+        for y_j in (S.lo[j] - offset, S.hi[j] + offset):
+            y = center.copy()
+            y[j] = y_j
+            assert S.violation(y) == pytest.approx(offset, abs=1e-15)
+            assert S.contains(y) is inside
+            traj = Trajectory(np.array([0.0, 1.0]), np.stack([center, y]), np.zeros((2, 2)),
+                              np.zeros(2), IntegratorConfig(), TerminationReason.TIME_LIMIT)
+            assert omega_invariant(P, traj) is inside
+            if inside:
+                rhs(P, State(y, np.zeros(2)))
+            else:
+                with pytest.raises(PointOutsideSet):
+                    rhs(P, State(y, np.zeros(2)))
+    free = BoxSet.free(2)
+    assert free.violation(np.array([1e300, -1e300])) == 0.0
+    assert free.contains(np.array([1e300, -1e300]))

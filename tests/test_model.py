@@ -231,7 +231,6 @@ def test_packed_clarke_and_selection_match_scalar_clarke():
         ref_lo, ref_hi = np.array([fn.clarke(s) for fn, s in zip(fns, y)]).T
         glo, ghi = pack.clarke(y)
         assert np.array_equal(glo, ref_lo) and np.array_equal(ghi, ref_hi)
-        assert np.array_equal(pack.value(y), [fn.value(s) for fn, s in zip(fns, y)])
         for target in (ref_lo - 1.0, 0.5 * (ref_lo + ref_hi), ref_hi + 1.0,
                        np.where(rng.random(y.size) < 0.5, ref_lo - 1.0, ref_hi + 1.0)):
             assert np.array_equal(pack.select(y, target), np.clip(target, ref_lo, ref_hi))
@@ -240,21 +239,21 @@ def test_packed_clarke_and_selection_match_scalar_clarke():
 def _build_with(name=None, bad=None):
     """A valid 2x2 instance built from Python, with the last entry of array name set to bad."""
     arrays = {
-        "H": np.array([[2.0, 0.5], [0.5, 1.0]]), "c": np.array([0.1, -0.2]),
+        "H": np.array([[2.0, 0.5], [0.5, 1.0]]), "c": np.array([0.1, -0.2]), "d": np.array(0.0),
         "breakpoints": np.array([0.0]), "coeffs": np.array([[0.5, 0.0, 0.0], [1.0, 0.0, 0.0]]),
         "A": np.array([[1.0, 0.0], [0.3, 1.0]]), "B": np.array([[1.0, 0.0], [0.0, -1.0]]),
         "C": np.array([0.2, -0.1]),
     }
     if name is not None:
         arrays[name][(-1,) * arrays[name].ndim] = bad
-    f = QuadraticSmoothFn(arrays["H"], arrays["c"])
+    f = QuadraticSmoothFn(arrays["H"], arrays["c"], arrays["d"])
     h = [PiecewiseScalarFn(arrays["breakpoints"], arrays["coeffs"]), quad(0.5)]
     return build_problem(f, h, arrays["A"], arrays["B"], arrays["C"],
                          BoxSet.free(2), BoxSet.box([-1.0, -1.0], [1.0, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name", ["H", "c", "breakpoints", "coeffs", "A", "B", "C"])
+@pytest.mark.parametrize("name", ["H", "c", "d", "breakpoints", "coeffs", "A", "B", "C"])
 def test_non_finite_array_raises_naming_the_argument(name, bad):
     _build_with()
     with pytest.raises(NonFiniteInput, match=rf"^{name}\["):

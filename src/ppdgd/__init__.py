@@ -12,7 +12,7 @@ from .analysis import (
     kkt_residual,
     lyapunov_value,
 )
-from .casestudy import build_case, run_case, run_sweep
+from .casestudy import build_case, run_case
 from .dynamics import (
     IntegratorConfig,
     State,

@@ -62,26 +62,15 @@ def build_case() -> Problem:
     )
 
 
-def case_config(tau: float, **overrides) -> IntegratorConfig:
-    defaults = dict(dt=1e-3, tau=tau, t_end=50.0, stop_tol=1e-8, record_every=100)
-    defaults.update(overrides)
-    return IntegratorConfig(**defaults)
-
-
 def run_case(
-    tau: float,
-    cfg: IntegratorConfig | None = None,
-    out_dir=None,
-    problem: Problem | None = None,
+    P: Problem, cfg: IntegratorConfig, out_dir=None,
 ) -> tuple[Trajectory, ConvergenceReport, list[Path]]:
-    """Integrate the case from q(0) = 0, lam(0) = 0, certify, and export.
+    """Integrate P from q(0) = 0, lam(0) = 0 with cfg, certify, and export.
 
     Writes trajectory_tau<tau>.csv, envelope_tau<tau>.csv and
     report_tau<tau>.json under out_dir when given. Raises CertificationFailed
     if any recorded q leaves its box or the decay envelope is violated.
     """
-    P = problem if problem is not None else build_case()
-    cfg = cfg or case_config(tau)
     traj = integrate(P, State(np.zeros(P.m), np.zeros(P.p)), cfg)
     eq = equilibrium_oracle(P)
     report = certify_envelope(P, traj, eq)
@@ -106,13 +95,3 @@ def run_case(
         report.write_json(rep_path)
         files = [traj_path, env_path, rep_path]
     return traj, report, files
-
-
-def run_sweep(taus, out_dir=None, **config_overrides):
-    """Run the tau values one after another over one shared problem instance.
-
-    config_overrides are forwarded to case_config (dt, t_end, stop_tol, record_every).
-    """
-    P = build_case()
-    return [run_case(tau, case_config(tau, **config_overrides), out_dir, problem=P)
-            for tau in taus]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -62,8 +63,8 @@ class IntegratorConfig:
             raise ValueError("dt, tau and t_end must be positive")
         if self.stop_tol < 0:
             raise ValueError("stop_tol must be nonnegative")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
 
 
 @dataclass(eq=False)

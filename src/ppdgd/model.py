@@ -129,8 +129,10 @@ class QuadraticSmoothFn:
             raise DimensionMismatch(f"c has shape {c.shape}, expected ({H.shape[0]},)")
         if not np.allclose(H, H.T, atol=1e-12 * max(1.0, float(np.abs(H).max()))):
             raise DimensionMismatch("H must be symmetric")
-        H = 0.5 * (H + H.T)
+        H = 0.5 * H + 0.5 * H.T   # 0.5 * (H + H.T) overflows for entries near the float maximum
         eigs = np.linalg.eigvalsh(H)
+        if not np.isfinite(eigs).all():
+            raise NonFiniteInput(f"H has eigenvalues {eigs[0]}..{eigs[-1]}, not all finite")
         if eigs[0] <= 0.0:
             raise NotStronglyConvex(f"H is not positive definite (min eigenvalue {eigs[0]})")
         object.__setattr__(self, "H", H)

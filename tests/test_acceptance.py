@@ -31,7 +31,7 @@ from ppdgd import (
     tangent_project,
     tangent_project_limit,
 )
-from ppdgd.casestudy import build_case, case_config, regulation_cost, run_case
+from ppdgd.casestudy import build_case, regulation_cost, run_case
 from ppdgd.model import QuadraticSmoothFn, build_problem
 from ppdgd.random_problems import kink_distance, random_problem
 
@@ -148,8 +148,9 @@ def test_criterion_1_rate_constants_via_validate(tmp_path):
 def test_criterion_2_exponential_envelope_case_study():
     t0 = time.perf_counter()
     margins = []
+    P = build_case()
     for tau in (1.0, 2.0, 5.0):
-        traj, rep, _ = run_case(tau, case_config(tau, record_every=10))
+        traj, rep, _ = run_case(P, IntegratorConfig(tau=tau, t_end=50.0, record_every=10))
         assert traj.config.dt == 1e-3
         margins.append((tau, rep.envelope_ok, rep.envelope_margin))
     elapsed = time.perf_counter() - t0

@@ -130,6 +130,29 @@ def test_oracle_handles_kink_pinned_equilibrium(kinked_cost):
     assert kkt_residual(P, *eq).total <= 1e-6
 
 
+def test_oracle_stops_early_on_a_tiny_kink_jump(monkeypatch):
+    # y* = 0.3 sits on a kink whose derivative jumps by only 1e-6; the 1e-6
+    # and 1e-4 polish patterns pin it after 3 stages, 1e-8 alone takes 5
+    from ppdgd import analysis
+    h = PiecewiseScalarFn(np.array([0.3]), np.array([[0.5, 0.0, 0.0], [0.5, 1e-6, -3e-7]]))
+    P = build_problem(
+        QuadraticSmoothFn(np.array([[1.0]]), np.zeros(1)), [h],
+        np.array([[1.0]]), np.array([[-1.0]]), np.array([-0.6 - 5e-7]),
+        BoxSet.free(1), BoxSet.box([-1.0], [1.0]),
+    )
+    calls = []
+    solve_stage = analysis._solve_stage
+
+    def counted(*args):
+        calls.append(args[4])
+        return solve_stage(*args)
+
+    monkeypatch.setattr(analysis, "_solve_stage", counted)
+    eq = equilibrium_oracle(P)
+    assert kkt_residual(P, *eq).total <= 1e-10
+    assert len(calls) <= 3
+
+
 def test_lyapunov_value_basics(one_dim_problem):
     eq = Equilibrium(np.zeros(1), np.array([0.25]), np.array([-0.5]))
     assert lyapunov_value(eq, np.array([0.25]), np.array([-0.5])) == 0.0

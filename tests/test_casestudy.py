@@ -10,13 +10,7 @@ from ppdgd import (
     kkt_residual,
     solve_inner,
 )
-from ppdgd.casestudy import (
-    build_case,
-    case_config,
-    radial_feeder_matrix,
-    run_case,
-    run_sweep,
-)
+from ppdgd.casestudy import build_case, radial_feeder_matrix, run_case
 
 
 def test_feeder_matrix_spectrum():
@@ -63,8 +57,9 @@ def test_case_inner_solution_closed_form(case_problem):
     assert np.allclose(sol.x_star, 1.0 - (P.A.T @ lam) / 8.0, atol=1e-13)
 
 
-def test_run_case_writes_expected_files(tmp_path):
-    traj, report, files = run_case(1.0, case_config(1.0, t_end=15.0), out_dir=tmp_path)
+def test_run_case_writes_expected_files(case_problem, tmp_path):
+    cfg = IntegratorConfig(tau=1.0, t_end=15.0, record_every=100)
+    traj, report, files = run_case(case_problem, cfg, out_dir=tmp_path)
     names = sorted(f.name for f in files)
     assert names == ["envelope_tau1.csv", "report_tau1.json", "trajectory_tau1.csv"]
     assert report.envelope_ok
@@ -77,7 +72,7 @@ def test_run_case_writes_expected_files(tmp_path):
 
 def test_case_trajectory_respects_limits_and_envelope():
     P = build_case()
-    traj, report, _ = run_case(1.0, case_config(1.0, t_end=20.0), problem=P)
+    traj, report, _ = run_case(P, IntegratorConfig(tau=1.0, t_end=20.0, record_every=100))
     assert np.all(traj.y >= P.Omega.lo - 1e-9)
     assert np.all(traj.y <= P.Omega.hi + 1e-9)
     assert report.envelope_ok
@@ -98,7 +93,9 @@ def test_case_endpoint_matches_oracle():
 
 
 def test_sweep_exponents_scale_with_tau(tmp_path):
-    results = run_sweep([1.0, 2.0], out_dir=tmp_path)
+    P = build_case()
+    results = [run_case(P, IntegratorConfig(tau=tau, t_end=50.0, record_every=100), tmp_path)
+               for tau in (1.0, 2.0)]
     (t1, r1, f1), (t2, r2, f2) = results
     assert r1.envelope_ok and r2.envelope_ok
     assert 0.5 * r2.gamma_bound * r2.tau == 2.0 * (0.5 * r1.gamma_bound * r1.tau)

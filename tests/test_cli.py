@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -196,11 +198,15 @@ def test_certify_case_exits_0(case_file, tmp_path, capsys):
     assert (out / "envelope.csv").exists()
 
 
-def test_casestudy_sweep_files(tmp_path, capsys):
+def test_casestudy_sweep_files(tmp_path, capsys, monkeypatch):
+    from ppdgd import casestudy
+    builds = []
+    monkeypatch.setattr(casestudy, "build_case", lambda: builds.append(1) or build_case())
     out = tmp_path / "cs"
     code = main(["casestudy", "--tau", "1", "--tau", "2", "--out", str(out),
                  "--t-end", "12", "--record-every", "200"])
     assert code == 0
+    assert len(builds) == 1   # one problem serves problem.json and every tau
     names = {p.name for p in out.iterdir()}
     assert {"problem.json", "trajectory_tau1.csv", "envelope_tau1.csv",
             "report_tau1.json", "trajectory_tau2.csv", "envelope_tau2.csv",
@@ -232,3 +238,26 @@ def test_rejected_integrator_flag_exits_2_before_any_output(argv, case_file, tmp
     assert len(err) == 1 and err[0].startswith("parse error: ")
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_certify_huge_hessian_ends_with_one_error_line(tmp_path):
+    # 0.5 * (H + H.T) used to overflow here: validate printed alpha = nan and
+    # certify hung in a least-squares solve
+    doc = {
+        "n": 2, "m": 2, "p": 1,
+        "H": {"diag": [1e308, 1e308]}, "c": [0.0, 0.0],
+        "A": [[1.0, 1.0]], "B": [[1.0, -1.0]], "C": [0.2],
+        "h": [{"breakpoints": [], "pieces": [{"p": 0.5, "q": 0.0, "r": 0.0}]}] * 2,
+        "X": {"kind": "free"},
+        "Omega": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppdgd.cli", "certify", str(path), "--out", str(tmp_path / "out"),
+         "--t-end", "5"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode in (3, 5)
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and "Traceback" not in proc.stderr

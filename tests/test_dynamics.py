@@ -271,3 +271,14 @@ def test_csv_writers_match_per_value_formatting(tmp_path, rows):
     write_envelope_csv(tmp_path / "envelope.csv", data[:, 0], data[:, 1], data[:, 2])
     assert (tmp_path / "envelope.csv").read_bytes() == _per_value_csv(
         ["t", "bound", "distance"], [data[:, 0], data[:, 1], data[:, 2]])
+
+
+@pytest.mark.parametrize("every, ok", [
+    (3, True), (np.int64(3), True), (2.5, False), (3.0, False), ("3", False), (0, False),
+])
+def test_record_every_must_be_a_positive_integer(every, ok):
+    if ok:
+        assert IntegratorConfig(record_every=every).record_every == 3
+    else:
+        with pytest.raises(ValueError, match="record_every"):
+            IntegratorConfig(record_every=every)

@@ -236,6 +236,55 @@ def test_packed_clarke_and_selection_match_scalar_clarke():
             assert np.array_equal(pack.select(y, target), np.clip(target, ref_lo, ref_hi))
 
 
+def _scalar_prox(fn, v, t, lo, hi):
+    """Brute force: each piece's stationary point clamped to piece and box, and both bounds."""
+    edges = np.concatenate([[-np.inf], fn.breakpoints, [np.inf]])
+    cands = [lo, hi]
+    for (p, q, _), left, right in zip(fn.coeffs, edges[:-1], edges[1:]):
+        a, b = max(left, lo), min(right, hi)
+        if a <= b:
+            cands.append(min(max((v - t * q) / (1.0 + t * (2.0 * p)), a), b))
+    return min(cands, key=lambda s: fn.value(s) + (s - v) ** 2 / (2.0 * t))
+
+
+def test_packed_prox_matches_scalar_reference():
+    # rows with 0, 1 and 3 kinks; row 2's box cuts off its outer kinks, and
+    # rows 4 and 5 are single points (one on a kink)
+    rng = np.random.default_rng(77)
+    fns = [random_piecewise(rng, -1.0, 1.0, k) for k in (0, 1, 3, 3, 0, 1)]
+    pack = SeparablePiecewise(fns)
+    lo = np.array([-1.0, -1.0, -0.3, -1.0, 0.25, fns[5].breakpoints[0]])
+    hi = np.array([1.0, 1.0, 0.3, 1.0, 0.25, fns[5].breakpoints[0]])
+    candidates = []
+    for fn, a, b in zip(fns, lo, hi):
+        bp = fn.breakpoints
+        pts = [np.array([a, b, a - 0.7, b + 0.7, 0.5 * (a + b)]),
+               bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)]
+        candidates.append(np.concatenate(pts))
+    longest = max(c.size for c in candidates)
+    vs = [np.array([c[(r + shift) % c.size] for c in candidates])
+          for r in range(longest) for shift in (0, 1, 2)]
+    vs += [rng.uniform(-1.5, 1.5, size=len(fns)) for _ in range(30)]
+    for t in (1e-6, 1.0, 1e6):
+        for v in vs:
+            ref = [_scalar_prox(fn, vj, t, a, b) for fn, vj, a, b in zip(fns, v, lo, hi)]
+            assert np.array_equal(pack.prox(v, t, lo, hi), ref), (t, v)
+
+
+@pytest.mark.parametrize("H", [np.diag([1e308, 1e308]), np.array([[1e308, 1e307], [1e307, 1e308]])])
+def test_huge_hessian_entries_keep_finite_constants(H):
+    # H + H.T would overflow to inf here
+    f = QuadraticSmoothFn(H, np.zeros(2))
+    assert np.array_equal(f.H, H)
+    assert np.allclose([f.alpha, f.alpha_m], np.linalg.eigvalsh(H / 1e308) * 1e308, rtol=1e-12)
+
+
+def test_hessian_with_infinite_eigenvalue_raises_naming_h():
+    H = np.array([[1.5e308, 1e308], [1e308, 1.5e308]])
+    with pytest.raises(NonFiniteInput, match=r"^H "):
+        QuadraticSmoothFn(H, np.zeros(2))
+
+
 def _build_with(name=None, bad=None):
     """A valid 2x2 instance built from Python, with the last entry of array name set to bad."""
     arrays = {

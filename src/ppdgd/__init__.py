@@ -12,7 +12,7 @@ from .analysis import (
     kkt_residual,
     lyapunov_value,
 )
-from .casestudy import build_case, run_case
+from .casestudy import build_case
 from .dynamics import (
     IntegratorConfig,
     State,
@@ -23,7 +23,6 @@ from .dynamics import (
     select_subgradient,
 )
 from .errors import (
-    CertificationFailed,
     DimensionMismatch,
     EquilibriumUnverified,
     InitialPointOutsideOmega,

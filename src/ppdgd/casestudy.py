@@ -12,14 +12,8 @@ any of the certified quantities.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from .analysis import (ConvergenceReport, certify_envelope, envelope_series,
-                       equilibrium_oracle, omega_invariant, write_envelope_csv)
-from .dynamics import IntegratorConfig, State, Trajectory, integrate
-from .errors import CertificationFailed
 from .model import BoxSet, PiecewiseScalarFn, Problem, QuadraticSmoothFn, build_problem
 
 N_BUSES = 7
@@ -31,10 +25,11 @@ A_DEFAULT = 8.0
 COST_KINK = 0.2
 
 
-def radial_feeder_matrix(n_buses: int = N_BUSES, min_eigenvalue: float = MIN_EIGENVALUE) -> np.ndarray:
-    """Tridiagonal (1, 2, 1) line-graph matrix rescaled to the target lambda_min."""
-    T = 2.0 * np.eye(n_buses) + np.diag(np.ones(n_buses - 1), 1) + np.diag(np.ones(n_buses - 1), -1)
-    return (min_eigenvalue / np.linalg.eigvalsh(T)[0]) * T
+def radial_feeder_matrix() -> np.ndarray:
+    """Tridiagonal (1, 2, 1) line-graph matrix rescaled to lambda_min = MIN_EIGENVALUE."""
+    off = np.ones(N_BUSES - 1)
+    T = 2.0 * np.eye(N_BUSES) + np.diag(off, 1) + np.diag(off, -1)
+    return (MIN_EIGENVALUE / np.linalg.eigvalsh(T)[0]) * T
 
 
 def regulation_cost() -> PiecewiseScalarFn:
@@ -60,38 +55,3 @@ def build_case() -> Problem:
         f, h, radial_feeder_matrix(), -np.eye(n), C_DEFAULT.copy(),
         BoxSet.free(n), BoxSet.box(-q_hi, q_hi),
     )
-
-
-def run_case(
-    P: Problem, cfg: IntegratorConfig, out_dir=None,
-) -> tuple[Trajectory, ConvergenceReport, list[Path]]:
-    """Integrate P from q(0) = 0, lam(0) = 0 with cfg, certify, and export.
-
-    Writes trajectory_tau<tau>.csv, envelope_tau<tau>.csv and
-    report_tau<tau>.json under out_dir when given. Raises CertificationFailed
-    if any recorded q leaves its box or the decay envelope is violated.
-    """
-    traj = integrate(P, State(np.zeros(P.m), np.zeros(P.p)), cfg)
-    eq = equilibrium_oracle(P)
-    report = certify_envelope(P, traj, eq)
-
-    if not omega_invariant(P, traj):
-        raise CertificationFailed("a recorded q sample violates its box beyond 1e-9")
-    if not report.envelope_ok:
-        raise CertificationFailed(
-            f"decay envelope violated (margin {report.envelope_margin:.3e})"
-        )
-
-    files: list[Path] = []
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        tag = f"{cfg.tau:g}"
-        traj_path = out / f"trajectory_tau{tag}.csv"
-        traj.write_csv(traj_path)
-        env_path = out / f"envelope_tau{tag}.csv"
-        write_envelope_csv(env_path, *envelope_series(P, traj, eq))
-        rep_path = out / f"report_tau{tag}.json"
-        report.write_json(rep_path)
-        files = [traj_path, env_path, rep_path]
-    return traj, report, files

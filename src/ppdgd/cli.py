@@ -19,9 +19,8 @@ import numpy as np
 from . import casestudy as cs
 from .analysis import (certify_envelope, envelope_series, equilibrium_oracle,
                        omega_invariant, write_envelope_csv)
-from .dynamics import IntegratorConfig, State, Trajectory, integrate
+from .dynamics import IntegratorConfig, State, integrate
 from .errors import (
-    CertificationFailed,
     DimensionMismatch,
     EquilibriumUnverified,
     InitialPointOutsideOmega,
@@ -32,6 +31,7 @@ from .errors import (
     NotStronglyConvex,
     OracleFailed,
     PointOutsideSet,
+    PpdgdError,
     ProblemFormatError,
     RankDeficient,
 )
@@ -44,12 +44,7 @@ EXIT_ASSUMPTION = 3
 EXIT_INTEGRATION = 4
 EXIT_CERTIFICATION = 5
 
-_ASSUMPTION_ERRORS = (
-    RankDeficient, NotStronglyConvex, NonCompactOmega, DimensionMismatch, NonFiniteInput,
-)
-_INTEGRATION_ERRORS = (
-    InitialPointOutsideOmega, NonFiniteState, InnerSolveDiverged, PointOutsideSet,
-)
+FEASIBILITY_TOL = 1e-6   # residual of Ax + By = C, relative to max(1, |C|_inf)
 
 
 def _load(path: str) -> Problem:
@@ -58,12 +53,9 @@ def _load(path: str) -> Problem:
     except (ProblemFormatError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
-    except _ASSUMPTION_ERRORS as exc:
-        print(f"assumption failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_ASSUMPTION)
 
 
-def _feasible(P: Problem, tol: float = 1e-6) -> bool:
+def _feasible(P: Problem) -> bool:
     """Probe whether Ax + By = C admits a solution over X x Omega."""
     if P.X.kind is SetKind.FREE:
         return True  # A has full row rank, so x alone reaches any right-hand side
@@ -74,7 +66,7 @@ def _feasible(P: Problem, tol: float = 1e-6) -> bool:
     hi = np.concatenate([P.X.hi, P.Omega.hi])
     res = scipy.optimize.lsq_linear(M, P.C, bounds=(lo, hi))
     gap = float(np.max(np.abs(M @ res.x - P.C)))
-    return gap <= tol * max(1.0, float(np.max(np.abs(P.C))))
+    return gap <= FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(P.C))))
 
 
 def _cmd_validate(args) -> int:
@@ -113,18 +105,28 @@ def _initial_state(P: Problem, seed) -> State:
     return State(y0, np.zeros(P.p))
 
 
-def _load_and_integrate(args) -> tuple[Problem, Trajectory]:
-    cfg = _config_from(args, args.tau)
-    P = _load(args.problem)
-    try:
-        return P, integrate(P, _initial_state(P, args.seed), cfg)
-    except _INTEGRATION_ERRORS as exc:
-        print(f"integration failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INTEGRATION)
+def _certify(P: Problem, cfg: IntegratorConfig, seed, out: Path, eq=None, tag: str = ""):
+    """Integrate, certify against eq (the oracle's when None) and export.
+
+    Writes trajectory{tag}.csv, envelope{tag}.csv and report{tag}.json under
+    out, creating out only after certification, and returns (trajectory,
+    report, invariant).
+    """
+    traj = integrate(P, _initial_state(P, seed), cfg)
+    if eq is None:
+        eq = equilibrium_oracle(P)
+    report = certify_envelope(P, traj, eq)
+    out.mkdir(parents=True, exist_ok=True)
+    traj.write_csv(out / f"trajectory{tag}.csv")
+    write_envelope_csv(out / f"envelope{tag}.csv", *envelope_series(P, traj, eq))
+    report.write_json(out / f"report{tag}.json")
+    return traj, report, omega_invariant(P, traj)
 
 
 def _cmd_run(args) -> int:
-    _, traj = _load_and_integrate(args)
+    cfg = _config_from(args, args.tau)
+    P = _load(args.problem)
+    traj = integrate(P, _initial_state(P, args.seed), cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "trajectory.csv"
@@ -138,27 +140,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    P, traj = _load_and_integrate(args)
-    try:
-        eq = equilibrium_oracle(P)
-        report = certify_envelope(P, traj, eq)
-    except (OracleFailed, EquilibriumUnverified) as exc:
-        print(f"certification failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
+    cfg = _config_from(args, args.tau)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    traj.write_csv(out / "trajectory.csv")
-    write_envelope_csv(out / "envelope.csv", *envelope_series(P, traj, eq))
-    report.write_json(out / "report.json")
-    invariant = omega_invariant(P, traj)
+    _, report, invariant = _certify(_load(args.problem), cfg, args.seed, out)
     print(f"envelope_ok = {report.envelope_ok}")
     print(f"invariance_ok = {invariant}")
     print(f"gamma_bound = {report.gamma_bound!r}")
     print(f"fitted_rate = {report.fitted_rate!r}")
     print(f"wrote {out / 'trajectory.csv'}, {out / 'envelope.csv'}, {out / 'report.json'}")
-    if not (report.envelope_ok and invariant):
-        return EXIT_CERTIFICATION
-    return EXIT_OK
+    return EXIT_OK if report.envelope_ok and invariant else EXIT_CERTIFICATION
 
 
 def _cmd_casestudy(args) -> int:
@@ -168,14 +158,12 @@ def _cmd_casestudy(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     P = cs.build_case()
     dump_problem(P, out / "problem.json")
-    try:
-        results = [cs.run_case(P, cfg, out) for cfg in configs]
-    except _INTEGRATION_ERRORS as exc:
-        print(f"integration failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-    except (OracleFailed, EquilibriumUnverified, CertificationFailed) as exc:
-        print(f"certification failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
+    results, eq = [], None
+    for cfg in configs:   # one oracle solve serves every tau
+        traj, report, invariant = _certify(P, cfg, args.seed, out, eq, f"_tau{cfg.tau:g}")
+        eq = report.equilibrium
+        results.append((traj, report, invariant))
+    # lines print once every tau has run: a tau that raises leaves stdout empty
     for traj, report, _ in results:
         print(
             f"tau = {report.tau:g}: envelope_ok = {report.envelope_ok}, "
@@ -183,7 +171,8 @@ def _cmd_casestudy(args) -> int:
             f"fitted_rate = {report.fitted_rate!r}, samples = {len(traj)}"
         )
     print(f"wrote outputs under {out}")
-    return EXIT_OK
+    ok = all(report.envelope_ok and invariant for _, report, invariant in results)
+    return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
 def _add_run_flags(sp, tau_repeatable: bool, record_default: int = 1):
@@ -231,6 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # (failure classes, exit code, stderr label); a problem file that does not
+    # parse exits 2 from _load, before any of these can be raised
+    failures = (
+        ((RankDeficient, NotStronglyConvex, NonCompactOmega, DimensionMismatch, NonFiniteInput),
+         EXIT_ASSUMPTION, "assumption failure"),
+        ((InitialPointOutsideOmega, NonFiniteState, InnerSolveDiverged, PointOutsideSet),
+         EXIT_INTEGRATION, "integration failure"),
+        ((OracleFailed, EquilibriumUnverified), EXIT_CERTIFICATION, "certification failure"),
+    )
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -239,6 +237,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except PpdgdError as exc:
+        for classes, code, label in failures:
+            if isinstance(exc, classes):
+                print(f"{label}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -81,9 +81,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.t.size
 
-    def final_state(self) -> State:
-        return State(self.y[-1].copy(), self.lam[-1].copy(), float(self.t[-1]))
-
     def write_csv(self, path) -> None:
         m = self.y.shape[1]
         p = self.lam.shape[1]

@@ -49,9 +49,5 @@ class EquilibriumUnverified(PpdgdError):
     """Certification called with an equilibrium whose KKT residual is too large."""
 
 
-class CertificationFailed(PpdgdError):
-    """Envelope or invariance check failed during certification."""
-
-
 class ProblemFormatError(PpdgdError):
     """Problem file is malformed; message cites the offending JSON path."""

@@ -134,6 +134,10 @@ class QuadraticSmoothFn:
         if not np.isfinite(eigs).all():
             raise NonFiniteInput(f"H has eigenvalues {eigs[0]}..{eigs[-1]}, not all finite")
         if eigs[0] <= 0.0:
+            if abs(eigs[0]) <= eigs.size * np.finfo(float).eps * eigs[-1]:
+                # within roundoff of zero: eigvalsh cannot tell singular from badly scaled
+                raise NotStronglyConvex(
+                    f"H is singular to working precision (eigenvalues {eigs[0]}..{eigs[-1]})")
             raise NotStronglyConvex(f"H is not positive definite (min eigenvalue {eigs[0]})")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "c", c)
@@ -268,7 +272,6 @@ class SeparablePiecewise:
         self.bpT = np.ascontiguousarray(self.bp.T)
         self._offsets = np.arange(m) * npieces
         self._c2f, self._qf = self.c2.ravel(), self.q.ravel()
-        self.beta = min(f.beta for f in fns)
 
     def clarke(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized interval [glo, ghi] of the generalized gradient at y.

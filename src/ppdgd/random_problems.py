@@ -13,6 +13,8 @@ import numpy as np
 
 from .model import BoxSet, PiecewiseScalarFn, Problem, QuadraticSmoothFn, build_problem
 
+MAX_KINKS = 3   # each h_j gets 0..MAX_KINKS breakpoints
+
 
 def random_piecewise(rng, lo: float, hi: float, n_kinks: int) -> PiecewiseScalarFn:
     """Convex piecewise quadratic with n_kinks upward derivative jumps in (lo, hi).
@@ -46,12 +48,7 @@ def random_piecewise(rng, lo: float, hi: float, n_kinks: int) -> PiecewiseScalar
     return PiecewiseScalarFn(bps, pieces)
 
 
-def random_problem(
-    rng,
-    max_dim: int = 10,
-    max_kinks: int = 3,
-    free_x: bool = True,
-) -> Problem:
+def random_problem(rng, max_dim: int = 10, free_x: bool = True) -> Problem:
     """Random instance with m, n, p <= max_dim and a random box Omega.
 
     The coupling A is rescaled so the dual Hessian A H^-1 A' has its smallest
@@ -82,7 +79,7 @@ def random_problem(
 
     lo = rng.uniform(-2.0, -0.5, size=m)
     hi = rng.uniform(0.5, 2.0, size=m)
-    h = [random_piecewise(rng, lo[j], hi[j], int(rng.integers(0, max_kinks + 1)))
+    h = [random_piecewise(rng, lo[j], hi[j], int(rng.integers(0, MAX_KINKS + 1)))
          for j in range(m)]
 
     xbar = rng.normal(size=n)

@@ -31,7 +31,7 @@ from ppdgd import (
     tangent_project,
     tangent_project_limit,
 )
-from ppdgd.casestudy import build_case, regulation_cost, run_case
+from ppdgd.casestudy import build_case, regulation_cost
 from ppdgd.model import QuadraticSmoothFn, build_problem
 from ppdgd.random_problems import kink_distance, random_problem
 
@@ -149,8 +149,11 @@ def test_criterion_2_exponential_envelope_case_study():
     t0 = time.perf_counter()
     margins = []
     P = build_case()
+    eq = equilibrium_oracle(P)
     for tau in (1.0, 2.0, 5.0):
-        traj, rep, _ = run_case(P, IntegratorConfig(tau=tau, t_end=50.0, record_every=10))
+        traj = integrate(P, State(np.zeros(P.m), np.zeros(P.p)),
+                         IntegratorConfig(tau=tau, t_end=50.0, record_every=10))
+        rep = certify_envelope(P, traj, eq)
         assert traj.config.dt == 1e-3
         margins.append((tau, rep.envelope_ok, rep.envelope_margin))
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from ppdgd import (
     IntegratorConfig,
     SetKind,
     State,
+    certify_envelope,
     equilibrium_oracle,
     integrate,
     kkt_residual,
     solve_inner,
 )
-from ppdgd.casestudy import build_case, radial_feeder_matrix, run_case
+from ppdgd.casestudy import build_case, radial_feeder_matrix
+from ppdgd.cli import main
 
 
 def test_feeder_matrix_spectrum():
@@ -57,13 +61,15 @@ def test_case_inner_solution_closed_form(case_problem):
     assert np.allclose(sol.x_star, 1.0 - (P.A.T @ lam) / 8.0, atol=1e-13)
 
 
-def test_run_case_writes_expected_files(case_problem, tmp_path):
-    cfg = IntegratorConfig(tau=1.0, t_end=15.0, record_every=100)
-    traj, report, files = run_case(case_problem, cfg, out_dir=tmp_path)
-    names = sorted(f.name for f in files)
-    assert names == ["envelope_tau1.csv", "report_tau1.json", "trajectory_tau1.csv"]
-    assert report.envelope_ok
-    assert report.gamma_bound == pytest.approx(0.00339, abs=1e-5)
+def test_casestudy_writes_expected_files(tmp_path):
+    assert main(["casestudy", "--tau", "1", "--t-end", "15", "--record-every", "100",
+                 "--out", str(tmp_path)]) == 0
+    names = sorted(f.name for f in tmp_path.iterdir())
+    assert names == ["envelope_tau1.csv", "problem.json", "report_tau1.json",
+                     "trajectory_tau1.csv"]
+    report = json.loads((tmp_path / "report_tau1.json").read_text())
+    assert report["envelope_ok"] is True
+    assert report["gamma_bound"] == pytest.approx(0.00339, abs=1e-5)
     env = (tmp_path / "envelope_tau1.csv").read_text().splitlines()
     assert env[0] == "t,bound,distance"
     t0_cells = env[1].split(",")
@@ -72,7 +78,9 @@ def test_run_case_writes_expected_files(case_problem, tmp_path):
 
 def test_case_trajectory_respects_limits_and_envelope():
     P = build_case()
-    traj, report, _ = run_case(P, IntegratorConfig(tau=1.0, t_end=20.0, record_every=100))
+    traj = integrate(P, State(np.zeros(P.m), np.zeros(P.p)),
+                     IntegratorConfig(tau=1.0, t_end=20.0, record_every=100))
+    report = certify_envelope(P, traj, equilibrium_oracle(P))
     assert np.all(traj.y >= P.Omega.lo - 1e-9)
     assert np.all(traj.y <= P.Omega.hi + 1e-9)
     assert report.envelope_ok
@@ -93,13 +101,11 @@ def test_case_endpoint_matches_oracle():
 
 
 def test_sweep_exponents_scale_with_tau(tmp_path):
-    P = build_case()
-    results = [run_case(P, IntegratorConfig(tau=tau, t_end=50.0, record_every=100), tmp_path)
-               for tau in (1.0, 2.0)]
-    (t1, r1, f1), (t2, r2, f2) = results
-    assert r1.envelope_ok and r2.envelope_ok
-    assert 0.5 * r2.gamma_bound * r2.tau == 2.0 * (0.5 * r1.gamma_bound * r1.tau)
-    assert {p.name for p in f1} == {
-        "trajectory_tau1.csv", "envelope_tau1.csv", "report_tau1.json"}
-    assert {p.name for p in f2} == {
+    assert main(["casestudy", "--tau", "1", "--tau", "2", "--t-end", "50",
+                 "--record-every", "100", "--out", str(tmp_path)]) == 0
+    r1, r2 = (json.loads((tmp_path / f"report_tau{t}.json").read_text()) for t in (1, 2))
+    assert r1["envelope_ok"] and r2["envelope_ok"]
+    assert 0.5 * r2["gamma_bound"] * r2["tau"] == 2.0 * (0.5 * r1["gamma_bound"] * r1["tau"])
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "problem.json", "trajectory_tau1.csv", "envelope_tau1.csv", "report_tau1.json",
         "trajectory_tau2.csv", "envelope_tau2.csv", "report_tau2.json"}

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ppdgd import dump_problem
+from ppdgd import NonFiniteState, OracleFailed, RankDeficient, cli, dump_problem
 from ppdgd.casestudy import build_case
 from ppdgd.cli import main
 
@@ -217,6 +217,73 @@ def test_casestudy_sweep_files(tmp_path, capsys, monkeypatch):
     rows = (out / "trajectory_tau1.csv").read_text().splitlines()
     assert len(rows) - 1 == 61
     assert rows[-1].startswith("12,") or rows[-1].startswith("12.0")
+
+
+def test_casestudy_runs_the_oracle_once_per_sweep(tmp_path, monkeypatch):
+    calls = []
+    oracle = cli.equilibrium_oracle
+    monkeypatch.setattr(cli, "equilibrium_oracle", lambda P: calls.append(1) or oracle(P))
+    assert main(["casestudy", "--tau", "1", "--tau", "2", "--tau", "5", "--t-end", "5",
+                 "--record-every", "500", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_casestudy_seed_matches_certify_on_its_problem(tmp_path):
+    flags = ["--seed", "7", "--t-end", "5", "--record-every", "100"]
+    cs_out, cert_out = tmp_path / "cs", tmp_path / "cert"
+    assert main(["casestudy", "--tau", "1", *flags, "--out", str(cs_out)]) == 0
+    assert main(["certify", str(cs_out / "problem.json"), *flags, "--out", str(cert_out)]) == 0
+    for stem, ext in (("trajectory", "csv"), ("envelope", "csv"), ("report", "json")):
+        assert (cs_out / f"{stem}_tau1.{ext}").read_bytes() == \
+            (cert_out / f"{stem}.{ext}").read_bytes()
+    # the seed moves the start away from y(0) = 0
+    assert main(["casestudy", "--tau", "1", "--t-end", "5", "--record-every", "100",
+                 "--out", str(tmp_path / "zero")]) == 0
+    assert (tmp_path / "zero" / "trajectory_tau1.csv").read_bytes() != \
+        (cs_out / "trajectory_tau1.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "certify", "casestudy"])
+@pytest.mark.parametrize("error, code, label", [
+    (RankDeficient, 3, "assumption failure"),
+    (NonFiniteState, 4, "integration failure"),
+    (OracleFailed, 5, "certification failure"),
+])
+def test_failure_classes_map_to_one_exit_code_table(command, error, code, label, case_file,
+                                                    tmp_path, monkeypatch, capsys):
+    def fail(*_args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "integrate", fail)
+    argv = [command] + ([case_file] if command != "casestudy" else [])
+    assert main(argv + ["--out", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"{label}: {error.__name__}: boom"]
+    assert captured.out == ""
+
+
+def test_certify_oracle_failure_exits_5_without_output(toy_file, tmp_path, monkeypatch, capsys):
+    def fail(_P):
+        raise OracleFailed("no candidate met the KKT target")
+
+    monkeypatch.setattr(cli, "equilibrium_oracle", fail)
+    out = tmp_path / "out"
+    assert main(["certify", toy_file, "--t-end", "1", "--out", str(out)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["certification failure: OracleFailed: no candidate met the KKT target"]
+    assert not out.exists()
+
+
+def test_casestudy_failing_tau_keeps_its_files_and_exits_5(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "omega_invariant", lambda P, traj: False)
+    out = tmp_path / "cs"
+    assert main(["casestudy", "--tau", "1", "--tau", "2", "--t-end", "2",
+                 "--record-every", "200", "--out", str(out)]) == 5
+    assert {p.name for p in out.iterdir()} == {
+        "problem.json", "trajectory_tau1.csv", "envelope_tau1.csv", "report_tau1.json",
+        "trajectory_tau2.csv", "envelope_tau2.csv", "report_tau2.json"}
+    text = capsys.readouterr().out
+    assert "tau = 1:" in text and "tau = 2:" in text
 
 
 @pytest.mark.parametrize("argv", [

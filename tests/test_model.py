@@ -279,6 +279,18 @@ def test_huge_hessian_entries_keep_finite_constants(H):
     assert np.allclose([f.alpha, f.alpha_m], np.linalg.eigvalsh(H / 1e308) * 1e308, rtol=1e-12)
 
 
+@pytest.mark.parametrize("H, message", [
+    # positive definite, but eigvalsh returns 0.0 for the small eigenvalue
+    (np.diag([1e308, 1e-300]), "H is singular to working precision (eigenvalues 0.0..1e+308)"),
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), "H is singular to working precision (eigenvalues "),
+    (np.diag([1.0, -1.0]), "H is not positive definite (min eigenvalue -1.0)"),
+])
+def test_nonpositive_hessian_message_tells_singular_from_indefinite(H, message):
+    with pytest.raises(NotStronglyConvex) as info:
+        QuadraticSmoothFn(H, np.zeros(2))
+    assert str(info.value).startswith(message)
+
+
 def test_hessian_with_infinite_eigenvalue_raises_naming_h():
     H = np.array([[1.5e308, 1e308], [1e308, 1.5e308]])
     with pytest.raises(NonFiniteInput, match=r"^H "):

@@ -171,7 +171,12 @@ def _cmd_casestudy(args) -> int:
             f"fitted_rate = {report.fitted_rate!r}, samples = {len(traj)}"
         )
     print(f"wrote outputs under {out}")
-    ok = all(report.envelope_ok and invariant for _, report, invariant in results)
+    ok = True
+    for _, report, invariant in results:
+        if not (report.envelope_ok and invariant):
+            print(f"certification failure: tau = {report.tau:g}: envelope_ok = "
+                  f"{report.envelope_ok}, invariance_ok = {invariant}", file=sys.stderr)
+            ok = False
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 

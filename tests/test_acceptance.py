@@ -31,6 +31,7 @@ from ppdgd import (
     tangent_project,
     tangent_project_limit,
 )
+from ppdgd.analysis import omega_invariant
 from ppdgd.casestudy import build_case, regulation_cost
 from ppdgd.model import QuadraticSmoothFn, build_problem
 from ppdgd.random_problems import kink_distance, random_problem
@@ -155,7 +156,7 @@ def test_criterion_2_exponential_envelope_case_study():
                          IntegratorConfig(tau=tau, t_end=50.0, record_every=10))
         rep = certify_envelope(P, traj, eq)
         assert traj.config.dt == 1e-3
-        margins.append((tau, rep.envelope_ok, rep.envelope_margin))
+        margins.append((tau, rep.envelope_ok and omega_invariant(P, traj), rep.envelope_margin))
     elapsed = time.perf_counter() - t0
     ok = all(m[1] for m in margins) and elapsed < 30.0
     detail = ", ".join(f"tau={m[0]:g} margin={m[2]:.3e}" for m in margins)

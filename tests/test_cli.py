@@ -282,8 +282,11 @@ def test_casestudy_failing_tau_keeps_its_files_and_exits_5(tmp_path, monkeypatch
     assert {p.name for p in out.iterdir()} == {
         "problem.json", "trajectory_tau1.csv", "envelope_tau1.csv", "report_tau1.json",
         "trajectory_tau2.csv", "envelope_tau2.csv", "report_tau2.json"}
-    text = capsys.readouterr().out
-    assert "tau = 1:" in text and "tau = 2:" in text
+    captured = capsys.readouterr()
+    assert "tau = 1:" in captured.out and "tau = 2:" in captured.out
+    assert captured.err.splitlines() == [
+        f"certification failure: tau = {tau}: envelope_ok = True, invariance_ok = False"
+        for tau in (1, 2)]
 
 
 @pytest.mark.parametrize("argv", [

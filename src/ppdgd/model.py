@@ -272,6 +272,15 @@ class SeparablePiecewise:
         self.bpT = np.ascontiguousarray(self.bp.T)
         self._offsets = np.arange(m) * npieces
         self._c2f, self._qf = self.c2.ravel(), self.q.ravel()
+        # derivative jump J at each breakpoint (0 on padding; a drop within
+        # CONTINUITY_TOL counts as 0) and S, the sum of the jumps below each piece
+        real = np.isfinite(self.bp)
+        b = np.where(real, self.bp, 0.0)
+        dr = self.c2[:, 1:] * b + self.q[:, 1:]
+        dl = self.c2[:, :-1] * b + self.q[:, :-1]
+        jumps = np.where(real, np.maximum(dr - dl, 0.0), 0.0)
+        self.jump_sum = np.concatenate([np.zeros((m, 1)), np.cumsum(jumps, axis=1)], axis=1)
+        self._qdf = (self.q - self.jump_sum).ravel()
 
     def clarke(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized interval [glo, ghi] of the generalized gradient at y.
@@ -292,6 +301,19 @@ class SeparablePiecewise:
         glo, ghi = self.clarke(y)
         return glo if ghi is glo else np.minimum(np.maximum(target, glo), ghi)
 
+    def continuous_grad(self, y: np.ndarray) -> np.ndarray:
+        """d(y) = h'(y) - S(y): the derivative with its jumps below y taken out.
+
+        S(y) sums the jumps at breakpoints strictly below y, so d is the
+        left derivative minus S at a breakpoint and is continuous there.
+        """
+        flat = (self.bpT < y).sum(axis=0) + self._offsets
+        return self._c2f[flat] * y + self._qdf[flat]
+
+    def jump_prox(self, t: float) -> "JumpProx":
+        """Table of prox_{t g}, g_j(s) = sum_i J_ji (s - b_ji)_+ the jump part of h_j."""
+        return JumpProx(self.bp, self.jump_sum, t)
+
     def prox(self, v: np.ndarray, t: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """argmin_{u in [lo, hi]} h_j(u) + (u - v_j)^2 / (2t), exactly per coordinate."""
         left = np.maximum(self.ledge, lo[:, None])
@@ -301,6 +323,39 @@ class SeparablePiecewise:
         obj = (0.5 * self.c2) * u * u + self.q * u + self.r + (u - v[:, None]) ** 2 / (2.0 * t)
         obj = np.where(left <= right, obj, np.inf)
         return u.ravel()[self._offsets + np.argmin(obj, axis=1)]
+
+
+class JumpProx:
+    """prox_{t g} for the jump part g_j(s) = sum_i J_ji (s - b_ji)_+ of h, as a table.
+
+    The prox of coordinate j sticks at b_i for v in [b_i + t S_i, b_i + t S_{i+1}]
+    (S_i: the jumps below b_i) and is v - t S_k on the k-th gap between those
+    intervals. The 2K thresholds split the v axis into 2K + 1 regions, each
+    affine in v with slope 1 or 0; an upper threshold is stored one ulp up and
+    every threshold is counted with <=, so each sticking interval is closed.
+    Rows are packed like SeparablePiecewise.bpT, padded with +inf, and region
+    r of coordinate j is entry offsets[j] + r of the flat slope and intercept
+    arrays. A lookup costs one compare-and-count and two gathers.
+    """
+
+    def __init__(self, bp: np.ndarray, jump_sum: np.ndarray, t: float):
+        m, kmax = bp.shape
+        thr = np.empty((m, 2 * kmax))
+        thr[:, 0::2] = bp + t * jump_sum[:, :-1]
+        thr[:, 1::2] = np.nextafter(bp + t * jump_sum[:, 1:], np.inf)
+        # equal rounded thresholds of neighbouring kinks must still count in order
+        self.thrT = np.ascontiguousarray(np.maximum.accumulate(thr, axis=1).T)
+        slope = np.ones((m, 2 * kmax + 1))
+        icpt = np.empty((m, 2 * kmax + 1))
+        slope[:, 1::2] = 0.0
+        icpt[:, 0::2] = -(t * jump_sum)   # -0.0 without jumps: v + -0.0 is v, bit for bit
+        icpt[:, 1::2] = bp
+        self.offsets = np.arange(m) * (2 * kmax + 1)
+        self.slope, self.icpt = slope.ravel(), icpt.ravel()
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        flat = (self.thrT <= v).sum(axis=0) + self.offsets
+        return self.slope[flat] * v + self.icpt[flat]
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -1,4 +1,6 @@
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from ppdgd import (
     TerminationReason,
     Trajectory,
     build_problem,
+    equilibrium_oracle,
     integrate,
     kkt_residual,
     project_box,
@@ -22,7 +25,8 @@ from ppdgd import (
     solve_inner,
 )
 from ppdgd.analysis import write_envelope_csv
-from ppdgd.random_problems import random_problem
+from ppdgd.model import SeparablePiecewise
+from ppdgd.random_problems import random_piecewise, random_problem
 
 
 @pytest.fixture
@@ -175,10 +179,56 @@ def test_lambda_stays_bounded_randomized():
         assert np.max(np.linalg.norm(traj.lam, axis=1)) <= bound + 1e-6
 
 
+def _reference_stepper(P, dt):
+    """One forward-backward step at tau = 1, coordinate by coordinate.
+
+    Reads each h_j from its PiecewiseScalarFn: the jumps J_i of the
+    derivative, their sums S_i below each piece, the continuous part
+    d = h' - S (left piece at a breakpoint), v = y + dt (target - d), then
+    the prox of the jump part: b_i when v lies in
+    [b_i + dt S_i, b_i + dt S_{i+1}], else v - dt S_k on the k-th gap;
+    finally the clip into Omega.
+    """
+    coords = []
+    for fn in P.h:
+        b = fn.breakpoints.tolist()
+        c2, q = (2.0 * fn.coeffs[:, 0]).tolist(), fn.coeffs[:, 1].tolist()
+        jumps = [max((c2[i + 1] * b[i] + q[i + 1]) - (c2[i] * b[i] + q[i]), 0.0)
+                 for i in range(len(b))]
+        S = [0.0] + np.cumsum(jumps).tolist()
+        sticky = [(b[i] + dt * S[i], b[i] + dt * S[i + 1], b[i]) for i in range(len(b))]
+        coords.append((b, c2, q, S, sticky))
+    lo, hi = P.Omega.lo.tolist(), P.Omega.hi.tolist()
+
+    def step(y, lam):
+        target = (-(P.Bt @ lam)).tolist()
+        y_next = np.empty_like(y)
+        for j, (b, c2, q, S, sticky) in enumerate(coords):
+            yj = float(y[j])
+            k = bisect.bisect_left(b, yj)
+            v = yj + dt * (target[j] - (c2[k] * yj + (q[k] - S[k])))
+            stuck = [bi for start, end, bi in sticky if start <= v <= end]
+            u = stuck[0] if stuck else v - dt * S[sum(end < v for _, end, _ in sticky)]
+            y_next[j] = min(max(u, lo[j]), hi[j])
+        return y_next
+
+    return step
+
+
+def _on_a_face(P, y0, lam0):
+    """y0 with y_1 on a face of Omega: the lower one if the raw drift points out of it."""
+    y0 = y0.copy()
+    y0[0] = P.Omega.lo[0]
+    if (-select_subgradient(P, y0, lam0) - P.Bt @ lam0)[0] >= 0.0:
+        y0[0] = P.Omega.hi[0]
+    return y0
+
+
 @pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("steps", [1, 5000])
 def test_euler_steps_match_public_field_ops(steps, every):
-    # every recorded row of integrate against a plain loop over the public ops;
+    # every recorded row of integrate against a plain loop of the forward-backward
+    # step over per-coordinate PiecewiseScalarFn data and the public dual field;
     # 5000 steps recorded one by one outgrow the first 4096-row sample buffer,
     # and the last step is recorded whatever its index
     rng = np.random.default_rng(123)
@@ -188,30 +238,154 @@ def test_euler_steps_match_public_field_ops(steps, every):
     for _ in range(10):
         P = random_problem(rng, max_dim=6)
         starts.append((P, rng.uniform(P.Omega.lo, P.Omega.hi), rng.normal(size=P.p)))
-    # one more start with y_1 on a face of Omega: the lower one if the raw drift
-    # points out of it there, else the upper one
+    # one more start with y_1 on a face of Omega, and one with a y_j on a kink
     P, y0, lam0 = starts[0]
+    starts.append((P, _on_a_face(P, y0, lam0), lam0))
+    P, y0, lam0 = starts[1]
+    j = next(j for j, fn in enumerate(P.h) if fn.breakpoints.size)
     y0 = y0.copy()
-    y0[0] = P.Omega.lo[0]
-    if (-select_subgradient(P, y0, lam0) - P.Bt @ lam0)[0] >= 0.0:
-        y0[0] = P.Omega.hi[0]
+    y0[j] = P.h[j].breakpoints[0]
     starts.append((P, y0, lam0))
     for P, y0, lam0 in starts:
         traj = integrate(P, State(y0, lam0), cfg)
+        reference_step = _reference_stepper(P, dt)
         rows = []
         y, lam = y0, lam0
         for k in range(steps + 1):
-            dy, dlam = rhs(P, State(y, lam), 1.0)
+            _, dlam = rhs(P, State(y, lam), 1.0)
+            y_next = reference_step(y, lam)
+            dy = y_next - y
             if k % every == 0 or k == steps:
-                rows.append((k * dt, y, lam, math.sqrt(float(dy @ dy) + float(dlam @ dlam))))
-            raw = -select_subgradient(P, y, lam) - P.Bt @ lam
-            y, lam = project_box(y + dt * raw, P.Omega), lam + dt * dlam
+                rows.append((k * dt, y, lam,
+                             math.sqrt(float(dy @ dy) / (dt * dt) + float(dlam @ dlam))))
+            y, lam = y_next, lam + dt * dlam
         t, ys, lams, drifts = (np.array(c) for c in zip(*rows))
         assert traj.terminated_by is TerminationReason.TIME_LIMIT
         assert np.array_equal(traj.t, t)
         assert np.array_equal(traj.y, ys)
         assert np.array_equal(traj.lam, lams)
         assert np.array_equal(traj.drift_norm, drifts)
+
+
+def test_kink_free_steps_match_projected_euler():
+    # without kinks the forward-backward step is projected Euler, bit for bit:
+    # y/lam rows of integrate against the old loop over rhs, select_subgradient
+    # and project_box, in every inner mode, from starts on a face of Omega
+    rng = np.random.default_rng(2718)
+    steps, every = 2000, 7
+    dt = 2.0 ** -9
+    cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0, record_every=every)
+    modes = []
+    for k in range(9):
+        mode = ("free", "box_diag", "box_dense")[k % 3]
+        R = random_problem(rng, max_dim=6, free_x=mode != "box_diag")
+        h = [random_piecewise(rng, lo, hi, 0) for lo, hi in zip(R.Omega.lo, R.Omega.hi)]
+        X = BoxSet.box(-np.ones(R.n), np.ones(R.n)) if mode == "box_dense" else R.X
+        P = build_problem(R.f, h, R.A, R.B, R.C, X, R.Omega)
+        modes.append(P.inner_mode)
+        lam0 = rng.normal(size=P.p)
+        y0 = _on_a_face(P, rng.uniform(P.Omega.lo, P.Omega.hi), lam0)
+        traj = integrate(P, State(y0, lam0), cfg)
+        ys, lams = [], []
+        y, lam = y0, lam0
+        for k in range(steps + 1):
+            if k % every == 0 or k == steps:
+                ys.append(y)
+                lams.append(lam)
+            _, dlam = rhs(P, State(y, lam), 1.0)
+            raw = -select_subgradient(P, y, lam) - P.Bt @ lam
+            y, lam = project_box(y + dt * raw, P.Omega), lam + dt * dlam
+        assert traj.terminated_by is TerminationReason.TIME_LIMIT
+        assert np.array_equal(traj.y, np.array(ys))
+        assert np.array_equal(traj.lam, np.array(lams))
+    assert sorted(set(modes)) == ["box_dense", "box_diag", "free"]
+
+
+def _jump_prox_exact(fn, v, t, lo, hi):
+    """Brute-force argmin over [lo, hi] of g(u) + (u - v)^2 / (2t), in exact rationals.
+
+    g(u) = sum_i J_i (u - b_i)_+ is the jump part of fn. The candidates are
+    lo, hi, every breakpoint in [lo, hi] and the clamped stationary point of
+    every gap between breakpoints; the objective is strictly convex, so the
+    smallest of them is the unique minimizer.
+    """
+    b = [Fraction(x) for x in fn.breakpoints]
+    c2, q = 2.0 * fn.coeffs[:, 0], fn.coeffs[:, 1]
+    J = [Fraction(max((c2[i + 1] * fn.breakpoints[i] + q[i + 1])
+                      - (c2[i] * fn.breakpoints[i] + q[i]), 0.0)) for i in range(len(b))]
+    v, t, lo, hi = Fraction(v), Fraction(t), Fraction(lo), Fraction(hi)
+    edges = [None] + b + [None]
+    cands = [lo, hi] + [x for x in b if lo <= x <= hi]
+    for k in range(len(b) + 1):
+        left = lo if edges[k] is None else max(edges[k], lo)
+        right = hi if edges[k + 1] is None else min(edges[k + 1], hi)
+        if left <= right:
+            cands.append(min(max(v - t * sum(J[:k]), left), right))
+
+    def obj(u):
+        return sum(Ji * max(u - bi, 0) for Ji, bi in zip(J, b)) + (u - v) ** 2 / (2 * t)
+
+    return min(cands, key=obj)
+
+
+def _kinked(bps, jumps, curvs):
+    """Convex piecewise quadratic with derivative jumps `jumps` at `bps` and curvatures `curvs`."""
+    pieces = [(0.5 * curvs[0], 0.0, 0.0)]
+    for b, jump, c in zip(bps, jumps, curvs[1:]):
+        pl, ql, rl = pieces[-1]
+        q = 2.0 * pl * b + ql + jump - c * b
+        pieces.append((0.5 * c, q, pl * b * b + ql * b + rl - 0.5 * c * b * b - q * b))
+    return PiecewiseScalarFn(np.array(bps, dtype=float), np.array(pieces))
+
+
+@pytest.mark.parametrize("t", [1e-6, 1.0, 1e6])
+def test_jump_prox_table_matches_brute_force_scalar_prox(t):
+    fns = [
+        PiecewiseScalarFn.quadratic(0.5, 0.25),
+        _kinked([-0.5, 0.25], [0.125, 0.375], [1.0, 1.0, 2.0]),
+        # a zero-jump breakpoint (only the curvature changes), then a kink
+        _kinked([-0.5, 0.5], [0.0, 0.25], [1.0, 2.0, 2.0]),
+        # kinks 1e-12 apart: at t = 1e6 their rounded thresholds coincide
+        _kinked([0.3, 0.3 + 1e-12], [0.125, 0.25], [1.0, 1.0, 1.0]),
+    ]
+    fns.append(fns[1])
+    lo = np.array([-1.0, -1.0, -2.0, -1.0, 0.25])
+    hi = np.array([1.0, 1.0, 2.0, 1.0, 0.25])   # the last row has lo == hi
+    hpack = SeparablePiecewise(tuple(fns))
+    table = hpack.jump_prox(t)
+    for j, fn in enumerate(fns):
+        b, S = fn.breakpoints, hpack.jump_sum[j]
+        sticky = [(b[i] + t * S[i], b[i] + t * S[i + 1], b[i]) for i in range(b.size)]
+        ends = [s for start, end, _ in sticky for s in (start, end)]
+        values = [-3.0, 0.0, 3.0] + [x for s in ends
+                                     for x in (np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf))]
+        values += [0.5 * (start + end) for start, end, _ in sticky]
+        scale = max(abs(x) for x in values) + t * S[b.size] + 1.0
+        for x in values:
+            v = np.zeros(len(fns))
+            v[j] = x
+            u = min(max(table(v)[j], lo[j]), hi[j])
+            exact = _jump_prox_exact(fn, x, t, lo[j], hi[j])
+            assert abs(Fraction(u) - exact) <= 8 * np.spacing(scale), (j, x, u, float(exact))
+            # on a closed sticking interval, the first one when rounding makes
+            # two of them touch, the prox is the breakpoint itself
+            stuck = [bi for start, end, bi in sticky if start <= x <= end]
+            if stuck:
+                assert u == min(max(stuck[0], lo[j]), hi[j]), (j, x, u)
+
+
+def test_step_from_kink_pinned_equilibrium_stays_on_the_kink():
+    # random instances whose y* has two coordinates pinned at kinks of h
+    for seed in (6, 14):
+        P = random_problem(np.random.default_rng(seed), max_dim=5)
+        eq = equilibrium_oracle(P)
+        pinned = [j for j in range(P.m) if np.any(P.h[j].breakpoints == eq.y_star[j])]
+        assert len(pinned) == 2
+        for tau in (1.0, 5.0):
+            cfg = IntegratorConfig(dt=2e-3, tau=tau, t_end=2e-3, stop_tol=0.0)
+            traj = integrate(P, State(eq.y_star, eq.lambda_star), cfg)
+            assert len(traj) == 2
+            assert np.array_equal(traj.y[1, pinned], eq.y_star[pinned])
 
 
 def test_early_stop_allocates_nothing_in_proportion_to_t_end():

@@ -38,10 +38,8 @@ from .errors import (
     RankDeficient,
 )
 from .geometry import (
-    ConeQueryResult,
     normal_cone_contains,
     project_box,
-    tangent_cone_projection,
     tangent_project,
     tangent_project_limit,
 )
@@ -51,7 +49,6 @@ from .model import (
     PiecewiseScalarFn,
     Problem,
     QuadraticSmoothFn,
-    SetKind,
     build_problem,
     clarke_interval,
 )

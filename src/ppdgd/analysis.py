@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EquilibriumUnverified, OracleFailed, PointOutsideSet
-from .geometry import active_faces
-from .model import MEMBER_TOL, Problem, SetKind
+from .geometry import active_faces, project_box
+from .model import MEMBER_TOL, Problem
 from .dynamics import Trajectory, _write_csv
 
 KKT_TARGET = 1e-6
@@ -92,9 +92,6 @@ def _interval_distance(low: np.ndarray, high: np.ndarray) -> np.ndarray:
 
 def _normal_interval(v: np.ndarray, S):
     """Shift interval ends by the normal-cone interval of S at v."""
-    m = v.size
-    if S.kind is SetKind.FREE:
-        return np.zeros(m), np.zeros(m)
     at_lo, at_hi = active_faces(v, S)
     low = np.where(at_lo, -np.inf, 0.0)
     high = np.where(at_hi, np.inf, 0.0)
@@ -143,12 +140,6 @@ def lyapunov_value(eq: Equilibrium, y, lam) -> float:
 # Equilibrium oracle
 # ---------------------------------------------------------------------------
 
-def _box_project(v, S):
-    if S.kind is SetKind.FREE:
-        return v
-    return np.clip(v, S.lo, S.hi)
-
-
 def _solve_stage(P: Problem, x, y, shift, rho, lip, tol):
     """Accelerated proximal gradient on the shifted-penalty stage problem.
 
@@ -173,7 +164,7 @@ def _solve_stage(P: Problem, x, y, shift, rho, lip, tol):
         r = A @ wx + B @ wy - Ct
         gx = P.f.H @ wx + P.f.c + rho * (A.T @ r)
         gy = rho * (B.T @ r)
-        x_new = _box_project(wx - inv_l * gx, P.X)
+        x_new = np.clip(wx - inv_l * gx, P.X.lo, P.X.hi)
         y_new = P.hpack.prox(wy - inv_l * gy, inv_l, omega.lo, omega.hi)
         z_prev = z
         z = np.concatenate([x_new, y_new])
@@ -195,10 +186,8 @@ def _polish(P: Problem, x, y, lam, act_tol):
     candidate triple (unverified) or None when the pattern is unusable.
     """
     n, m, p = P.n, P.m, P.p
-    x_fix = np.full(n, np.nan)
-    if P.X.kind is SetKind.BOX:
-        x_fix = np.where(x <= P.X.lo + act_tol, P.X.lo, x_fix)
-        x_fix = np.where(x >= P.X.hi - act_tol, P.X.hi, x_fix)
+    x_fix = np.where(x <= P.X.lo + act_tol, P.X.lo, np.full(n, np.nan))
+    x_fix = np.where(x >= P.X.hi - act_tol, P.X.hi, x_fix)
     y_fix = np.where(y <= P.Omega.lo + act_tol, P.Omega.lo, np.full(m, np.nan))
     y_fix = np.where(y >= P.Omega.hi - act_tol, P.Omega.hi, y_fix)
     for j in range(m):
@@ -238,8 +227,7 @@ def _polish(P: Problem, x, y, lam, act_tol):
         return None
     if not (P.X.contains(x_full) and P.Omega.contains(y_full)):
         return None
-    if P.X.kind is SetKind.BOX:
-        x_full = np.clip(x_full, P.X.lo, P.X.hi)
+    x_full = np.clip(x_full, P.X.lo, P.X.hi)
     y_full = np.clip(y_full, P.Omega.lo, P.Omega.hi)
     return x_full, y_full, lam_new
 
@@ -251,8 +239,8 @@ def equilibrium_oracle(P: Problem) -> Equilibrium:
     Raises OracleFailed when no candidate reaches kkt total <= KKT_TARGET.
     """
     lip = float(np.linalg.norm(np.hstack([P.A, P.B]), 2))
-    x = _box_project(np.linalg.solve(P.f.H, -P.f.c), P.X)
-    y = P.Omega.center()
+    x = project_box(np.linalg.solve(P.f.H, -P.f.c), P.X)
+    y = 0.5 * (P.Omega.lo + P.Omega.hi)
     shift = np.zeros(P.p)
 
     best = None

@@ -35,7 +35,7 @@ from .errors import (
     ProblemFormatError,
     RankDeficient,
 )
-from .model import Problem, SetKind
+from .model import Problem
 from .problem_io import dump_problem, load_problem
 
 EXIT_OK = 0
@@ -57,7 +57,7 @@ def _load(path: str) -> Problem:
 
 def _feasible(P: Problem) -> bool:
     """Probe whether Ax + By = C admits a solution over X x Omega."""
-    if P.X.kind is SetKind.FREE:
+    if P.X.is_free:
         return True  # A has full row rank, so x alone reaches any right-hand side
     import scipy.optimize  # deferred: keeps `validate` startup fast
 

@@ -46,11 +46,10 @@ class TerminationReason(enum.Enum):
 
 @dataclass(frozen=True)
 class State:
-    """Point of the flow: y in Omega, multiplier lam, time t."""
+    """Point of the flow: y in Omega, multiplier lam."""
 
     y: np.ndarray
     lam: np.ndarray
-    t: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]
 
 
 def _drift_lipschitz_estimate(P: Problem) -> float:
-    curv = float(np.max(P.hpack.c2))
+    curv = 2.0 * max(float(np.max(fj.coeffs[:, 0])) for fj in P.h)   # hpack.c2 pads with 1.0
     nB = float(np.linalg.norm(P.B, 2))
     nA2 = float(np.linalg.norm(P.A, 2)) ** 2
     return curv + 2.0 * nB + nA2 / P.alpha
@@ -208,8 +207,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     dtau2 = dtau * dtau
     d_of = P.hpack.continuous_grad
     jump_prox = P.hpack.jump_prox(dtau)
-    t0 = float(s0.t)
-    n_steps = max(0, math.ceil((cfg.t_end - t0) / dt - 1e-12))
+    n_steps = max(0, math.ceil(cfg.t_end / dt - 1e-12))
 
     # never sized by t_end alone: a run may stop at stop_tol long before it
     rows = min(n_steps // every + 2, RECORD_BLOCK)
@@ -218,7 +216,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     n = 0
 
     k = 0
-    t = t0
+    t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up raises NonFiniteState
         while True:
             v = y + dtau * (neg_Bt @ lam - d_of(y))
@@ -243,7 +241,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             y = y_next
             lam = lam + dtau * dlam
             k += 1
-            t = t0 + k * dt
+            t = k * dt
 
     return Trajectory(
         t=ts[:n].copy(),

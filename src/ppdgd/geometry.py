@@ -1,5 +1,8 @@
 """Euclidean projection and cone queries for boxes.
 
+Every query works on the bounds alone: a free set is the box [-inf, inf]^n,
+whose clamp is the identity and which has no active face.
+
 The tangent-cone projection uses the exact componentwise rule for boxes
 (outward components removed at active faces). The finite-difference limit
 formula P(y + delta v) - y over delta is kept as an independent oracle for
@@ -8,12 +11,10 @@ validating that rule, including configurations with several active faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, PointOutsideSet
-from .model import ACTIVITY_TOL, MEMBER_TOL, BoxSet, SetKind
+from .model import ACTIVITY_TOL, MEMBER_TOL, BoxSet
 
 
 def _check_dim(v: np.ndarray, S: BoxSet, name: str) -> np.ndarray:
@@ -29,27 +30,14 @@ def _check_member(y: np.ndarray, S: BoxSet):
         raise PointOutsideSet(f"point violates the box by {viol:.3e}")
 
 
-@dataclass(frozen=True)
-class ConeQueryResult:
-    """Tangent-cone projection plus the active-face index sets it used."""
-
-    projected: np.ndarray
-    active_lower: np.ndarray
-    active_upper: np.ndarray
-
-
 def project_box(v, S: BoxSet) -> np.ndarray:
-    """Euclidean projection onto S: componentwise clamp (identity for FREE)."""
-    v = _check_dim(v, S, "v")
-    if S.kind is SetKind.FREE:
-        return v.copy()
-    return np.clip(v, S.lo, S.hi)
+    """Euclidean projection onto S: componentwise clamp."""
+    return np.clip(_check_dim(v, S, "v"), S.lo, S.hi)
 
 
 def active_faces(y, S: BoxSet):
     """Masks of the lower and upper faces of the box S that are active at y."""
-    lo_act, hi_act = S.face_thresholds
-    return y <= lo_act, y >= hi_act
+    return y <= S.lo + ACTIVITY_TOL, y >= S.hi - ACTIVITY_TOL
 
 
 def tangent_rule(v, at_lo, at_hi) -> np.ndarray:
@@ -58,7 +46,7 @@ def tangent_rule(v, at_lo, at_hi) -> np.ndarray:
     return np.where(at_hi, np.minimum(0.0, out), out)
 
 
-def tangent_cone_projection(y, v, S: BoxSet) -> ConeQueryResult:
+def tangent_project(y, v, S: BoxSet) -> np.ndarray:
     """Project direction v onto the tangent cone of S at y (y must lie in S).
 
     Componentwise: max(0, v_j) at an active lower bound, min(0, v_j) at an
@@ -67,17 +55,8 @@ def tangent_cone_projection(y, v, S: BoxSet) -> ConeQueryResult:
     """
     y = _check_dim(y, S, "y")
     v = _check_dim(v, S, "v")
-    if S.kind is SetKind.FREE:
-        empty = np.empty(0, dtype=int)
-        return ConeQueryResult(v.copy(), empty, empty)
     _check_member(y, S)
-    at_lo, at_hi = active_faces(y, S)
-    return ConeQueryResult(tangent_rule(v, at_lo, at_hi),
-                           np.flatnonzero(at_lo), np.flatnonzero(at_hi))
-
-
-def tangent_project(y, v, S: BoxSet) -> np.ndarray:
-    return tangent_cone_projection(y, v, S).projected
+    return tangent_rule(v, *active_faces(y, S))
 
 
 def tangent_project_limit(y, v, S: BoxSet, delta: float = 1e-7) -> np.ndarray:
@@ -96,8 +75,6 @@ def normal_cone_contains(y, w, S: BoxSet) -> bool:
     tol = ACTIVITY_TOL
     y = _check_dim(y, S, "y")
     w = _check_dim(w, S, "w")
-    if S.kind is SetKind.FREE:
-        return bool(np.all(np.abs(w) <= tol))
     _check_member(y, S)
     at_lo, at_hi = active_faces(y, S)
     ok = np.where(at_lo & at_hi, True,

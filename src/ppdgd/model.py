@@ -2,16 +2,16 @@
 
 A problem instance couples a strongly convex quadratic f(x) on X with a
 separable, strongly convex, piecewise-quadratic (possibly kinked) h(y) on a
-compact box Omega through the affine constraint A x + B y = C. All derived
-curvature and rate constants are computed once at build time and the instance
-is immutable afterwards.
+compact box Omega through the affine constraint A x + B y = C. X is a box or
+all of R^n; both are a BoxSet, the free set being the box [-inf, inf]^n, so
+clipping, membership and the face tests treat it like any other box. All
+derived curvature and rate constants are computed once at build time and the
+instance is immutable afterwards.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -42,25 +42,18 @@ def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
-class SetKind(enum.Enum):
-    FREE = "free"
-    BOX = "box"
-
-
 @dataclass(frozen=True, eq=False)
 class BoxSet:
-    """Axis-aligned box [lo, hi], or all of R^dim when kind is FREE."""
+    """Axis-aligned box [lo, hi]; a free set is the box [-inf, inf]^dim."""
 
-    kind: SetKind
-    dim: int
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
+    lo: np.ndarray
+    hi: np.ndarray
 
     @staticmethod
     def free(dim: int) -> "BoxSet":
         if dim < 1:
             raise DimensionMismatch(f"set dimension must be >= 1, got {dim}")
-        return BoxSet(SetKind.FREE, dim)
+        return BoxSet(np.full(dim, -np.inf), np.full(dim, np.inf))
 
     @staticmethod
     def box(lo, hi) -> "BoxSet":
@@ -77,17 +70,26 @@ class BoxSet:
         if np.any(lo > hi):
             bad = int(np.argmax(lo > hi))
             raise DimensionMismatch(f"lo[{bad}] > hi[{bad}] ({lo[bad]} > {hi[bad]})")
-        return BoxSet(SetKind.BOX, lo.size, lo, hi)
+        return BoxSet(lo, hi)
+
+    @property
+    def dim(self) -> int:
+        return self.lo.size
+
+    @property
+    def is_free(self) -> bool:
+        """True iff the set is all of R^dim (every bound infinite)."""
+        return bool(np.isneginf(self.lo).all() and np.isposinf(self.hi).all())
 
     def violation(self, v) -> float:
         """Largest distance by which an entry of v (a point, or rows of points) leaves the box.
 
-        0 for FREE; NaN when v holds a NaN.
+        NaN when v holds a NaN, also for a free set, or an infinity at an
+        infinite bound (inf - inf).
         """
-        if self.kind is SetKind.FREE:
-            return 0.0
         v = np.asarray(v, dtype=float)
-        return float(np.max(np.maximum(self.lo - v, v - self.hi), initial=0.0))
+        with np.errstate(invalid="ignore"):
+            return float(np.max(np.maximum(self.lo - v, v - self.hi), initial=0.0))
 
     def contains(self, v) -> bool:
         """True iff v lies in the box within MEMBER_TOL."""
@@ -95,16 +97,6 @@ class BoxSet:
         if v.shape != (self.dim,):
             raise DimensionMismatch(f"expected vector of length {self.dim}, got {v.shape}")
         return self.violation(v) <= MEMBER_TOL
-
-    @cached_property
-    def face_thresholds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo + ACTIVITY_TOL, hi - ACTIVITY_TOL), computed once per box."""
-        return self.lo + ACTIVITY_TOL, self.hi - ACTIVITY_TOL
-
-    def center(self) -> np.ndarray:
-        if self.kind is SetKind.FREE:
-            return np.zeros(self.dim)
-        return 0.5 * (self.lo + self.hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,7 +425,7 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
         raise DimensionMismatch(f"X has dimension {X.dim}, expected {n}")
     if Omega.dim != m:
         raise DimensionMismatch(f"Omega has dimension {Omega.dim}, expected {m}")
-    if Omega.kind is not SetKind.BOX:
+    if Omega.is_free:
         raise NonCompactOmega("Omega must be a bounded box")
 
     gram = A @ A.T
@@ -446,7 +438,7 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
     beta = min(fj.beta for fj in h)
     gamma = min(2.0 * beta, 2.0 * kappa1 / f.alpha_m)
 
-    if X.kind is SetKind.BOX and f.is_diagonal:
+    if not X.is_free and f.is_diagonal:
         hd = np.diagonal(f.H)
         x_base = -f.c / hd
         dual_map = A.T / hd[:, None]
@@ -455,7 +447,7 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
         chol = np.linalg.cholesky(f.H)
         x_base = cholesky_solve(chol, -f.c)
         dual_map = cholesky_solve(chol, A.T)
-        if X.kind is SetKind.FREE:
+        if X.is_free:
             mode, dual_gram, grad_base = "free", A @ dual_map, A @ x_base
         else:
             mode, dual_gram, grad_base = "box_dense", None, None

@@ -26,7 +26,6 @@ from .model import (
     PiecewiseScalarFn,
     Problem,
     QuadraticSmoothFn,
-    SetKind,
     build_problem,
 )
 
@@ -154,7 +153,7 @@ def problem_to_dict(P: Problem) -> dict:
         H = {"diag": np.diagonal(P.f.H).tolist()}
     else:
         H = P.f.H.tolist()
-    if P.X.kind is SetKind.FREE:
+    if P.X.is_free:
         X = {"kind": "free"}
     else:
         X = {"kind": "box", "lo": P.X.lo.tolist(), "hi": P.X.hi.tolist()}

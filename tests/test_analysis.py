@@ -50,6 +50,9 @@ def test_kkt_residual_normal_cone_absorbs_at_faces():
 def test_kkt_residual_rejects_points_outside_sets(one_dim_problem):
     with pytest.raises(PointOutsideSet):
         kkt_residual(one_dim_problem, np.zeros(1), np.array([2.0]), np.zeros(1))
+    # a NaN lies outside every set, one_dim_problem's free X included
+    with pytest.raises(PointOutsideSet):
+        kkt_residual(one_dim_problem, np.array([np.nan]), np.zeros(1), np.zeros(1))
 
 
 def test_kkt_uses_kink_interval(kinked_cost):

@@ -5,7 +5,6 @@ import pytest
 
 from ppdgd import (
     IntegratorConfig,
-    SetKind,
     State,
     certify_envelope,
     equilibrium_oracle,
@@ -31,7 +30,7 @@ def test_feeder_matrix_spectrum():
 def test_case_problem_mapping(case_problem):
     P = case_problem
     assert P.n == P.m == P.p == 7
-    assert P.X.kind is SetKind.FREE
+    assert P.X.is_free
     assert np.array_equal(P.B, -np.eye(7))
     assert np.array_equal(P.Omega.hi, np.array([80, 80, 88, 80, 104, 80, 96]) / 100.0)
     assert np.array_equal(P.Omega.lo, -P.Omega.hi)

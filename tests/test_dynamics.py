@@ -1,5 +1,6 @@
 import bisect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +142,19 @@ def test_non_finite_state_detected(one_dim_problem):
     with pytest.warns(UserWarning, match="dt"):
         with pytest.raises(NonFiniteState):
             integrate(one_dim_problem, State(np.array([0.5]), np.zeros(1)), cfg)
+
+
+def test_step_size_warning_ignores_padding_pieces():
+    # h_1 has two pieces and h_2 one, so hpack pads h_2; the curvatures are
+    # all 0.2, and L = 0.2 + 2 ||B|| + ||A||^2 / alpha = 3.2
+    h = [PiecewiseScalarFn([0.0], [[0.1, 0.0, 0.0], [0.1, 0.05, 0.0]]),
+         PiecewiseScalarFn.quadratic(0.1)]
+    P = build_problem(QuadraticSmoothFn(np.eye(2), np.zeros(2)), h, np.eye(2), -np.eye(2),
+                      np.zeros(2), BoxSet.free(2), BoxSet.box([-1.0, -1.0], [1.0, 1.0]))
+    cfg = IntegratorConfig(dt=0.28, t_end=1.0)   # 0.28 * 3.2 < 1 <= 0.28 * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        integrate(P, State(np.array([0.5, -0.5]), np.zeros(2)), cfg)
 
 
 def test_trajectory_time_grid_and_first_sample(one_dim_problem):

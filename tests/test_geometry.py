@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from ppdgd import (
     normal_cone_contains,
     project_box,
     rhs,
-    tangent_cone_projection,
     tangent_project,
     tangent_project_limit,
 )
@@ -97,9 +98,8 @@ def test_tangent_active_upper_removes_outward():
 
 def test_tangent_pinned_coordinate_is_zero():
     S = BoxSet.box([-1.0, 0.5], [1.0, 0.5])
-    res = tangent_cone_projection(np.array([0.0, 0.5]), np.array([1.0, 9.0]), S)
-    assert res.projected[1] == 0.0
-    assert 1 in res.active_lower and 1 in res.active_upper
+    projected = tangent_project(np.array([0.0, 0.5]), np.array([1.0, 9.0]), S)
+    assert projected[1] == 0.0
 
 
 def test_tangent_rejects_outside_point():
@@ -214,3 +214,8 @@ def test_one_membership_check_at_its_bound(offset, inside):
     free = BoxSet.free(2)
     assert free.violation(np.array([1e300, -1e300])) == 0.0
     assert free.contains(np.array([1e300, -1e300]))
+    assert np.isnan(free.violation(np.array([np.nan, 0.0])))
+    assert not free.contains(np.array([np.nan, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not free.contains(np.array([np.inf, 0.0]))

@@ -6,7 +6,6 @@ import pytest
 from ppdgd import (
     ProblemFormatError,
     RankDeficient,
-    SetKind,
     dump_problem,
     load_problem,
     problem_from_dict,
@@ -39,7 +38,7 @@ def test_load_round_trip(tmp_path):
     path.write_text(json.dumps(minimal_doc()))
     P = load_problem(path)
     assert P.n == 2 and P.m == 2 and P.p == 1
-    assert P.X.kind is SetKind.FREE
+    assert P.X.is_free
     assert P.kappa1 == pytest.approx(2.0)
     out = tmp_path / "copy.json"
     dump_problem(P, out)

@@ -14,6 +14,10 @@ kink-pinned solves stop at stop_tol instead of chattering around the kink.
 Without kinks the step is projected Euler, bit for bit. The stopping norm is
 the step residual ||((y+ - y)/dtau, dlam)||.
 
+A coordinate changes its piece of h or its region of the jump prox a few
+times per run, so integrate caches the rows of both and looks them up again
+only when one bracket test of [v, y] fails (see integrate).
+
 integrate writes each recorded sample (the start, every record_every-th step
 and the last step) into preallocated t, y, lam and drift arrays. They start
 with room for the whole run, capped at RECORD_BLOCK rows, and double when
@@ -176,6 +180,22 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     exactly. Without kinks, prox_{dtau g} is the identity and the step is
     projected Euler, bit for bit.
 
+    The step reads d through the rows (c2, q - S) of the piece covering each
+    y_j and the prox through the rows (slope, intercept) of the region of the
+    table holding each v_j. Both are cached together with their brackets:
+    the piece covers (ledge, redge] of SeparablePiecewise, and the region
+    (lower, upper] of JumpProx, its thresholds stored one ulp down. A step
+    computes v with the cached piece rows, then tests lower < [v, y] <= upper
+    once for all 2m entries. A miss (a y_j left its piece, a v_j its region,
+    or the first step) looks both up again, recomputes v with the fresh piece
+    rows and looks up its regions. Each bracket holds exactly for the
+    arguments that its lookup maps to the cached row: < on breakpoints, <= on
+    thresholds. A hit therefore uses the rows the lookups would return, and
+    the step is the uncached one, bit for bit. The y-side elementwise ops
+    write into preallocated buffers. Matvecs and dots use ndarray.dot, which
+    gives what @ gives, bit for bit, at about half the call overhead on these
+    small sizes.
+
     Records the initial condition, every record_every-th accepted step and
     the final state, each with the residual of the step taken from it.
     Terminates at cfg.t_end or as soon as the tau-normalized step residual
@@ -200,13 +220,14 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             stacklevel=2,
         )
 
+    m = P.m
     lo, hi = P.Omega.lo, P.Omega.hi
-    neg_Bt, B, C = -P.Bt, P.B, P.C   # neg_Bt @ lam is -(B'lam), bit for bit
+    neg_Bt, B, C = -P.Bt, P.B, P.C   # neg_Bt.dot(lam) is -(B'lam) bit for bit: negation is exact
     dt, every, stop_tol = cfg.dt, cfg.record_every, cfg.stop_tol
     dtau = dt * cfg.tau
     dtau2 = dtau * dtau
-    d_of = P.hpack.continuous_grad
-    jump_prox = P.hpack.jump_prox(dtau)
+    piece_rows = P.hpack.piece_rows
+    region_rows = P.hpack.jump_prox(dtau).region_rows
     n_steps = max(0, math.ceil(cfg.t_end / dt - 1e-12))
 
     # never sized by t_end alone: a run may stop at stop_tol long before it
@@ -215,17 +236,50 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     ys, lams = np.empty((rows, P.m)), np.empty((rows, P.p))
     n = 0
 
+    def forward(y, w, c2, qd, v):
+        """v = y + dtau * (w - d(y)), d(y) = c2 * y + qd, written into v."""
+        np.multiply(c2, y, out=v)
+        np.add(v, qd, out=v)
+        np.subtract(w, v, out=v)
+        np.multiply(v, dtau, out=v)
+        np.add(y, v, out=v)
+
+    # z = [v, y] of the current step; z_next receives y+. The cached rows of
+    # each y_j's piece and v_j's region hold while lower < z <= upper; the NaN
+    # brackets miss on the first step
+    z, z_next = np.empty(2 * m), np.empty(2 * m)
+    views = (z, z[:m], z[m:])
+    views_next = (z_next, z_next[:m], z_next[m:])
+    z[m:] = y
+    c2 = qd = slope = icpt = np.zeros(m)
+    lower, upper = np.full(2 * m, np.nan), np.full(2 * m, np.nan)
+    inside = np.empty(4 * m, dtype=bool)
+    above, below = inside[:2 * m], inside[2 * m:]
+    dy = np.empty(m)
+
     k = 0
     t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up raises NonFiniteState
         while True:
-            v = y + dtau * (neg_Bt @ lam - d_of(y))
-            y_next = np.minimum(np.maximum(jump_prox(v), lo), hi)
+            z, v, y = views
+            w = neg_Bt.dot(lam)
+            forward(y, w, c2, qd, v)
+            np.less(lower, z, out=above)
+            np.less_equal(z, upper, out=below)
+            if np.count_nonzero(inside) < 4 * m:   # a y_j left its piece or a v_j its region
+                c2, qd, lower[m:], upper[m:] = piece_rows(y)
+                forward(y, w, c2, qd, v)
+                slope, icpt, lower[:m], upper[:m] = region_rows(v)
+            y_next = views_next[2]
+            np.multiply(slope, v, out=y_next)
+            np.add(y_next, icpt, out=y_next)
+            np.maximum(y_next, lo, out=y_next)
+            np.minimum(y_next, hi, out=y_next)
             # the module global _grad_phi is looked up on every step, so a
             # replacement of it reaches every evaluation
-            dlam = _grad_phi(P, lam) + B @ y - C
-            dy = y_next - y
-            drift = math.sqrt(dy @ dy / dtau2 + dlam @ dlam)
+            dlam = _grad_phi(P, lam) + B.dot(y) - C
+            np.subtract(y_next, y, out=dy)
+            drift = math.sqrt(dy.dot(dy) / dtau2 + dlam.dot(dlam))
             if not math.isfinite(drift):
                 raise NonFiniteState(f"non-finite state at t = {t}; reduce dt")
             stop = drift <= stop_tol
@@ -238,7 +292,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                 n += 1
             if last:
                 break
-            y = y_next
+            views, views_next = views_next, views
             lam = lam + dtau * dlam
             k += 1
             t = k * dt

@@ -30,7 +30,10 @@ class InnerSolveDiverged(PpdgdError):
 
 
 class NonFiniteInput(PpdgdError):
-    """A problem array passed to a constructor holds NaN or an infinity."""
+    """Problem data hold NaN, an infinity or an entry beyond the data range.
+
+    Also raised when a derived constant is not finite or is subnormal.
+    """
 
 
 class NonFiniteState(PpdgdError):

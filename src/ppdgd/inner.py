@@ -114,7 +114,7 @@ def _x_star(P: Problem, lam: np.ndarray) -> tuple[np.ndarray, int]:
     if P.inner_mode == "box_dense":
         x, iterations, _ = _box_dense_minimizer(P, lam)
         return x, iterations
-    x = P.x_base - P.dual_map @ lam
+    x = P.x_base - P.dual_map.dot(lam)
     if P.inner_mode == "box_diag":
         x = np.minimum(np.maximum(x, P.X.lo), P.X.hi)
     return x, 0
@@ -123,8 +123,8 @@ def _x_star(P: Problem, lam: np.ndarray) -> tuple[np.ndarray, int]:
 def _grad_phi(P: Problem, lam: np.ndarray) -> np.ndarray:
     """Dual gradient A x*(lam) without the full InnerSolution (hot path)."""
     if P.inner_mode == "free":   # affine in lam: one cached product instead of two
-        return P.grad_base - P.dual_gram @ lam
-    return P.A @ _x_star(P, lam)[0]
+        return P.grad_base - P.dual_gram.dot(lam)
+    return P.A.dot(_x_star(P, lam)[0])
 
 
 def solve_inner(P: Problem, lam) -> InnerSolution:

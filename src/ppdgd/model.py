@@ -11,6 +11,7 @@ instance is immutable afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ CONTINUITY_TOL = 1e-12
 RANK_RATIO_TOL = 1e-10
 ACTIVITY_TOL = 1e-9   # a coordinate this close to a bound sits on that face
 MEMBER_TOL = 1e-9     # a point at most this far outside a box still belongs to it
+DATA_RANGE = 1e150    # largest magnitude of a problem entry: the product of two stays finite
 
 
 def _require_finite(name: str, a: np.ndarray) -> None:
@@ -35,6 +37,25 @@ def _require_finite(name: str, a: np.ndarray) -> None:
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise NonFiniteInput(f"{name}{list(idx)} = {a[idx]} is not finite")
+
+
+def _require_in_range(arrays) -> None:
+    """Raise NonFiniteInput naming the first entry of the (name, array) pairs beyond DATA_RANGE."""
+    if np.abs(np.concatenate([a.ravel() for _, a in arrays])).max() <= DATA_RANGE:
+        return
+    for name, a in arrays:
+        bad = np.abs(a) > DATA_RANGE
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise NonFiniteInput(f"{name}{list(idx)} = {a[idx]} exceeds {DATA_RANGE:g} in magnitude")
+
+
+def _require_normal(name: str, value: float) -> None:
+    """Raise NonFiniteInput naming a derived constant that is not finite or is subnormal."""
+    if not math.isfinite(value):
+        raise NonFiniteInput(f"{name} = {value} is not finite")
+    if 0.0 < abs(value) < np.finfo(float).tiny:
+        raise NonFiniteInput(f"{name} = {value} is subnormal")
 
 
 def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -234,8 +255,9 @@ class PiecewiseScalarFn:
 class SeparablePiecewise:
     """m piecewise-quadratic coordinates packed into padded arrays.
 
-    Enables vectorized Clarke intervals and subgradient selection (hot path of
-    the dynamics) and exact per-coordinate proximal steps (equilibrium oracle).
+    Enables vectorized Clarke intervals and subgradient selection (the field
+    rhs), the piece rows of the forward-backward step (integrate) and exact
+    per-coordinate proximal steps (equilibrium oracle).
     Padding breakpoints are +inf, so they never count below a finite y, and
     padding pieces carry an empty interval [+inf, +inf] so they can never win
     a candidate comparison.
@@ -264,6 +286,7 @@ class SeparablePiecewise:
         self.bpT = np.ascontiguousarray(self.bp.T)
         self._offsets = np.arange(m) * npieces
         self._c2f, self._qf = self.c2.ravel(), self.q.ravel()
+        self._ledgef, self._redgef = self.ledge.ravel(), self.redge.ravel()
         # derivative jump J at each breakpoint (0 on padding; a drop within
         # CONTINUITY_TOL counts as 0) and S, the sum of the jumps below each piece
         real = np.isfinite(self.bp)
@@ -293,14 +316,17 @@ class SeparablePiecewise:
         glo, ghi = self.clarke(y)
         return glo if ghi is glo else np.minimum(np.maximum(target, glo), ghi)
 
-    def continuous_grad(self, y: np.ndarray) -> np.ndarray:
-        """d(y) = h'(y) - S(y): the derivative with its jumps below y taken out.
+    def piece_rows(self, y: np.ndarray):
+        """Rows (c2, q - S, lower, upper) of the piece covering each y_j.
 
-        S(y) sums the jumps at breakpoints strictly below y, so d is the
-        left derivative minus S at a breakpoint and is continuous there.
+        d(y) = c2 * y + (q - S) is h'(y) - S(y), the derivative with the jumps
+        S(y) at breakpoints strictly below y taken out: the left derivative
+        minus S at a breakpoint, so d is continuous there. The piece covers
+        (lower, upper], its ledge and redge, so lower < y <= upper holds
+        exactly for the y that this lookup maps to the same piece.
         """
         flat = (self.bpT < y).sum(axis=0) + self._offsets
-        return self._c2f[flat] * y + self._qdf[flat]
+        return self._c2f[flat], self._qdf[flat], self._ledgef[flat], self._redgef[flat]
 
     def jump_prox(self, t: float) -> "JumpProx":
         """Table of prox_{t g}, g_j(s) = sum_i J_ji (s - b_ji)_+ the jump part of h_j."""
@@ -326,8 +352,8 @@ class JumpProx:
     affine in v with slope 1 or 0; an upper threshold is stored one ulp up and
     every threshold is counted with <=, so each sticking interval is closed.
     Rows are packed like SeparablePiecewise.bpT, padded with +inf, and region
-    r of coordinate j is entry offsets[j] + r of the flat slope and intercept
-    arrays. A lookup costs one compare-and-count and two gathers.
+    r of coordinate j is entry offsets[j] + r of the flat slope, intercept and
+    edge arrays. A lookup costs one compare-and-count and four gathers.
     """
 
     def __init__(self, bp: np.ndarray, jump_sum: np.ndarray, t: float):
@@ -336,7 +362,13 @@ class JumpProx:
         thr[:, 0::2] = bp + t * jump_sum[:, :-1]
         thr[:, 1::2] = np.nextafter(bp + t * jump_sum[:, 1:], np.inf)
         # equal rounded thresholds of neighbouring kinks must still count in order
-        self.thrT = np.ascontiguousarray(np.maximum.accumulate(thr, axis=1).T)
+        thr = np.maximum.accumulate(thr, axis=1)
+        self.thrT = np.ascontiguousarray(thr.T)
+        # region r holds thr[r-1] <= v < thr[r]; with both edges one ulp down
+        # that is lower < v <= upper (an empty region gets lower == upper)
+        edges = np.nextafter(np.hstack([np.full((m, 1), -np.inf), thr,
+                                        np.full((m, 1), np.inf)]), -np.inf)
+        self.lower, self.upper = edges[:, :-1].ravel(), edges[:, 1:].ravel()
         slope = np.ones((m, 2 * kmax + 1))
         icpt = np.empty((m, 2 * kmax + 1))
         slope[:, 1::2] = 0.0
@@ -345,9 +377,18 @@ class JumpProx:
         self.offsets = np.arange(m) * (2 * kmax + 1)
         self.slope, self.icpt = slope.ravel(), icpt.ravel()
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
+    def region_rows(self, v: np.ndarray):
+        """Rows (slope, intercept, lower, upper) of the region holding each v_j.
+
+        lower < v <= upper holds exactly for the v that this lookup maps to
+        the same region.
+        """
         flat = (self.thrT <= v).sum(axis=0) + self.offsets
-        return self.slope[flat] * v + self.icpt[flat]
+        return self.slope[flat], self.icpt[flat], self.lower[flat], self.upper[flat]
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        slope, icpt, _, _ = self.region_rows(v)
+        return slope * v + icpt
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -398,9 +439,12 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
 
     kappa1 is the smallest eigenvalue of A A' (symmetric eigendecomposition);
     the decay-rate constant is gamma = min(2 beta, 2 kappa1 / alpha_m).
-    Raises NonFiniteInput when A, B or C holds NaN or an infinity, and
-    RankDeficient, NotStronglyConvex, DimensionMismatch or NonCompactOmega
-    when the structural assumptions fail.
+    Raises NonFiniteInput when A, B or C holds NaN or an infinity, when an
+    entry of H, c, A, B, C, h or a finite bound of X or Omega exceeds
+    DATA_RANGE in magnitude, or when alpha, alpha_m, kappa1, gamma or ||B||_2
+    is not finite or is subnormal; each message names the entry or the
+    constant. Raises RankDeficient, NotStronglyConvex, DimensionMismatch or
+    NonCompactOmega when the structural assumptions fail.
     """
     h = tuple(h)
     A = np.asarray(A, dtype=float)
@@ -427,6 +471,12 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
         raise DimensionMismatch(f"Omega has dimension {Omega.dim}, expected {m}")
     if Omega.is_free:
         raise NonCompactOmega("Omega must be a bounded box")
+    data = [("H", f.H), ("c", f.c), ("A", A), ("B", B), ("C", C)]
+    for j, fj in enumerate(h):
+        data += [(f"h[{j}].breakpoints", fj.breakpoints), (f"h[{j}].coeffs", fj.coeffs)]
+    if not X.is_free:   # the bounds of a free X are infinite
+        data += [("X.lo", X.lo), ("X.hi", X.hi)]
+    _require_in_range(data + [("Omega.lo", Omega.lo), ("Omega.hi", Omega.hi)])
 
     gram = A @ A.T
     eigs = np.linalg.eigvalsh(gram)
@@ -437,6 +487,9 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
     kappa1 = float(eigs[0])
     beta = min(fj.beta for fj in h)
     gamma = min(2.0 * beta, 2.0 * kappa1 / f.alpha_m)
+    for name, value in (("alpha", f.alpha), ("alpha_m", f.alpha_m), ("kappa1", kappa1),
+                        ("gamma", gamma), ("||B||_2", float(np.linalg.norm(B, 2)))):
+        _require_normal(name, value)
 
     if not X.is_free and f.is_diagonal:
         hd = np.diagonal(f.H)

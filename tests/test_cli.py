@@ -66,6 +66,40 @@ def test_validate_rank_deficient_exits_3(tmp_path, capsys):
     assert "RankDeficient" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    # these files used to pass validate, then certify exited 4 with "reduce dt"
+    ("C", [1e308], "C[0] = 1e+308 exceeds 1e+150 in magnitude"),
+    ("B", [[1e300, -1e300]], "B[0, 0] = 1e+300 exceeds 1e+150 in magnitude"),
+    ("H", {"diag": [1e-320, 1.0]}, "alpha = 1e-320 is subnormal"),
+    # and this one exited 3 with "eigenvalue ratio inf/inf"
+    ("A", [[1e300, 1e300]], "A[0, 0] = 1e+300 exceeds 1e+150 in magnitude"),
+])
+def test_data_out_of_range_exits_3_naming_the_entry(key, value, message, tmp_path, capsys):
+    doc = {
+        "n": 2, "m": 2, "p": 1,
+        "H": {"diag": [1.0, 2.0]}, "c": [0.0, 0.0],
+        "A": [[1.0, 1.0]], "B": [[1.0, -1.0]], "C": [0.5],
+        "h": [{"breakpoints": [], "pieces": [{"p": 0.5, "q": 0.0, "r": 0.0}]},
+              {"breakpoints": [0.2], "pieces": [{"p": 0.5, "q": 0.0, "r": 0.0},
+                                                {"p": 1.0, "q": -0.2, "r": 0.02}]}],
+        "X": {"kind": "free"},
+        "Omega": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for argv in (["validate", str(path)], ["certify", str(path), "--out", str(out)]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"assumption failure: NonFiniteInput: {message}"]
+        assert captured.out == ""
+    assert not out.exists()
+
+
 def test_validate_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops")

@@ -26,7 +26,7 @@ from ppdgd import (
     solve_inner,
 )
 from ppdgd.analysis import write_envelope_csv
-from ppdgd.model import SeparablePiecewise
+from ppdgd.model import JumpProx, SeparablePiecewise
 from ppdgd.random_problems import random_piecewise, random_problem
 
 
@@ -400,6 +400,195 @@ def test_step_from_kink_pinned_equilibrium_stays_on_the_kink():
             traj = integrate(P, State(eq.y_star, eq.lambda_star), cfg)
             assert len(traj) == 2
             assert np.array_equal(traj.y[1, pinned], eq.y_star[pinned])
+
+
+def _reference_forward(P, dt):
+    """v = y + dt (target - d(y)), the point that _reference_stepper hands to its prox."""
+    coords = []
+    for fn in P.h:
+        b = fn.breakpoints.tolist()
+        c2, q = (2.0 * fn.coeffs[:, 0]).tolist(), fn.coeffs[:, 1].tolist()
+        jumps = [max((c2[i + 1] * b[i] + q[i + 1]) - (c2[i] * b[i] + q[i]), 0.0)
+                 for i in range(len(b))]
+        coords.append((b, c2, q, [0.0] + np.cumsum(jumps).tolist()))
+
+    def forward(y, lam):
+        target = (-(P.Bt @ lam)).tolist()
+        v = np.empty_like(y)
+        for j, (b, c2, q, S) in enumerate(coords):
+            yj = float(y[j])
+            k = bisect.bisect_left(b, yj)
+            v[j] = yj + dt * (target[j] - (c2[k] * yj + (q[k] - S[k])))
+        return v
+
+    return forward
+
+
+def _reference_rows(P, y0, lam0, dt, steps, every):
+    """(t, y, lam, drift_norm) of a plain loop of the reference step, recorded like integrate."""
+    reference_step = _reference_stepper(P, dt)
+    rows = []
+    y, lam = y0, lam0
+    for k in range(steps + 1):
+        _, dlam = rhs(P, State(y, lam), 1.0)
+        y_next = reference_step(y, lam)
+        dy = y_next - y
+        if k % every == 0 or k == steps:
+            rows.append((k * dt, y, lam,
+                         math.sqrt(float(dy @ dy) / (dt * dt) + float(dlam @ dlam))))
+        y, lam = y_next, lam + dt * dlam
+    return tuple(np.array(c) for c in zip(*rows))
+
+
+def _mode_problem(mode, h, C):
+    """p = m <= 2 and B = -I, so the subgradient target is +lam, in the given inner mode."""
+    p = len(h)
+    H = np.array([[2.0, 0.5], [0.5, 1.0]]) if mode == "box_dense" else np.diag([1.0, 2.0])
+    X = BoxSet.free(2) if mode == "free" else BoxSet.box([-2.0, -2.0], [2.0, 2.0])
+    P = build_problem(QuadraticSmoothFn(H, np.zeros(2)), h, np.array([[1.0, 0.5], [0.2, 1.0]])[:p],
+                      -np.eye(p), np.array(C), X, BoxSet.box(-np.ones(p), np.ones(p)))
+    assert P.inner_mode == mode
+    return P
+
+
+def _mode_changes(P, dt, y, lam):
+    """Per step after the first: did some y_j change its piece, did some v_j change its prox region."""
+    forward, thr = _reference_forward(P, dt), P.hpack.jump_prox(dt).thrT
+    pieces = [[bisect.bisect_left(fn.breakpoints, yk[j]) for j, fn in enumerate(P.h)] for yk in y]
+    regions = [[np.searchsorted(thr[:, j], vj, side="right") for j, vj in enumerate(forward(yk, lk))]
+               for yk, lk in zip(y, lam)]
+    return tuple(np.any(np.diff(idx, axis=0), axis=1) for idx in (pieces, regions))
+
+
+def _landing_lam(P, dt, y0, goal, step):
+    """lam0 from which the v of the reference loop at step 0 or 1 is exactly goal (p = 1)."""
+    forward, reference_step = _reference_forward(P, dt), _reference_stepper(P, dt)
+
+    def v_at(x):
+        y, lam = y0, np.array([x])
+        if step:
+            _, dlam = rhs(P, State(y, lam), 1.0)
+            y, lam = reference_step(y, lam), lam + dt * dlam
+        return forward(y, lam)[0]
+
+    lo, hi = -1e3, 1e3   # v grows with lam0
+    assert v_at(lo) < goal < v_at(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if v_at(mid) < goal else (lo, mid)
+    # rounding makes v monotone in lam0 only roughly: try the floats around the crossing
+    below = above = lo
+    for _ in range(256):
+        for x in (below, above):
+            if v_at(x) == goal:
+                return np.array([x])
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+    raise AssertionError(f"no lam0 puts v at step {step} on {goal!r}")
+
+
+def _ulps(x):
+    return np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)
+
+
+@pytest.mark.parametrize("mode", ["free", "box_diag", "box_dense"])
+def test_cached_step_matches_reference_at_bracket_edges(mode):
+    # integrate caches the piece of each y_j and the prox region of each v_j
+    # and reuses them while [v, y] stays inside their brackets. Every row must
+    # still match the reference loop, which looks both up on every step:
+    # - y(0) on a breakpoint and one ulp either side;
+    # - v at the first step on a prox threshold and one ulp either side;
+    # - y landing on the kink at 0.35 from the piece above, after which the
+    #   reference v falls one ulp below the sticking interval, while the
+    #   cached piece above would have kept it inside;
+    # - v at the second step on the upper threshold of the sticking interval
+    #   at -0.5, which the cached sticking region would have kept;
+    # - one long run across many pieces and regions.
+    dt = 2.0 ** -5
+    # kinks at -0.5 (jump 0.25) and 0.35 (jump 97, where the curvature changes
+    # from 1 to 1.1); at 0.35 the left and right pieces give d values that
+    # differ by rounding, by several ulp(0.35) / dt
+    P = _mode_problem(mode, [_kinked([-0.5, 0.35], [0.25, 97.0], [1.0, 1.0, 1.1])], [0.0])
+    b_low, b_kink = P.h[0].breakpoints
+    thr = P.hpack.jump_prox(dt).thrT[:, 0]
+    runs = [(np.array([y]), np.array([0.1])) for b in (b_low, b_kink) for y in _ulps(b)]
+    y0 = np.zeros(1)
+    runs += [(y0, _landing_lam(P, dt, y0, v, 0)) for T in thr for v in _ulps(T)]
+
+    forward = _reference_forward(P, dt)
+    # the kink at 0.35 from above: y(0) = 0.4 sticks at the kink on the first
+    # step, and at the second v lands one ulp below its sticking interval
+    y0 = np.array([0.4])
+    lam0 = _landing_lam(P, dt, y0, np.nextafter(thr[2], -np.inf), 1)
+    _, y, lam, _ = _reference_rows(P, y0, lam0, dt, 2, 1)
+    assert y[1, 0] == b_kink and y[2, 0] != b_kink
+    c2_right, q_right = 2.0 * P.h[0].coeffs[2, 0], P.h[0].coeffs[2, 1]
+    d_right = c2_right * b_kink + (q_right - P.hpack.jump_sum[0, 2])
+    v_right = b_kink + dt * (lam[1, 0] - d_right)   # v with the rows of the piece above
+    assert thr[2] <= v_right < thr[3] and forward(y[1], lam[1])[0] < thr[2]
+    runs.append((y0, lam0))
+    # pinned on the kink at -0.5, v leaves its sticking interval exactly on
+    # the upper threshold at the second step
+    y0 = np.array([b_low])
+    lam0 = _landing_lam(P, dt, y0, thr[1], 1)
+    _, y, _, _ = _reference_rows(P, y0, lam0, dt, 2, 1)
+    assert y[1, 0] == b_low and y[2, 0] != b_low
+    runs.append((y0, lam0))
+
+    runs = [(P, y0, lam0, 7) for y0, lam0 in runs]
+    # the long run: five and four kinks, from a corner of Omega
+    h = [_kinked([-0.6, -0.3, 0.0, 0.3, 0.6], [0.05, 0.1, 0.05, 0.1, 0.05],
+                 [1.0, 1.5, 0.8, 1.2, 1.0, 1.4]),
+         _kinked([-0.45, -0.15, 0.15, 0.45], [0.1, 0.05, 0.1, 0.05], [1.2, 0.8, 1.0, 1.5, 1.0])]
+    P = _mode_problem(mode, h, [0.3, -0.2])
+    y0, lam0 = np.array([-0.95, 0.95]), np.array([3.0, -3.0])
+    _, y, lam, _ = _reference_rows(P, y0, lam0, dt, 500, 1)
+    assert all(np.count_nonzero(c) >= 10 for c in _mode_changes(P, dt, y, lam))
+    runs.append((P, y0, lam0, 500))
+
+    for every in (1, 3):
+        for P, y0, lam0, steps in runs:
+            cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0, record_every=every)
+            traj = integrate(P, State(y0, lam0), cfg)
+            assert traj.terminated_by is TerminationReason.TIME_LIMIT
+            for got, want in zip((traj.t, traj.y, traj.lam, traj.drift_norm),
+                                 _reference_rows(P, y0, lam0, dt, steps, every)):
+                assert np.array_equal(got, want), (every, y0, lam0)
+
+
+def test_step_looks_up_pieces_and_regions_only_when_they_change(monkeypatch):
+    # integrate must reuse its cached rows: count the calls of both lookups
+    calls = {}
+
+    def counted(lookup):
+        def wrapper(self, arg):
+            calls[lookup.__name__] += 1
+            return lookup(self, arg)
+        return wrapper
+
+    monkeypatch.setattr(SeparablePiecewise, "piece_rows", counted(SeparablePiecewise.piece_rows))
+    monkeypatch.setattr(JumpProx, "region_rows", counted(JumpProx.region_rows))
+    # from the kink-pinned equilibria of test_step_from_kink_pinned_equilibrium_stays_on_the_kink,
+    # only the first of 500 steps looks anything up
+    for seed in (6, 14):
+        P = random_problem(np.random.default_rng(seed), max_dim=5)
+        eq = equilibrium_oracle(P)
+        for tau in (1.0, 5.0):
+            calls.update(piece_rows=0, region_rows=0)
+            cfg = IntegratorConfig(dt=2e-3, tau=tau, t_end=1.0, stop_tol=0.0)
+            assert len(integrate(P, State(eq.y_star, eq.lambda_star), cfg)) == 501
+            assert calls == {"piece_rows": 1, "region_rows": 1}
+    # on a random instance: the first step, then once per step at which some
+    # y_j changes its piece or some v_j its prox region
+    rng = np.random.default_rng(20240811)
+    P = random_problem(rng)
+    cfg = IntegratorConfig(dt=2e-3, t_end=60.0, stop_tol=1e-8)
+    calls.update(piece_rows=0, region_rows=0)
+    traj = integrate(P, State(rng.uniform(P.Omega.lo, P.Omega.hi), np.zeros(P.p)), cfg)
+    piece, region = _mode_changes(P, cfg.dt, traj.y, traj.lam)
+    assert np.count_nonzero(piece) >= 3 and np.count_nonzero(region) >= 3
+    assert calls["piece_rows"] == calls["region_rows"] <= np.count_nonzero(piece | region) + 1
 
 
 def test_early_stop_allocates_nothing_in_proportion_to_t_end():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,3 +321,13 @@ def test_non_finite_array_raises_naming_the_argument(name, bad):
     _build_with()
     with pytest.raises(NonFiniteInput, match=rf"^{name}\["):
         _build_with(name, bad)
+
+
+@pytest.mark.parametrize("A, B, name", [
+    (np.array([[1e-160, 0.0]]), np.array([[1.0]]), "kappa1"),   # A A' = 1e-320
+    (np.array([[1.0, 0.0]]), np.array([[1e-320]]), "||B||_2"),
+])
+def test_subnormal_derived_constant_raises_naming_it(A, B, name):
+    f = QuadraticSmoothFn(np.eye(2), np.zeros(2))
+    with pytest.raises(NonFiniteInput, match=rf"^{re.escape(name)} = .* is subnormal$"):
+        build_problem(f, [quad(0.5)], A, B, np.zeros(1), BoxSet.free(2), BoxSet.box([-1.0], [1.0]))

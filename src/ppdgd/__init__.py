@@ -25,6 +25,7 @@ from .dynamics import (
 from .errors import (
     DimensionMismatch,
     EquilibriumUnverified,
+    InfeasibleProblem,
     InitialPointOutsideOmega,
     InnerSolveDiverged,
     NonCompactOmega,

@@ -23,6 +23,7 @@ from .dynamics import IntegratorConfig, State, integrate
 from .errors import (
     DimensionMismatch,
     EquilibriumUnverified,
+    InfeasibleProblem,
     InitialPointOutsideOmega,
     InnerSolveDiverged,
     NonCompactOmega,
@@ -110,8 +111,11 @@ def _certify(P: Problem, cfg: IntegratorConfig, seed, out: Path, eq=None, tag: s
 
     Writes trajectory{tag}.csv, envelope{tag}.csv and report{tag}.json under
     out, creating out only after certification, and returns (trajectory,
-    report, invariant).
+    report, invariant). Without eq, an infeasible P raises InfeasibleProblem
+    before the integration starts; a given eq shows that P is feasible.
     """
+    if eq is None and not _feasible(P):
+        raise InfeasibleProblem("Ax + By = C has no solution over X x Omega")
     traj = integrate(P, _initial_state(P, seed), cfg)
     if eq is None:
         eq = equilibrium_oracle(P)
@@ -228,8 +232,8 @@ def main(argv=None) -> int:
     # (failure classes, exit code, stderr label); a problem file that does not
     # parse exits 2 from _load, before any of these can be raised
     failures = (
-        ((RankDeficient, NotStronglyConvex, NonCompactOmega, DimensionMismatch, NonFiniteInput),
-         EXIT_ASSUMPTION, "assumption failure"),
+        ((RankDeficient, NotStronglyConvex, NonCompactOmega, DimensionMismatch, NonFiniteInput,
+          InfeasibleProblem), EXIT_ASSUMPTION, "assumption failure"),
         ((InitialPointOutsideOmega, NonFiniteState, InnerSolveDiverged, PointOutsideSet),
          EXIT_INTEGRATION, "integration failure"),
         ((OracleFailed, EquilibriumUnverified), EXIT_CERTIFICATION, "certification failure"),

@@ -145,13 +145,6 @@ def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]
     return tau * dy, tau * dlam
 
 
-def _drift_lipschitz_estimate(P: Problem) -> float:
-    curv = 2.0 * max(float(np.max(fj.coeffs[:, 0])) for fj in P.h)   # hpack.c2 pads with 1.0
-    nB = float(np.linalg.norm(P.B, 2))
-    nA2 = float(np.linalg.norm(P.A, 2)) ** 2
-    return curv + 2.0 * nB + nA2 / P.alpha
-
-
 def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the dynamics from s0 with fixed forward-backward steps.
 
@@ -212,7 +205,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     if not P.Omega.contains(y):
         raise InitialPointOutsideOmega("y(0) violates Omega beyond 1e-9")
 
-    lip = _drift_lipschitz_estimate(P)
+    lip = P.drift_lipschitz
     if cfg.dt * cfg.tau * lip >= 1.0:
         warnings.warn(
             f"dt*tau*L = {cfg.dt * cfg.tau * lip:.3g} >= 1 with drift Lipschitz "

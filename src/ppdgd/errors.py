@@ -21,6 +21,10 @@ class NonCompactOmega(PpdgdError):
     """Omega must be a bounded box."""
 
 
+class InfeasibleProblem(PpdgdError):
+    """Ax + By = C admits no solution over X x Omega."""
+
+
 class PointOutsideSet(PpdgdError):
     """A point violates its set membership beyond tolerance."""
 

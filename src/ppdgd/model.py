@@ -412,6 +412,7 @@ class Problem:
     beta: float
     kappa1: float
     gamma: float
+    drift_lipschitz: float   # integrate warns when dt * tau * drift_lipschitz >= 1
     Bt: np.ndarray = field(repr=False)   # contiguous copy of B.T, shared by all paths
     hpack: SeparablePiecewise = field(repr=False)
     # inner-solve cache; fields depend on the X/H structure
@@ -441,10 +442,11 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
     the decay-rate constant is gamma = min(2 beta, 2 kappa1 / alpha_m).
     Raises NonFiniteInput when A, B or C holds NaN or an infinity, when an
     entry of H, c, A, B, C, h or a finite bound of X or Omega exceeds
-    DATA_RANGE in magnitude, or when alpha, alpha_m, kappa1, gamma or ||B||_2
-    is not finite or is subnormal; each message names the entry or the
-    constant. Raises RankDeficient, NotStronglyConvex, DimensionMismatch or
-    NonCompactOmega when the structural assumptions fail.
+    DATA_RANGE in magnitude, or when alpha, alpha_m, kappa1, gamma, ||B||_2
+    or the drift Lipschitz estimate is not finite or is subnormal; each
+    message names the entry or the constant. Raises RankDeficient,
+    NotStronglyConvex, DimensionMismatch or NonCompactOmega when the
+    structural assumptions fail.
     """
     h = tuple(h)
     A = np.asarray(A, dtype=float)
@@ -487,8 +489,14 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
     kappa1 = float(eigs[0])
     beta = min(fj.beta for fj in h)
     gamma = min(2.0 * beta, 2.0 * kappa1 / f.alpha_m)
+    norm_B = float(np.linalg.norm(B, 2))
+    # drift Lipschitz estimate max h'' + 2 ||B||_2 + ||A||_2^2 / alpha, where
+    # ||A||_2^2 = lambda_max(A A') (hpack.c2 pads with 1.0, so it is not used)
+    lip = (2.0 * float(np.concatenate([fj.coeffs[:, 0] for fj in h]).max()) + 2.0 * norm_B
+           + float(eigs[-1]) / f.alpha)
     for name, value in (("alpha", f.alpha), ("alpha_m", f.alpha_m), ("kappa1", kappa1),
-                        ("gamma", gamma), ("||B||_2", float(np.linalg.norm(B, 2)))):
+                        ("gamma", gamma), ("||B||_2", norm_B),
+                        ("drift Lipschitz estimate L", lip)):
         _require_normal(name, value)
 
     if not X.is_free and f.is_diagonal:
@@ -508,6 +516,7 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
     return Problem(
         f=f, h=h, A=A, B=B, C=C, X=X, Omega=Omega,
         alpha=f.alpha, alpha_m=f.alpha_m, beta=beta, kappa1=kappa1, gamma=gamma,
+        drift_lipschitz=lip,
         Bt=np.ascontiguousarray(B.T), hpack=SeparablePiecewise(h),
         inner_mode=mode, x_base=x_base, dual_map=dual_map,
         dual_gram=dual_gram, grad_base=grad_base,

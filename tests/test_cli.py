@@ -123,6 +123,49 @@ def test_validate_infeasible_boxes_exit_3(tmp_path, capsys):
     assert "check feasible: fail" in capsys.readouterr().out
 
 
+def _exits_3_without_output(path, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["certify", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"assumption failure: {message}"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_certify_infeasible_boxes_exit_3_before_integrating(tmp_path, capsys):
+    # x1 + x2 + y over [-1, 1]^3 reaches at most 3, never C = 10
+    doc = {
+        "n": 2, "m": 1, "p": 1,
+        "H": {"diag": [1.0, 1.0]}, "c": [0.0, 0.0],
+        "A": [[1.0, 1.0]], "B": [[1.0]], "C": [10.0],
+        "h": [{"breakpoints": [], "pieces": [{"p": 0.5, "q": 0.0, "r": 0.0}]}],
+        "X": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        "Omega": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+    }
+    path = tmp_path / "infeasible.json"
+    path.write_text(json.dumps(doc))
+    _exits_3_without_output(
+        path, "InfeasibleProblem: Ax + By = C has no solution over X x Omega", tmp_path, capsys)
+
+
+def test_infinite_drift_lipschitz_estimate_exits_3(tmp_path, capsys):
+    # ||A||^2 / alpha = 1e200 / 1e-300 overflows; no step size could fix it
+    doc = {
+        "n": 2, "m": 1, "p": 1,
+        "H": {"diag": [1e-300, 1.0]}, "c": [0.0, 0.0],
+        "A": [[1e100, 1.0]], "B": [[1.0]], "C": [0.5],
+        "h": [{"breakpoints": [], "pieces": [{"p": 0.5, "q": 0.0, "r": 0.0}]}],
+        "X": {"kind": "free"},
+        "Omega": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+    }
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(doc))
+    message = "NonFiniteInput: drift Lipschitz estimate L = inf is not finite"
+    assert main(["validate", str(path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"assumption failure: {message}"]
+    _exits_3_without_output(path, message, tmp_path, capsys)
+
+
 def _three_dim_doc():
     return {
         "n": 3, "m": 3, "p": 2,

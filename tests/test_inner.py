@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ppdgd import (
     BoxSet,
+    InnerSolveDiverged,
     IntegratorConfig,
     PiecewiseScalarFn,
     QuadraticSmoothFn,
@@ -98,15 +99,11 @@ def test_box_dense_divergence_reported(monkeypatch):
     import ppdgd.inner as inner
 
     monkeypatch.setattr(inner, "_active_set_cap", lambda n: 0)
-    monkeypatch.setattr(inner, "PGD_MAX_ITER", 1)
-    monkeypatch.setattr(inner, "PGD_TOL", 0.0)
-    monkeypatch.setattr(inner, "PGD_FAIL_RESIDUAL", 0.0)
     H = np.array([[2.0, 0.6], [0.6, 1.5]])
     P = make_problem(H, np.array([0.3, -0.2]), np.eye(2),
                      BoxSet.box([-0.5, -0.5], [0.5, 0.5]))
-    from ppdgd import InnerSolveDiverged
-    # mixed active/interior solution: no active-set step and one crippled
-    # projected-gradient iteration cannot reach it
+    # mixed active/interior solution: the clamped start is not it, and a cap
+    # of zero steps allows no reduced solve
     with pytest.raises(InnerSolveDiverged):
         inner.solve_inner(P, np.array([0.9, 0.0]))
 
@@ -172,19 +169,27 @@ def test_box_dense_matches_enumerated_oracle(n, seed, log_cond, lam_scale, degen
     assert np.max(np.abs(sol.x_star - expected)) <= 1e-9
 
 
-def test_box_dense_fallback_matches_active_set(monkeypatch):
-    import ppdgd.inner as inner
-
-    rng = np.random.default_rng(7)
-    P = box_dense_problem(rng, 5, 10.0, np.zeros(5, dtype=bool))
-    lams = [rng.normal(size=P.p) * s for s in (0.5, 2.0, 5.0)]
-    exact = [solve_inner(P, lam) for lam in lams]
-    assert max(sol.iterations for sol in exact) >= 1   # some bound binds
-    monkeypatch.setattr(inner, "_active_set_cap", lambda n: 0)
-    for lam, sol in zip(lams, exact):
-        fallback = solve_inner(P, lam)
-        assert fallback.residual <= 1e-10
-        assert np.max(np.abs(fallback.x_star - sol.x_star)) <= 1e-8
+def test_box_dense_ill_conditioned_solves_to_roundoff():
+    # cond(H) up to 1e8 puts the absolute residual bound below roundoff and
+    # makes block steps cycle; the pattern-repeat stop and the single pivots
+    # still end every solve at a KKT point
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        p = int(rng.integers(1, n + 1))
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        eigs = np.geomspace(1.0, 10.0 ** rng.uniform(0.0, 8.0), n) * rng.uniform(0.5, 2.0, size=n)
+        H = (Q * eigs) @ Q.T
+        w = 10.0 ** rng.uniform(-2.0, 1.0)
+        P = make_problem(0.5 * (H + H.T), rng.normal(size=n), rng.normal(size=(p, n)),
+                         BoxSet.box(np.full(n, -w), np.full(n, w)), m=p)
+        lam = rng.normal(size=p)
+        sol = solve_inner(P, lam)
+        scale = (np.linalg.norm(P.f.H, 2) * np.linalg.norm(sol.x_star)
+                 + np.linalg.norm(P.f.c + P.A.T @ lam))
+        worst = max(worst, sol.residual / scale)
+    assert worst <= 1e-14
 
 
 def test_box_dense_stall_safeguard_ends_cycling(monkeypatch):
@@ -198,9 +203,10 @@ def test_box_dense_stall_safeguard_ends_cycling(monkeypatch):
     expected = enumerated_box_qp(P.f.H, P.f.c + P.A.T @ lam, P.X.lo, P.X.hi)
     assert sol.iterations <= cap
     assert np.max(np.abs(sol.x_star - expected)) <= 1e-9
-    # unguarded block steps cycle here and leave the instance to the fallback
+    # unguarded block steps cycle here until the cap
     monkeypatch.setattr(inner, "STALL_STEPS", cap + 1)
-    assert solve_inner(P, lam).iterations > cap
+    with pytest.raises(InnerSolveDiverged):
+        solve_inner(P, lam)
 
 
 def test_box_dense_steps_along_trajectory():

@@ -23,16 +23,21 @@ from .dynamics import (
     select_subgradient,
 )
 from .errors import (
+    AssumptionError,
+    CertificationError,
     DimensionMismatch,
     EquilibriumUnverified,
     InfeasibleProblem,
     InitialPointOutsideOmega,
     InnerSolveDiverged,
+    IntegrationError,
+    InvalidConfig,
     NonCompactOmega,
     NonFiniteInput,
     NonFiniteState,
     NotStronglyConvex,
     OracleFailed,
+    ParseError,
     PointOutsideSet,
     PpdgdError,
     ProblemFormatError,

@@ -178,8 +178,8 @@ def _solve_stage(P: Problem, x, y, shift, rho, lip, tol):
     return z[:n], z[n:]
 
 
-def _polish(P: Problem, x, y, lam, act_tol):
-    """Exact KKT solve on the active pattern detected at (x, y, lam).
+def _polish(P: Problem, x, y, act_tol):
+    """Exact KKT solve on the active pattern detected at (x, y).
 
     Pins box-active coordinates and kink-straddling y coordinates, solves the
     remaining square stationarity + feasibility system, and returns the
@@ -253,7 +253,7 @@ def equilibrium_oracle(P: Problem) -> Equilibrium:
         shift = shift + rho * (P.A @ x + P.B @ y - P.C)
         # 1e-6 and 1e-4 pin a tiny-jump kink at y* stages before 1e-8 does (3-5x faster)
         for act_tol in (1e-8, 1e-6, 1e-4):
-            cand = _polish(P, x, y, shift, act_tol)
+            cand = _polish(P, x, y, act_tol)
             if cand is not None:
                 total = kkt_residual(P, *cand).total
                 if total < best_total:
@@ -303,8 +303,6 @@ def certify_envelope(P: Problem, traj: Trajectory, eq: Equilibrium) -> Convergen
     samples farther than 1e-10 from the equilibrium (None if fewer than two).
     Raises EquilibriumUnverified when eq fails the 1e-6 KKT gate.
     """
-    if len(traj) == 0:
-        raise ValueError("trajectory has no samples")
     kkt = kkt_residual(P, eq.x_star, eq.y_star, eq.lambda_star)
     if kkt.total > KKT_TARGET:
         raise EquilibriumUnverified(

@@ -4,8 +4,9 @@ Subcommands: validate (structural assumptions and rate constants), run
 (integrate a problem file), certify (integrate + equilibrium oracle +
 envelope certificate), casestudy (the feeder demo, with repeatable --tau).
 
-Exit codes: 0 success, 2 parse error (problem file or flags), 3 assumption
-failure, 4 integration failure, 5 certification failure.
+Exit codes: 0 success, 2 parse error (problem file or flags) or i/o error,
+3 assumption failure, 4 integration failure, 5 certification failure; main
+alone prints an error, one stderr line labelled by its category in errors.py.
 """
 
 from __future__ import annotations
@@ -20,40 +21,16 @@ from . import casestudy as cs
 from .analysis import (certify_envelope, envelope_series, equilibrium_oracle,
                        omega_invariant, write_envelope_csv)
 from .dynamics import IntegratorConfig, State, integrate
-from .errors import (
-    DimensionMismatch,
-    EquilibriumUnverified,
-    InfeasibleProblem,
-    InitialPointOutsideOmega,
-    InnerSolveDiverged,
-    NonCompactOmega,
-    NonFiniteInput,
-    NonFiniteState,
-    NotStronglyConvex,
-    OracleFailed,
-    PointOutsideSet,
-    PpdgdError,
-    ProblemFormatError,
-    RankDeficient,
-)
+from .errors import InfeasibleProblem, InvalidConfig, PpdgdError
 from .model import Problem
 from .problem_io import dump_problem, load_problem
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_ASSUMPTION = 3
-EXIT_INTEGRATION = 4
 EXIT_CERTIFICATION = 5
 
 FEASIBILITY_TOL = 1e-6   # residual of Ax + By = C, relative to max(1, |C|_inf)
-
-
-def _load(path: str) -> Problem:
-    try:
-        return load_problem(path)
-    except (ProblemFormatError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+INFEASIBLE = "Ax + By = C has no solution over X x Omega"
 
 
 def _feasible(P: Problem) -> bool:
@@ -65,45 +42,41 @@ def _feasible(P: Problem) -> bool:
     M = np.hstack([P.A, P.B])
     lo = np.concatenate([P.X.lo, P.Omega.lo])
     hi = np.concatenate([P.X.hi, P.Omega.hi])
-    res = scipy.optimize.lsq_linear(M, P.C, bounds=(lo, hi))
-    gap = float(np.max(np.abs(M @ res.x - P.C)))
-    return gap <= FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(P.C))))
+    free = lo < hi   # lsq_linear needs lo < hi; a pinned coordinate moves to the right-hand side
+    gap = P.C - M[:, ~free] @ lo[~free]
+    if free.any():
+        res = scipy.optimize.lsq_linear(M[:, free], gap, bounds=(lo[free], hi[free]))
+        gap = gap - M[:, free] @ res.x
+    return float(np.max(np.abs(gap))) <= FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(P.C))))
 
 
 def _cmd_validate(args) -> int:
-    P = _load(args.problem)
-    for name, value in (
-        ("alpha", P.alpha), ("alpha_m", P.alpha_m), ("beta", P.beta),
-        ("kappa1", P.kappa1), ("gamma", P.gamma),
-    ):
-        print(f"{name} = {value!r}")
+    P = load_problem(args.problem)
+    for name in ("alpha", "alpha_m", "beta", "kappa1", "gamma"):
+        print(f"{name} = {getattr(P, name)!r}")
     # construction already enforced the curvature/rank/compactness assumptions
-    print("check smooth_strongly_convex: pass")
-    print("check nonsmooth_strongly_convex: pass")
-    print("check full_row_rank: pass")
-    print("check omega_compact: pass")
+    for check in ("smooth_strongly_convex", "nonsmooth_strongly_convex", "full_row_rank",
+                  "omega_compact"):
+        print(f"check {check}: pass")
     feasible = _feasible(P)
     print(f"check feasible: {'pass' if feasible else 'fail'}")
-    return EXIT_OK if feasible else EXIT_ASSUMPTION
+    if not feasible:
+        raise InfeasibleProblem(INFEASIBLE)
+    return EXIT_OK
 
 
 def _config_from(args, tau: float) -> IntegratorConfig:
-    """Integrator config of the flags; a value it rejects exits 2, like a bad flag."""
-    try:
-        return IntegratorConfig(dt=args.dt, tau=tau, t_end=args.t_end,
-                                stop_tol=args.stop_tol, record_every=args.record_every)
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+    """Integrator config of the flags; it and --seed raise InvalidConfig on a bad value."""
+    if args.seed is not None and args.seed < 0:
+        raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
+    return IntegratorConfig(dt=args.dt, tau=tau, t_end=args.t_end,
+                            stop_tol=args.stop_tol, record_every=args.record_every)
 
 
 def _initial_state(P: Problem, seed) -> State:
     if seed is None:
-        y0 = np.zeros(P.m)
-    else:
-        rng = np.random.default_rng(seed)
-        y0 = rng.uniform(P.Omega.lo, P.Omega.hi)
-    return State(y0, np.zeros(P.p))
+        return State(np.zeros(P.m), np.zeros(P.p))
+    return State(np.random.default_rng(seed).uniform(P.Omega.lo, P.Omega.hi), np.zeros(P.p))
 
 
 def _certify(P: Problem, cfg: IntegratorConfig, seed, out: Path, eq=None, tag: str = ""):
@@ -115,7 +88,7 @@ def _certify(P: Problem, cfg: IntegratorConfig, seed, out: Path, eq=None, tag: s
     before the integration starts; a given eq shows that P is feasible.
     """
     if eq is None and not _feasible(P):
-        raise InfeasibleProblem("Ax + By = C has no solution over X x Omega")
+        raise InfeasibleProblem(INFEASIBLE)
     traj = integrate(P, _initial_state(P, seed), cfg)
     if eq is None:
         eq = equilibrium_oracle(P)
@@ -129,7 +102,7 @@ def _certify(P: Problem, cfg: IntegratorConfig, seed, out: Path, eq=None, tag: s
 
 def _cmd_run(args) -> int:
     cfg = _config_from(args, args.tau)
-    P = _load(args.problem)
+    P = load_problem(args.problem)
     traj = integrate(P, _initial_state(P, args.seed), cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -146,7 +119,7 @@ def _cmd_run(args) -> int:
 def _cmd_certify(args) -> int:
     cfg = _config_from(args, args.tau)
     out = Path(args.out)
-    _, report, invariant = _certify(_load(args.problem), cfg, args.seed, out)
+    _, report, invariant = _certify(load_problem(args.problem), cfg, args.seed, out)
     print(f"envelope_ok = {report.envelope_ok}")
     print(f"invariance_ok = {invariant}")
     print(f"gamma_bound = {report.gamma_bound!r}")
@@ -175,13 +148,12 @@ def _cmd_casestudy(args) -> int:
             f"fitted_rate = {report.fitted_rate!r}, samples = {len(traj)}"
         )
     print(f"wrote outputs under {out}")
-    ok = True
-    for _, report, invariant in results:
-        if not (report.envelope_ok and invariant):
-            print(f"certification failure: tau = {report.tau:g}: envelope_ok = "
-                  f"{report.envelope_ok}, invariance_ok = {invariant}", file=sys.stderr)
-            ok = False
-    return EXIT_OK if ok else EXIT_CERTIFICATION
+    failed = [(report, invariant) for _, report, invariant in results
+              if not (report.envelope_ok and invariant)]
+    for report, invariant in failed:
+        print(f"certification failure: tau = {report.tau:g}: envelope_ok = "
+              f"{report.envelope_ok}, invariance_ok = {invariant}", file=sys.stderr)
+    return EXIT_CERTIFICATION if failed else EXIT_OK
 
 
 def _add_run_flags(sp, tau_repeatable: bool, record_default: int = 1):
@@ -200,8 +172,13 @@ def _add_run_flags(sp, tau_repeatable: bool, record_default: int = 1):
                     help="draw y(0) uniformly in Omega (default: y(0) = 0)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a bad flag ends like every other error: one stderr line
+        raise InvalidConfig(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ppdgd",
         description="Projected partial primal-dual gradient dynamics solver",
     )
@@ -229,29 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # (failure classes, exit code, stderr label); a problem file that does not
-    # parse exits 2 from _load, before any of these can be raised
-    failures = (
-        ((RankDeficient, NotStronglyConvex, NonCompactOmega, DimensionMismatch, NonFiniteInput,
-          InfeasibleProblem), EXIT_ASSUMPTION, "assumption failure"),
-        ((InitialPointOutsideOmega, NonFiniteState, InnerSolveDiverged, PointOutsideSet),
-         EXIT_INTEGRATION, "integration failure"),
-        ((OracleFailed, EquilibriumUnverified), EXIT_CERTIFICATION, "certification failure"),
-    )
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except PpdgdError as exc:
-        for classes, code, label in failures:
-            if isinstance(exc, classes):
-                print(f"{label}: {type(exc).__name__}: {exc}", file=sys.stderr)
-                return code
-        raise
+    except PpdgdError as exc:   # its category carries the label and the exit code
+        print(f"{exc.label}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -30,15 +30,14 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InitialPointOutsideOmega, NonFiniteState
+from .errors import InitialPointOutsideOmega, InvalidConfig, NonFiniteState
 from .geometry import _check_dim, _check_member, active_faces, tangent_rule
 from .inner import _grad_phi
-from .model import Problem
+from .model import DATA_RANGE, Problem
 
 RECORD_BLOCK = 4096   # rows of the first sample buffer and of each CSV write
 
@@ -66,13 +65,19 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.dt, self.tau, self.t_end, self.stop_tol))):
-            raise ValueError("dt, tau, t_end and stop_tol must be finite")
+            raise InvalidConfig("dt, tau, t_end and stop_tol must be finite")
         if self.dt <= 0 or self.tau <= 0 or self.t_end <= 0:
-            raise ValueError("dt, tau and t_end must be positive")
+            raise InvalidConfig("dt, tau and t_end must be positive")
         if self.stop_tol < 0:
-            raise ValueError("stop_tol must be nonnegative")
+            raise InvalidConfig("stop_tol must be nonnegative")
         if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
-            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
+            raise InvalidConfig(f"record_every must be an integer >= 1, got {self.record_every!r}")
+        # the step count, the step and its square in the residual must be representable
+        if not math.isfinite(self.t_end / self.dt):
+            raise InvalidConfig(f"t_end / dt = {self.t_end / self.dt} steps is not finite")
+        dtau = self.dt * self.tau
+        if not (math.isfinite(dtau) and dtau * dtau >= np.finfo(float).tiny):
+            raise InvalidConfig(f"dt * tau = {dtau:g} must be finite and its square a normal float")
 
 
 @dataclass(eq=False)
@@ -193,8 +198,8 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     the final state, each with the residual of the step taken from it.
     Terminates at cfg.t_end or as soon as the tau-normalized step residual
     ||((y+ - y)/dtau, dlam)|| drops to cfg.stop_tol; that last step is not
-    taken. Raises InitialPointOutsideOmega or NonFiniteState (step size too
-    large).
+    taken. Raises InitialPointOutsideOmega, or NonFiniteState (step size too
+    large) when a step is not finite or a recorded lam leaves DATA_RANGE.
     """
     y = np.asarray(s0.y, dtype=float).copy()
     lam = np.asarray(s0.lam, dtype=float).copy()
@@ -205,20 +210,16 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     if not P.Omega.contains(y):
         raise InitialPointOutsideOmega("y(0) violates Omega beyond 1e-9")
 
-    lip = P.drift_lipschitz
-    if cfg.dt * cfg.tau * lip >= 1.0:
-        warnings.warn(
-            f"dt*tau*L = {cfg.dt * cfg.tau * lip:.3g} >= 1 with drift Lipschitz "
-            f"estimate L = {lip:.3g}; the step may be too large",
-            stacklevel=2,
-        )
-
     m = P.m
     lo, hi = P.Omega.lo, P.Omega.hi
     neg_Bt, B, C = -P.Bt, P.B, P.C   # neg_Bt.dot(lam) is -(B'lam) bit for bit: negation is exact
     dt, every, stop_tol = cfg.dt, cfg.record_every, cfg.stop_tol
     dtau = dt * cfg.tau
     dtau2 = dtau * dtau
+    advice = (f"dt*tau*L = {dtau * P.drift_lipschitz:.3g} with drift Lipschitz estimate "
+              f"L = {P.drift_lipschitz:.3g}; reduce dt")
+    if not math.isfinite(dtau * float(P.hpack.jump_sum.max())):   # the prox table overflows
+        raise NonFiniteState(f"dt * tau times the jumps of h' is not finite; {advice}")
     piece_rows = P.hpack.piece_rows
     region_rows = P.hpack.jump_prox(dtau).region_rows
     n_steps = max(0, math.ceil(cfg.t_end / dt - 1e-12))
@@ -274,7 +275,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             np.subtract(y_next, y, out=dy)
             drift = math.sqrt(dy.dot(dy) / dtau2 + dlam.dot(dlam))
             if not math.isfinite(drift):
-                raise NonFiniteState(f"non-finite state at t = {t}; reduce dt")
+                raise NonFiniteState(f"non-finite state at t = {t}; {advice}")
             stop = drift <= stop_tol
             last = stop or k >= n_steps
             if last or k % every == 0:
@@ -290,6 +291,10 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             k += 1
             t = k * dt
 
+    if max(lams[:n].max(), -lams[:n].min()) > DATA_RANGE:   # |lam - lam*|^2 would overflow
+        t = ts[np.argmax((np.abs(lams[:n]) > DATA_RANGE).any(axis=1))]
+        raise NonFiniteState(f"recorded lam left [-{DATA_RANGE:g}, {DATA_RANGE:g}] at t = {t}; "
+                             f"{advice}")
     return Trajectory(
         t=ts[:n].copy(),
         y=ys[:n].copy(),

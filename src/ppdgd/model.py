@@ -180,12 +180,14 @@ class PiecewiseScalarFn:
     Piece i has coefficients (p, q, r), meaning g(s) = p s^2 + q s + r, and
     covers (b_{i-1}, b_i] with b_0 = -inf and b_{K+1} = +inf. Pieces must agree
     in value at every breakpoint (within 1e-12), every piece must have 2p > 0,
-    and the derivative may only jump upward at a breakpoint.
+    and the derivative may only jump upward at a breakpoint. Every entry must
+    lie within DATA_RANGE, which is checked before any arithmetic on them.
     """
 
     breakpoints: np.ndarray   # (K,) strictly increasing
     coeffs: np.ndarray        # (K+1, 3) rows (p, q, r)
 
+    @np.errstate(over="ignore", invalid="ignore")   # p b^2 may overflow: the checks then fail
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float).reshape(-1)
         cf = np.asarray(self.coeffs, dtype=float)
@@ -197,6 +199,7 @@ class PiecewiseScalarFn:
             raise DimensionMismatch(
                 f"{bp.size} breakpoints require {bp.size + 1} pieces, got {cf.shape[0]}"
             )
+        _require_in_range([("breakpoints", bp), ("coeffs", cf)])   # before any arithmetic
         if bp.size and not np.all(np.diff(bp) > 0):
             raise DimensionMismatch("breakpoints must be strictly increasing")
         if np.any(2.0 * cf[:, 0] <= 0.0):
@@ -206,13 +209,13 @@ class PiecewiseScalarFn:
             pr, qr, rr = cf[k + 1]
             left_val = pl * b * b + ql * b + rl
             right_val = pr * b * b + qr * b + rr
-            if abs(left_val - right_val) > CONTINUITY_TOL:
+            if not abs(left_val - right_val) <= CONTINUITY_TOL:
                 raise NotStronglyConvex(
                     f"discontinuity {left_val - right_val:.3e} at breakpoint {b}"
                 )
             dl = 2.0 * pl * b + ql
             dr = 2.0 * pr * b + qr
-            if dl > dr + CONTINUITY_TOL:
+            if not dl <= dr + CONTINUITY_TOL:
                 raise NotStronglyConvex(
                     f"derivative drops at breakpoint {b} ({dl} -> {dr}); not convex"
                 )
@@ -412,7 +415,7 @@ class Problem:
     beta: float
     kappa1: float
     gamma: float
-    drift_lipschitz: float   # integrate warns when dt * tau * drift_lipschitz >= 1
+    drift_lipschitz: float   # NonFiniteState reports dt * tau * drift_lipschitz
     Bt: np.ndarray = field(repr=False)   # contiguous copy of B.T, shared by all paths
     hpack: SeparablePiecewise = field(repr=False)
     # inner-solve cache; fields depend on the X/H structure
@@ -441,12 +444,12 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
     kappa1 is the smallest eigenvalue of A A' (symmetric eigendecomposition);
     the decay-rate constant is gamma = min(2 beta, 2 kappa1 / alpha_m).
     Raises NonFiniteInput when A, B or C holds NaN or an infinity, when an
-    entry of H, c, A, B, C, h or a finite bound of X or Omega exceeds
-    DATA_RANGE in magnitude, or when alpha, alpha_m, kappa1, gamma, ||B||_2
-    or the drift Lipschitz estimate is not finite or is subnormal; each
-    message names the entry or the constant. Raises RankDeficient,
-    NotStronglyConvex, DimensionMismatch or NonCompactOmega when the
-    structural assumptions fail.
+    entry of H, c, A, B, C or a finite bound of X or Omega exceeds
+    DATA_RANGE in magnitude (h checks its own), or when alpha, alpha_m,
+    kappa1, gamma, ||B||_2 or the drift Lipschitz estimate is not finite or
+    is subnormal; each message names the entry or the constant. Raises
+    RankDeficient, NotStronglyConvex, DimensionMismatch or NonCompactOmega
+    when the structural assumptions fail.
     """
     h = tuple(h)
     A = np.asarray(A, dtype=float)
@@ -473,9 +476,7 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
         raise DimensionMismatch(f"Omega has dimension {Omega.dim}, expected {m}")
     if Omega.is_free:
         raise NonCompactOmega("Omega must be a bounded box")
-    data = [("H", f.H), ("c", f.c), ("A", A), ("B", B), ("C", C)]
-    for j, fj in enumerate(h):
-        data += [(f"h[{j}].breakpoints", fj.breakpoints), (f"h[{j}].coeffs", fj.coeffs)]
+    data = [("H", f.H), ("c", f.c), ("A", A), ("B", B), ("C", C)]   # h checks its own range
     if not X.is_free:   # the bounds of a free X are infinite
         data += [("X.lo", X.lo), ("X.hi", X.hi)]
     _require_in_range(data + [("Omega.lo", Omega.lo), ("Omega.hi", Omega.hi)])

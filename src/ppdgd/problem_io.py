@@ -141,7 +141,7 @@ def load_problem(path) -> Problem:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # also bad UTF-8, too long an int, too deep
             raise ProblemFormatError(f"$: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ProblemFormatError("$: expected top-level object")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ppdgd import NonFiniteState, OracleFailed, RankDeficient, cli, dump_problem
+from ppdgd import NonFiniteState, OracleFailed, PpdgdError, RankDeficient, cli, dump_problem, errors
 from ppdgd.casestudy import build_case
 from ppdgd.cli import main
 
@@ -73,6 +73,18 @@ def test_validate_rank_deficient_exits_3(tmp_path, capsys):
     ("H", {"diag": [1e-320, 1.0]}, "alpha = 1e-320 is subnormal"),
     # and this one exited 3 with "eigenvalue ratio inf/inf"
     ("A", [[1e300, 1e300]], "A[0, 0] = 1e+300 exceeds 1e+150 in magnitude"),
+    # these printed RuntimeWarning lines from PiecewiseScalarFn's arithmetic first
+    ("h", [{"breakpoints": [], "pieces": [{"p": 0.5, "q": 0.0, "r": 0.0}]},
+           {"breakpoints": [1e308], "pieces": [{"p": 0.5, "q": 0.0, "r": 0.0},
+                                               {"p": 1.0, "q": -0.2, "r": 0.02}]}],
+     "breakpoints[0] = 1e+308 exceeds 1e+150 in magnitude"),
+    ("h", [{"breakpoints": [], "pieces": [{"p": 1e308, "q": 0.0, "r": 0.0}]},
+           {"breakpoints": [], "pieces": [{"p": 0.5, "q": 0.0, "r": 0.0}]}],
+     "coeffs[0, 0] = 1e+308 exceeds 1e+150 in magnitude"),
+    # and this one was blamed on convexity
+    ("h", [{"breakpoints": [], "pieces": [{"p": -1e308, "q": 0.0, "r": 0.0}]},
+           {"breakpoints": [], "pieces": [{"p": 0.5, "q": 0.0, "r": 0.0}]}],
+     "coeffs[0, 0] = -1e+308 exceeds 1e+150 in magnitude"),
 ])
 def test_data_out_of_range_exits_3_naming_the_entry(key, value, message, tmp_path, capsys):
     doc = {
@@ -120,7 +132,42 @@ def test_validate_infeasible_boxes_exit_3(tmp_path, capsys):
     path = tmp_path / "infeasible.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 3
-    assert "check feasible: fail" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "check feasible: fail"
+    assert captured.err.splitlines() == [
+        "assumption failure: InfeasibleProblem: Ax + By = C has no solution over X x Omega"]
+
+
+def _readme_doc(**sets):
+    doc = {
+        "n": 2, "m": 2, "p": 1,
+        "H": {"diag": [1.0, 2.0]}, "c": [0.0, 0.0],
+        "A": [[1.0, 1.0]], "B": [[1.0, -1.0]], "C": [0.5],
+        "h": [{"breakpoints": [], "pieces": [{"p": 0.5, "q": 0.0, "r": 0.0}]},
+              {"breakpoints": [0.2], "pieces": [{"p": 0.5, "q": 0.0, "r": 0.0},
+                                                {"p": 1.0, "q": -0.2, "r": 0.02}]}],
+        "X": {"kind": "free"},
+        "Omega": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+    }
+    return {**doc, **sets}
+
+
+@pytest.mark.parametrize("sets, certified", [
+    # X binds here, so the rate premise of ROADMAP item 2 may fail: exit 0 or 5
+    ({"X": {"kind": "box", "lo": [-1.0, 0.25], "hi": [1.0, 0.25]}}, (0, 5)),
+    ({"X": {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+      "Omega": {"kind": "box", "lo": [-1.0, 0.25], "hi": [1.0, 0.25]}}, (0,)),
+])
+def test_pinned_box_coordinates_pass_the_feasibility_probe(sets, certified, tmp_path, capsys):
+    # lsq_linear needs lo < hi: both files used to end in a ValueError traceback
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(_readme_doc(**sets)))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "check feasible: pass"
+    # --seed draws y(0) inside Omega; y(0) = 0 is outside the pinned Omega
+    assert main(["certify", str(path), "--t-end", "5", "--seed", "1",
+                 "--out", str(tmp_path / "out")]) in certified
+    assert capsys.readouterr().err == ""
 
 
 def _exits_3_without_output(path, message, tmp_path, capsys):
@@ -375,6 +422,14 @@ def test_casestudy_failing_tau_keeps_its_files_and_exits_5(tmp_path, monkeypatch
     ["run", "CASE", "--stop-tol", "nan"],
     ["certify", "CASE", "--dt", "nan"],
     ["casestudy", "--tau", "1", "--tau", "nan"],
+    # t_end / dt overflows, or (dt * tau)^2 underflows: no grid to integrate on
+    ["certify", "CASE", "--dt", "5e-324"],
+    ["casestudy", "--dt", "1e-300", "--t-end", "1e10"],
+    ["certify", "CASE", "--dt", "1e-170", "--t-end", "1e-168"],
+    ["certify", "CASE", "--dt", "1e200", "--tau", "1e200"],
+    # argparse's own rejections end in the same single line
+    ["certify", "CASE", "--dt", "abc"],
+    ["run", "CASE", "--seed", "-1"],
 ])
 def test_rejected_integrator_flag_exits_2_before_any_output(argv, case_file, tmp_path, capsys):
     out = tmp_path / "out"
@@ -385,6 +440,35 @@ def test_rejected_integrator_flag_exits_2_before_any_output(argv, case_file, tmp
     assert len(err) == 1 and err[0].startswith("parse error: ")
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_case_study_step_sizes_report_dt_tau_l_only_on_failure(case_file, tmp_path, capsys):
+    # the step-size warning used to add two stderr lines to both runs
+    assert main(["certify", case_file, "--dt", "0.5", "--t-end", "3",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["certify", case_file, "--dt", "3", "--t-end", "3000",
+                 "--out", str(tmp_path / "b")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("integration failure: NonFiniteState: ")
+    assert "dt*tau*L = 15.3 " in err[0]
+    assert not (tmp_path / "b").exists()
+
+
+def test_a_missing_file_is_an_io_error(tmp_path, capsys):
+    assert main(["validate", str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error: ")
+
+
+def test_every_error_class_carries_an_exit_code_and_a_label():
+    labels = {2: "parse error", 3: "assumption failure", 4: "integration failure",
+              5: "certification failure"}
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, PpdgdError) and c is not PpdgdError]
+    assert len(classes) == 18   # four categories and every concrete class
+    for cls in classes:
+        assert labels[cls.exit_code] == cls.label, cls
 
 
 def test_certify_huge_hessian_ends_with_one_error_line(tmp_path):

@@ -1,6 +1,5 @@
 import bisect
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -139,22 +138,41 @@ def test_initial_point_outside_omega_rejected(one_dim_problem):
 
 def test_non_finite_state_detected(one_dim_problem):
     cfg = IntegratorConfig(dt=1e3, t_end=1e6, record_every=10**6)
-    with pytest.warns(UserWarning, match="dt"):
-        with pytest.raises(NonFiniteState):
-            integrate(one_dim_problem, State(np.array([0.5]), np.zeros(1)), cfg)
+    # L = 1 + 2 ||B|| + ||A||^2 / alpha = 4
+    with pytest.raises(NonFiniteState, match=r"dt\*tau\*L = 4e\+03 "):
+        integrate(one_dim_problem, State(np.array([0.5]), np.zeros(1)), cfg)
 
 
-def test_step_size_warning_ignores_padding_pieces():
-    # h_1 has two pieces and h_2 one, so hpack pads h_2; the curvatures are
-    # all 0.2, and L = 0.2 + 2 ||B|| + ||A||^2 / alpha = 3.2
+def test_diverging_multiplier_raises_non_finite_state():
+    # with a box X the dual gradient stays bounded, so at dt = 1e300 lam grows
+    # by about dt per step and stays finite; its distance to lam* cannot be squared
+    P = build_problem(QuadraticSmoothFn(np.eye(1), np.zeros(1)), [PiecewiseScalarFn.quadratic(0.5)],
+                      np.eye(1), np.eye(1), np.full(1, 0.5), BoxSet.box([-2.0], [2.0]),
+                      BoxSet.box([-1.0], [1.0]))
+    cfg = IntegratorConfig(dt=1e300, t_end=1e304, stop_tol=0.0, record_every=10)
+    with pytest.raises(NonFiniteState, match=r"lam left \[-1e\+150, 1e\+150\] at t = 1e\+301; "
+                                             r"dt\*tau\*L = 4e\+300 "):
+        integrate(P, State(np.zeros(1), np.zeros(1)), cfg)
+
+
+def test_overflowing_jump_prox_raises_non_finite_state():
+    # h' jumps by 10 at 0, and dt * tau * 10 overflows: the prox table used to
+    # be built with overflow warnings
+    P = build_problem(QuadraticSmoothFn(np.eye(1), np.zeros(1)),
+                      [PiecewiseScalarFn([0.0], [[0.5, -5.0, 0.0], [0.5, 5.0, 0.0]])],
+                      np.eye(1), np.eye(1), np.full(1, 0.5), BoxSet.free(1), BoxSet.box([-1.0], [1.0]))
+    with pytest.raises(NonFiniteState, match="dt \\* tau times the jumps of h' is not finite"):
+        integrate(P, State(np.zeros(1), np.zeros(1)), IntegratorConfig(dt=1e308, t_end=1e308))
+
+
+def test_drift_lipschitz_estimate_ignores_padding_pieces():
+    # h_1 has two pieces and h_2 one, so hpack pads h_2 with curvature 1.0;
+    # the real curvatures are all 0.2, and L = 0.2 + 2 ||B|| + ||A||^2 / alpha = 3.2
     h = [PiecewiseScalarFn([0.0], [[0.1, 0.0, 0.0], [0.1, 0.05, 0.0]]),
          PiecewiseScalarFn.quadratic(0.1)]
     P = build_problem(QuadraticSmoothFn(np.eye(2), np.zeros(2)), h, np.eye(2), -np.eye(2),
                       np.zeros(2), BoxSet.free(2), BoxSet.box([-1.0, -1.0], [1.0, 1.0]))
-    cfg = IntegratorConfig(dt=0.28, t_end=1.0)   # 0.28 * 3.2 < 1 <= 0.28 * 4
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)
-        integrate(P, State(np.array([0.5, -0.5]), np.zeros(2)), cfg)
+    assert P.drift_lipschitz == 3.2
 
 
 def test_trajectory_time_grid_and_first_sample(one_dim_problem):

@@ -100,6 +100,13 @@ def test_discontinuous_pieces_rejected():
         PiecewiseScalarFn(np.array([0.0]), np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]]))
 
 
+def test_overflowing_continuity_check_rejects_without_warning():
+    # every entry is within DATA_RANGE, but p b^2 = 1e340 is not finite; the
+    # check used to warn and then pass the inf - inf = nan difference
+    with pytest.raises(NotStronglyConvex, match="discontinuity nan at breakpoint 1e\\+120"):
+        PiecewiseScalarFn(np.array([1e120]), np.array([[1e100, 0.0, 0.0], [1e100, 0.0, 0.0]]))
+
+
 def test_concave_kink_rejected():
     # derivative drops from +1 to -1 at 0
     with pytest.raises(NotStronglyConvex):

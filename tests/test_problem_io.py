@@ -33,15 +33,24 @@ def minimal_doc():
     }
 
 
-def test_load_round_trip(tmp_path):
+def dense_box_doc():
+    doc = minimal_doc()
+    doc["H"] = [[2.0, 0.5], [0.5, 1.0]]
+    doc["X"] = {"kind": "box", "lo": [-1.0, -2.0], "hi": [1.0, 0.5]}
+    return doc
+
+
+@pytest.mark.parametrize("doc", [minimal_doc(), dense_box_doc()], ids=["diag_free", "dense_box"])
+def test_load_round_trip(doc, tmp_path):
     path = tmp_path / "prob.json"
-    path.write_text(json.dumps(minimal_doc()))
+    path.write_text(json.dumps(doc))
     P = load_problem(path)
     assert P.n == 2 and P.m == 2 and P.p == 1
-    assert P.X.is_free
+    assert P.X.is_free == (doc["X"]["kind"] == "free")
     assert P.kappa1 == pytest.approx(2.0)
     out = tmp_path / "copy.json"
     dump_problem(P, out)
+    assert json.loads(out.read_text()) == doc
     P2 = load_problem(out)
     assert np.array_equal(P2.A, P.A)
     assert np.array_equal(P2.hpack.bp, P.hpack.bp)
@@ -92,9 +101,15 @@ def test_error_on_piece_count_mismatch():
         problem_from_dict(doc)
 
 
-def test_invalid_json_reports_parse_error(tmp_path):
+@pytest.mark.parametrize("raw", [
+    b"{not json",
+    b"\xff\xfe{}",                      # not UTF-8: used to raise UnicodeDecodeError
+    b'{"n": ' + b"1" * 5000 + b"}",      # beyond int's digit limit: used to raise ValueError
+    b"[" * 100000 + b"]" * 100000,        # too deep: used to raise RecursionError
+], ids=["syntax", "encoding", "long_integer", "deep"])
+def test_invalid_json_reports_parse_error(raw, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_bytes(raw)
     with pytest.raises(ProblemFormatError, match="invalid JSON"):
         load_problem(path)
 

@@ -56,7 +56,6 @@ from .model import (
     Problem,
     QuadraticSmoothFn,
     build_problem,
-    clarke_interval,
 )
 from .problem_io import dump_problem, load_problem, problem_from_dict, problem_to_dict
 

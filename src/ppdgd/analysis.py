@@ -190,12 +190,9 @@ def _polish(P: Problem, x, y, act_tol):
     x_fix = np.where(x >= P.X.hi - act_tol, P.X.hi, x_fix)
     y_fix = np.where(y <= P.Omega.lo + act_tol, P.Omega.lo, np.full(m, np.nan))
     y_fix = np.where(y >= P.Omega.hi - act_tol, P.Omega.hi, y_fix)
-    for j in range(m):
-        bp = P.h[j].breakpoints
-        if bp.size and np.isnan(y_fix[j]):
-            k = int(np.argmin(np.abs(bp - y[j])))
-            if abs(bp[k] - y[j]) <= act_tol:
-                y_fix[j] = bp[k]
+    if P.hpack.bp.size:   # pin y_j to its nearest breakpoint (padding +inf is never nearest)
+        bp = P.hpack.bp[np.arange(m), np.argmin(np.abs(P.hpack.bp - y[:, None]), axis=1)]
+        y_fix = np.where(np.isnan(y_fix) & (np.abs(bp - y) <= act_tol), bp, y_fix)
     free_x = np.flatnonzero(np.isnan(x_fix))
     free_y = np.flatnonzero(np.isnan(y_fix))
     nf, mf = free_x.size, free_y.size
@@ -207,11 +204,10 @@ def _polish(P: Problem, x, y, act_tol):
     K[:nf, :nf] = P.f.H[np.ix_(free_x, free_x)]
     K[:nf, nf + mf:] = P.A[:, free_x].T
     rhs[:nf] = -P.f.c[free_x] - (P.f.H @ x_full)[free_x]
-    for row, j in enumerate(free_y):
-        pj, qj, _ = P.h[j].coeffs[P.h[j].piece_index(y[j])]
-        K[nf + row, nf + row] = 2.0 * pj
-        K[nf + row, nf + mf:] = P.B[:, j]
-        rhs[nf + row] = -qj
+    c2, _, q, _, _ = P.hpack.pieces.rows(y)   # the piece covering each y_j
+    K[nf:nf + mf, nf:nf + mf] = np.diag(c2[free_y])
+    K[nf:nf + mf, nf + mf:] = P.B[:, free_y].T
+    rhs[nf:nf + mf] = -q[free_y]
     K[nf + mf:, :nf] = P.A[:, free_x]
     K[nf + mf:, nf:nf + mf] = P.B[:, free_y]
     rhs[nf + mf:] = P.C - P.A @ x_full - P.B @ y_full

@@ -109,8 +109,8 @@ def _cmd_run(args) -> int:
     path = out / "trajectory.csv"
     traj.write_csv(path)
     print(f"samples = {len(traj)}")
-    print(f"t_final = {traj.t[-1]!r}")
-    print(f"drift_final = {traj.drift_norm[-1]!r}")
+    print(f"t_final = {float(traj.t[-1])!r}")
+    print(f"drift_final = {float(traj.drift_norm[-1])!r}")
     print(f"terminated_by = {traj.terminated_by.value}")
     print(f"wrote {path}")
     return EXIT_OK

@@ -72,9 +72,13 @@ class IntegratorConfig:
             raise InvalidConfig("stop_tol must be nonnegative")
         if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
             raise InvalidConfig(f"record_every must be an integer >= 1, got {self.record_every!r}")
-        # the step count, the step and its square in the residual must be representable
-        if not math.isfinite(self.t_end / self.dt):
-            raise InvalidConfig(f"t_end / dt = {self.t_end / self.dt} steps is not finite")
+        # the step count, the step and its square in the residual must be representable,
+        # and a run takes at least one step
+        steps = self.t_end / self.dt
+        if not math.isfinite(steps):
+            raise InvalidConfig(f"t_end / dt = {steps} steps is not finite")
+        if steps <= 1e-12:   # integrate takes ceil(t_end / dt - 1e-12) steps
+            raise InvalidConfig(f"t_end / dt = {steps:g} takes no step")
         dtau = self.dt * self.tau
         if not (math.isfinite(dtau) and dtau * dtau >= np.finfo(float).tiny):
             raise InvalidConfig(f"dt * tau = {dtau:g} must be finite and its square a normal float")
@@ -179,17 +183,16 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     projected Euler, bit for bit.
 
     The step reads d through the rows (c2, q - S) of the piece covering each
-    y_j and the prox through the rows (slope, intercept) of the region of the
-    table holding each v_j. Both are cached together with their brackets:
-    the piece covers (ledge, redge] of SeparablePiecewise, and the region
-    (lower, upper] of JumpProx, its thresholds stored one ulp down. A step
-    computes v with the cached piece rows, then tests lower < [v, y] <= upper
-    once for all 2m entries. A miss (a y_j left its piece, a v_j its region,
-    or the first step) looks both up again, recomputes v with the fresh piece
-    rows and looks up its regions. Each bracket holds exactly for the
-    arguments that its lookup maps to the cached row: < on breakpoints, <= on
-    thresholds. A hit therefore uses the rows the lookups would return, and
-    the step is the uncached one, bit for bit. The y-side elementwise ops
+    y_j and the prox through the rows (slope, intercept) of the region holding
+    each v_j. Both tables are PieceTables, so each row comes with its bracket
+    (lower, upper]: the piece's breakpoints, and the region's thresholds as
+    their predecessor floats. A step computes v with the cached piece rows,
+    then tests lower < [v, y] <= upper once for all 2m entries. A miss (a y_j
+    left its piece, a v_j its region, or the first step) looks both up again,
+    recomputes v with the fresh piece rows and looks up its regions. Each
+    bracket holds exactly for the arguments that the one lookup maps to the
+    cached row, so a hit uses the rows the lookups would return, and the step
+    is the uncached one, bit for bit. The y-side elementwise ops
     write into preallocated buffers. Matvecs and dots use ndarray.dot, which
     gives what @ gives, bit for bit, at about half the call overhead on these
     small sizes.
@@ -220,9 +223,8 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
               f"L = {P.drift_lipschitz:.3g}; reduce dt")
     if not math.isfinite(dtau * float(P.hpack.jump_sum.max())):   # the prox table overflows
         raise NonFiniteState(f"dt * tau times the jumps of h' is not finite; {advice}")
-    piece_rows = P.hpack.piece_rows
-    region_rows = P.hpack.jump_prox(dtau).region_rows
-    n_steps = max(0, math.ceil(cfg.t_end / dt - 1e-12))
+    pieces, regions = P.hpack.pieces, P.hpack.jump_prox(dtau)
+    n_steps = math.ceil(cfg.t_end / dt - 1e-12)   # >= 1: IntegratorConfig checks it
 
     # never sized by t_end alone: a run may stop at stop_tol long before it
     rows = min(n_steps // every + 2, RECORD_BLOCK)
@@ -261,9 +263,9 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             np.less(lower, z, out=above)
             np.less_equal(z, upper, out=below)
             if np.count_nonzero(inside) < 4 * m:   # a y_j left its piece or a v_j its region
-                c2, qd, lower[m:], upper[m:] = piece_rows(y)
+                c2, qd, _, lower[m:], upper[m:] = pieces.rows(y)
                 forward(y, w, c2, qd, v)
-                slope, icpt, lower[:m], upper[:m] = region_rows(v)
+                slope, icpt, lower[:m], upper[:m] = regions.rows(v)
             y_next = views_next[2]
             np.multiply(slope, v, out=y_next)
             np.add(y_next, icpt, out=y_next)

@@ -181,13 +181,14 @@ class PiecewiseScalarFn:
     covers (b_{i-1}, b_i] with b_0 = -inf and b_{K+1} = +inf. Pieces must agree
     in value at every breakpoint (within 1e-12), every piece must have 2p > 0,
     and the derivative may only jump upward at a breakpoint. Every entry must
-    lie within DATA_RANGE, which is checked before any arithmetic on them.
+    lie within DATA_RANGE, which is checked before any arithmetic on them, and
+    the value of each piece at its breakpoints must be finite.
     """
 
     breakpoints: np.ndarray   # (K,) strictly increasing
     coeffs: np.ndarray        # (K+1, 3) rows (p, q, r)
 
-    @np.errstate(over="ignore", invalid="ignore")   # p b^2 may overflow: the checks then fail
+    @np.errstate(over="ignore", invalid="ignore")   # p b^2 may overflow: NonFiniteInput names it
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float).reshape(-1)
         cf = np.asarray(self.coeffs, dtype=float)
@@ -209,6 +210,8 @@ class PiecewiseScalarFn:
             pr, qr, rr = cf[k + 1]
             left_val = pl * b * b + ql * b + rl
             right_val = pr * b * b + qr * b + rr
+            if not (math.isfinite(left_val) and math.isfinite(right_val)):
+                raise NonFiniteInput(f"breakpoints[{k}] = {b}: a piece's value there is not finite")
             if not abs(left_val - right_val) <= CONTINUITY_TOL:
                 raise NotStronglyConvex(
                     f"discontinuity {left_val - right_val:.3e} at breakpoint {b}"
@@ -255,14 +258,48 @@ class PiecewiseScalarFn:
         return lo, lo
 
 
+class PieceTable:
+    """Padded interval table: one lookup for where each v_j sits.
+
+    Row j splits the axis at its nondecreasing, +inf-padded edges into
+    intervals (lower, upper], and interval k of row j is entry offsets[j] + k
+    of each flat column. index counts the edges strictly below v_j, so at an
+    edge v_j falls in the interval to its left, and lower < v <= upper holds
+    exactly for the v that map to the same interval (an empty interval gets
+    lower == upper). A lookup costs one compare-and-count and one gather per
+    column.
+    """
+
+    def __init__(self, edges: np.ndarray, *columns: np.ndarray):
+        m, k = edges.shape
+        self.edgesT = np.ascontiguousarray(edges.T)
+        self.offsets = np.arange(m) * (k + 1)
+        self.lower = np.hstack([np.full((m, 1), -np.inf), edges]).ravel()
+        self.upper = np.hstack([edges, np.full((m, 1), np.inf)]).ravel()
+        self.columns = tuple(np.ravel(c) for c in columns) + (self.lower, self.upper)
+
+    def index(self, v: np.ndarray) -> np.ndarray:
+        """Flat index of the interval holding each v_j."""
+        return (self.edgesT < v).sum(axis=0) + self.offsets
+
+    def rows(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The columns, then lower and upper, at the interval holding each v_j."""
+        flat = self.index(v)
+        return tuple(c[flat] for c in self.columns)
+
+
 class SeparablePiecewise:
     """m piecewise-quadratic coordinates packed into padded arrays.
 
-    Enables vectorized Clarke intervals and subgradient selection (the field
-    rhs), the piece rows of the forward-backward step (integrate) and exact
-    per-coordinate proximal steps (equilibrium oracle).
+    pieces is the PieceTable of h: its edges are the breakpoints and its
+    columns c2, q - S and q, so piece k of coordinate j covers (lower, upper].
+    It serves the vectorized Clarke intervals and subgradient selection (the
+    field rhs), the piece rows of the forward-backward step (integrate) and
+    the polish of the equilibrium oracle. prox, the oracle's exact
+    per-coordinate proximal step, reads every piece at once, not through the
+    lookup.
     Padding breakpoints are +inf, so they never count below a finite y, and
-    padding pieces carry an empty interval [+inf, +inf] so they can never win
+    padding pieces carry an empty interval (+inf, +inf] so they can never win
     a candidate comparison.
     """
 
@@ -280,16 +317,6 @@ class SeparablePiecewise:
             self.c2[j, : k + 1] = 2.0 * f.coeffs[:, 0]
             self.q[j, : k + 1] = f.coeffs[:, 1]
             self.r[j, : k + 1] = f.coeffs[:, 2]
-        self.ledge = np.concatenate([np.full((m, 1), -np.inf), self.bp], axis=1)
-        self.redge = np.concatenate([self.bp, np.full((m, 1), np.inf)], axis=1)
-        # piece 0 of a padded row must still start at -inf; rows with fewer
-        # real pieces get ledge = +inf on the padding, which empties them
-        # piece k of coordinate j sits at flat index _offsets[j] + k of the
-        # raveled tables, so each lookup gathers with one 1-D index
-        self.bpT = np.ascontiguousarray(self.bp.T)
-        self._offsets = np.arange(m) * npieces
-        self._c2f, self._qf = self.c2.ravel(), self.q.ravel()
-        self._ledgef, self._redgef = self.ledge.ravel(), self.redge.ravel()
         # derivative jump J at each breakpoint (0 on padding; a drop within
         # CONTINUITY_TOL counts as 0) and S, the sum of the jumps below each piece
         real = np.isfinite(self.bp)
@@ -298,38 +325,29 @@ class SeparablePiecewise:
         dl = self.c2[:, :-1] * b + self.q[:, :-1]
         jumps = np.where(real, np.maximum(dr - dl, 0.0), 0.0)
         self.jump_sum = np.concatenate([np.zeros((m, 1)), np.cumsum(jumps, axis=1)], axis=1)
-        self._qdf = (self.q - self.jump_sum).ravel()
+        # d(y) = c2 * y + (q - S) is h'(y) - S(y), the derivative with the
+        # jumps S(y) at breakpoints strictly below y taken out: the left
+        # derivative minus S at a breakpoint, so d is continuous there
+        self.pieces = PieceTable(self.bp, self.c2, self.q - self.jump_sum, self.q)
 
     def clarke(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized interval [glo, ghi] of the generalized gradient at y.
 
         When no coordinate sits exactly on a breakpoint, ghi is glo itself.
         """
-        # flat index of the piece covering each y_j; at a breakpoint, the left piece
-        flat = (self.bpT < y).sum(axis=0) + self._offsets
-        glo = self._c2f[flat] * y + self._qf[flat]
-        hit = self.bpT == y   # rows are strictly increasing: at most one hit per coordinate
+        flat = self.pieces.index(y)   # at a breakpoint, the left piece
+        c2, _, q, _, upper = self.pieces.columns
+        glo = c2[flat] * y + q[flat]
+        hit = upper[flat] == y   # y_j on a breakpoint: the piece ends there
         if not np.count_nonzero(hit):   # cheaper than hit.any() on short vectors
             return glo, glo
-        rflat = flat + hit.any(axis=0)
-        return glo, self._c2f[rflat] * y + self._qf[rflat]
+        rflat = flat + hit
+        return glo, c2[rflat] * y + q[rflat]
 
     def select(self, y: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Minimal-norm selection: target clamped componentwise into the interval at y."""
         glo, ghi = self.clarke(y)
         return glo if ghi is glo else np.minimum(np.maximum(target, glo), ghi)
-
-    def piece_rows(self, y: np.ndarray):
-        """Rows (c2, q - S, lower, upper) of the piece covering each y_j.
-
-        d(y) = c2 * y + (q - S) is h'(y) - S(y), the derivative with the jumps
-        S(y) at breakpoints strictly below y taken out: the left derivative
-        minus S at a breakpoint, so d is continuous there. The piece covers
-        (lower, upper], its ledge and redge, so lower < y <= upper holds
-        exactly for the y that this lookup maps to the same piece.
-        """
-        flat = (self.bpT < y).sum(axis=0) + self._offsets
-        return self._c2f[flat], self._qdf[flat], self._ledgef[flat], self._redgef[flat]
 
     def jump_prox(self, t: float) -> "JumpProx":
         """Table of prox_{t g}, g_j(s) = sum_i J_ji (s - b_ji)_+ the jump part of h_j."""
@@ -337,26 +355,26 @@ class SeparablePiecewise:
 
     def prox(self, v: np.ndarray, t: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """argmin_{u in [lo, hi]} h_j(u) + (u - v_j)^2 / (2t), exactly per coordinate."""
-        left = np.maximum(self.ledge, lo[:, None])
-        right = np.minimum(self.redge, hi[:, None])
+        shape = self.c2.shape
+        left = np.maximum(self.pieces.lower.reshape(shape), lo[:, None])
+        right = np.minimum(self.pieces.upper.reshape(shape), hi[:, None])
         u = (v[:, None] - t * self.q) / (1.0 + t * self.c2)
         u = np.clip(u, left, right)
         obj = (0.5 * self.c2) * u * u + self.q * u + self.r + (u - v[:, None]) ** 2 / (2.0 * t)
         obj = np.where(left <= right, obj, np.inf)
-        return u.ravel()[self._offsets + np.argmin(obj, axis=1)]
+        return u.ravel()[self.pieces.offsets + np.argmin(obj, axis=1)]
 
 
-class JumpProx:
+class JumpProx(PieceTable):
     """prox_{t g} for the jump part g_j(s) = sum_i J_ji (s - b_ji)_+ of h, as a table.
 
     The prox of coordinate j sticks at b_i for v in [b_i + t S_i, b_i + t S_{i+1}]
     (S_i: the jumps below b_i) and is v - t S_k on the k-th gap between those
     intervals. The 2K thresholds split the v axis into 2K + 1 regions, each
-    affine in v with slope 1 or 0; an upper threshold is stored one ulp up and
-    every threshold is counted with <=, so each sticking interval is closed.
-    Rows are packed like SeparablePiecewise.bpT, padded with +inf, and region
-    r of coordinate j is entry offsets[j] + r of the flat slope, intercept and
-    edge arrays. A lookup costs one compare-and-count and four gathers.
+    affine in v with slope 1 or 0, with columns slope and intercept. A region
+    starts at its threshold: thr <= v is pred(thr) < v, so the edges are the
+    thresholds' predecessor floats, and an upper threshold is stored one ulp
+    up, so each sticking interval is closed.
     """
 
     def __init__(self, bp: np.ndarray, jump_sum: np.ndarray, t: float):
@@ -366,31 +384,15 @@ class JumpProx:
         thr[:, 1::2] = np.nextafter(bp + t * jump_sum[:, 1:], np.inf)
         # equal rounded thresholds of neighbouring kinks must still count in order
         thr = np.maximum.accumulate(thr, axis=1)
-        self.thrT = np.ascontiguousarray(thr.T)
-        # region r holds thr[r-1] <= v < thr[r]; with both edges one ulp down
-        # that is lower < v <= upper (an empty region gets lower == upper)
-        edges = np.nextafter(np.hstack([np.full((m, 1), -np.inf), thr,
-                                        np.full((m, 1), np.inf)]), -np.inf)
-        self.lower, self.upper = edges[:, :-1].ravel(), edges[:, 1:].ravel()
         slope = np.ones((m, 2 * kmax + 1))
         icpt = np.empty((m, 2 * kmax + 1))
         slope[:, 1::2] = 0.0
         icpt[:, 0::2] = -(t * jump_sum)   # -0.0 without jumps: v + -0.0 is v, bit for bit
         icpt[:, 1::2] = bp
-        self.offsets = np.arange(m) * (2 * kmax + 1)
-        self.slope, self.icpt = slope.ravel(), icpt.ravel()
-
-    def region_rows(self, v: np.ndarray):
-        """Rows (slope, intercept, lower, upper) of the region holding each v_j.
-
-        lower < v <= upper holds exactly for the v that this lookup maps to
-        the same region.
-        """
-        flat = (self.thrT <= v).sum(axis=0) + self.offsets
-        return self.slope[flat], self.icpt[flat], self.lower[flat], self.upper[flat]
+        super().__init__(np.nextafter(thr, -np.inf), slope, icpt)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        slope, icpt, _, _ = self.region_rows(v)
+        slope, icpt, _, _ = self.rows(v)
         return slope * v + icpt
 
 
@@ -522,8 +524,3 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
         inner_mode=mode, x_base=x_base, dual_map=dual_map,
         dual_gram=dual_gram, grad_base=grad_base,
     )
-
-
-def clarke_interval(h_j: PiecewiseScalarFn, s: float) -> tuple[float, float]:
-    """Interval [g_lo, g_hi] of the generalized gradient of one coordinate at s."""
-    return h_j.clarke(float(s))

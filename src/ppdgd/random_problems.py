@@ -92,9 +92,5 @@ def random_problem(rng, max_dim: int = 10, free_x: bool = True) -> Problem:
 
 def kink_distance(P: Problem, y: np.ndarray) -> float:
     """Smallest distance from any coordinate of y to a breakpoint of its cost."""
-    dists = [
-        float(np.min(np.abs(P.h[j].breakpoints - y[j])))
-        for j in range(P.m)
-        if P.h[j].breakpoints.size
-    ]
-    return min(dists, default=np.inf)
+    # padding breakpoints are +inf, so they never come nearest
+    return float(np.min(np.abs(P.hpack.bp - y[:, None]), initial=np.inf))

@@ -19,7 +19,6 @@ from ppdgd import (
     IntegratorConfig,
     State,
     certify_envelope,
-    clarke_interval,
     dump_problem,
     equilibrium_oracle,
     integrate,
@@ -214,8 +213,7 @@ def test_criterion_6_tangent_projection_limit_formula():
 
 def test_criterion_7_kink_intervals_and_sliding_mode():
     cost = regulation_cost()
-    exact = (clarke_interval(cost, 0.2) == (0.2, 0.4)
-             and clarke_interval(cost, -0.2) == (-0.4, -0.2))
+    exact = cost.clarke(0.2) == (0.2, 0.4) and cost.clarke(-0.2) == (-0.4, -0.2)
     # coupling B = [-1] makes the subgradient target equal +lam
     P = build_problem(
         QuadraticSmoothFn(np.array([[1.0]]), np.zeros(1)),
@@ -227,8 +225,8 @@ def test_criterion_7_kink_intervals_and_sliding_mode():
     dy, _ = rhs(P, State(np.array([0.2]), np.array([0.3])), 1.0)
     sliding = g[0] == 0.3 and dy[0] == 0.0
     ok = exact and sliding
-    up = tuple(map(float, clarke_interval(cost, 0.2)))
-    down = tuple(map(float, clarke_interval(cost, -0.2)))
+    up = tuple(map(float, cost.clarke(0.2)))
+    down = tuple(map(float, cost.clarke(-0.2)))
     report(7, ok, f"intervals {up} / {down}, sliding drift {float(dy[0])!r}")
 
 

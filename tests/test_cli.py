@@ -7,6 +7,7 @@ import pytest
 from ppdgd import NonFiniteState, OracleFailed, PpdgdError, RankDeficient, cli, dump_problem, errors
 from ppdgd.casestudy import build_case
 from ppdgd.cli import main
+from ppdgd.dynamics import TerminationReason
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +271,17 @@ def test_run_toy_converges(toy_file, tmp_path, capsys):
     assert header == "t,y_1,lambda_1,drift_norm"
 
 
+def test_run_prints_plain_numbers(toy_file, tmp_path, capsys):
+    # numpy 2 scalars would print as np.float64(...)
+    assert main(["run", toy_file, "--out", str(tmp_path), "--t-end", "2", "--seed", "3"]) == 0
+    lines = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
+                 if " = " in line)
+    assert set(lines) == {"samples", "t_final", "drift_final", "terminated_by"}
+    assert int(lines["samples"]) > 1
+    assert float(lines["t_final"]) > 0.0 and float(lines["drift_final"]) >= 0.0
+    assert lines["terminated_by"] in {reason.value for reason in TerminationReason}
+
+
 def test_run_initial_point_outside_omega_exits_4(tmp_path, capsys):
     # Omega = [1, 2] does not contain the default start y(0) = 0
     doc = {
@@ -427,6 +439,9 @@ def test_casestudy_failing_tau_keeps_its_files_and_exits_5(tmp_path, monkeypatch
     ["casestudy", "--dt", "1e-300", "--t-end", "1e10"],
     ["certify", "CASE", "--dt", "1e-170", "--t-end", "1e-168"],
     ["certify", "CASE", "--dt", "1e200", "--tau", "1e200"],
+    # t_end / dt <= 1e-12: the grid has no step, and y(0) alone certifies nothing
+    ["certify", "CASE", "--dt", "1e14"],
+    ["certify", "CASE", "--dt", "1e300"],
     # argparse's own rejections end in the same single line
     ["certify", "CASE", "--dt", "abc"],
     ["run", "CASE", "--seed", "-1"],

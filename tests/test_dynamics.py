@@ -25,7 +25,7 @@ from ppdgd import (
     solve_inner,
 )
 from ppdgd.analysis import write_envelope_csv
-from ppdgd.model import JumpProx, SeparablePiecewise
+from ppdgd.model import PieceTable, SeparablePiecewise
 from ppdgd.random_problems import random_piecewise, random_problem
 
 
@@ -469,9 +469,15 @@ def _mode_problem(mode, h, C):
     return P
 
 
+def _thresholds(P, dt):
+    """(2K, m) prox thresholds of the jump table: its edges are their predecessor floats."""
+    with np.errstate(over="ignore"):   # the padding edges are the float maximum
+        return np.nextafter(P.hpack.jump_prox(dt).edgesT, np.inf)
+
+
 def _mode_changes(P, dt, y, lam):
     """Per step after the first: did some y_j change its piece, did some v_j change its prox region."""
-    forward, thr = _reference_forward(P, dt), P.hpack.jump_prox(dt).thrT
+    forward, thr = _reference_forward(P, dt), _thresholds(P, dt)
     pieces = [[bisect.bisect_left(fn.breakpoints, yk[j]) for j, fn in enumerate(P.h)] for yk in y]
     regions = [[np.searchsorted(thr[:, j], vj, side="right") for j, vj in enumerate(forward(yk, lk))]
                for yk, lk in zip(y, lam)]
@@ -529,7 +535,7 @@ def test_cached_step_matches_reference_at_bracket_edges(mode):
     # differ by rounding, by several ulp(0.35) / dt
     P = _mode_problem(mode, [_kinked([-0.5, 0.35], [0.25, 97.0], [1.0, 1.0, 1.1])], [0.0])
     b_low, b_kink = P.h[0].breakpoints
-    thr = P.hpack.jump_prox(dt).thrT[:, 0]
+    thr = _thresholds(P, dt)[:, 0]
     runs = [(np.array([y]), np.array([0.1])) for b in (b_low, b_kink) for y in _ulps(b)]
     y0 = np.zeros(1)
     runs += [(y0, _landing_lam(P, dt, y0, v, 0)) for T in thr for v in _ulps(T)]
@@ -576,17 +582,16 @@ def test_cached_step_matches_reference_at_bracket_edges(mode):
 
 
 def test_step_looks_up_pieces_and_regions_only_when_they_change(monkeypatch):
-    # integrate must reuse its cached rows: count the calls of both lookups
-    calls = {}
+    # integrate must reuse its cached rows: count the lookups in each of its two
+    # tables, the pieces of h (P.hpack.pieces) and the regions of the jump prox
+    calls = {"piece_rows": 0, "region_rows": 0}
+    rows = PieceTable.rows
 
-    def counted(lookup):
-        def wrapper(self, arg):
-            calls[lookup.__name__] += 1
-            return lookup(self, arg)
-        return wrapper
+    def counted(self, v):
+        calls["piece_rows" if self is P.hpack.pieces else "region_rows"] += 1
+        return rows(self, v)
 
-    monkeypatch.setattr(SeparablePiecewise, "piece_rows", counted(SeparablePiecewise.piece_rows))
-    monkeypatch.setattr(JumpProx, "region_rows", counted(JumpProx.region_rows))
+    monkeypatch.setattr(PieceTable, "rows", counted)
     # from the kink-pinned equilibria of test_step_from_kink_pinned_equilibrium_stays_on_the_kink,
     # only the first of 500 steps looks anything up
     for seed in (6, 14):

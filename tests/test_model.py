@@ -15,9 +15,8 @@ from ppdgd import (
     QuadraticSmoothFn,
     RankDeficient,
     build_problem,
-    clarke_interval,
 )
-from ppdgd.model import SeparablePiecewise
+from ppdgd.model import PieceTable, SeparablePiecewise
 from ppdgd.random_problems import random_piecewise
 
 
@@ -101,9 +100,10 @@ def test_discontinuous_pieces_rejected():
 
 
 def test_overflowing_continuity_check_rejects_without_warning():
-    # every entry is within DATA_RANGE, but p b^2 = 1e340 is not finite; the
-    # check used to warn and then pass the inf - inf = nan difference
-    with pytest.raises(NotStronglyConvex, match="discontinuity nan at breakpoint 1e\\+120"):
+    # every entry is within DATA_RANGE, but p b^2 = 1e340 is not finite: a
+    # range error, not a convexity one (the check used to warn and then pass
+    # the inf - inf = nan difference)
+    with pytest.raises(NonFiniteInput, match="breakpoints\\[0\\] = 1e\\+120"):
         PiecewiseScalarFn(np.array([1e120]), np.array([[1e100, 0.0, 0.0], [1e100, 0.0, 0.0]]))
 
 
@@ -127,10 +127,10 @@ def test_dimension_mismatch():
 
 
 def test_clarke_interval_kinked_cost(kinked_cost):
-    assert clarke_interval(kinked_cost, 0.0) == (0.0, 0.0)
-    assert clarke_interval(kinked_cost, 0.2) == (0.2, 0.4)
-    assert clarke_interval(kinked_cost, -0.2) == (-0.4, -0.2)
-    lo, hi = clarke_interval(kinked_cost, 0.3)
+    assert kinked_cost.clarke(0.0) == (0.0, 0.0)
+    assert kinked_cost.clarke(0.2) == (0.2, 0.4)
+    assert kinked_cost.clarke(-0.2) == (-0.4, -0.2)
+    lo, hi = kinked_cost.clarke(0.3)
     assert lo == hi == pytest.approx(0.6)
 
 
@@ -146,8 +146,8 @@ def test_subdifferential_monotonicity_on_grid(kinked_cost):
     beta = kinked_cost.beta
     for s1 in grid:
         for s2 in grid:
-            for g1 in clarke_interval(kinked_cost, s1):
-                for g2 in clarke_interval(kinked_cost, s2):
+            for g1 in kinked_cost.clarke(s1):
+                for g2 in kinked_cost.clarke(s2):
                     lhs = (g1 - g2) * (s1 - s2)
                     assert lhs >= beta * (s1 - s2) ** 2 - 1e-12
 
@@ -278,6 +278,76 @@ def test_packed_prox_matches_scalar_reference():
         for v in vs:
             ref = [_scalar_prox(fn, vj, t, a, b) for fn, vj, a, b in zip(fns, v, lo, hi)]
             assert np.array_equal(pack.prox(v, t, lo, hi), ref), (t, v)
+
+
+def _lookups(table, probes, m):
+    """(index, lower, upper), each (probes, m), of v = probe in every coordinate."""
+    found = [(table.index(v) - table.offsets, *table.rows(v)[-2:])
+             for v in (np.full(m, x) for x in probes)]
+    return tuple(np.array(a) for a in zip(*found))
+
+
+def _check_brackets(probes, lower, upper, index):
+    """lower < v <= upper holds exactly for the probes that map to the same row."""
+    for j in range(index.shape[1]):
+        inside = (lower[:, j, None] < probes) & (probes <= upper[:, j, None])
+        assert np.array_equal(inside, index[:, j, None] == index[None, :, j]), j
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_piece_table_lookup_is_searchsorted_left(seed):
+    # random padded tables: rows with no real edge, repeated edges (empty
+    # intervals) and, for some seeds, K = 0; probes at every edge and one ulp
+    # either side
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(1, 6)), int(rng.integers(0, 5))
+    edges = np.sort(np.round(rng.uniform(-2.0, 2.0, size=(m, k)), int(rng.integers(0, 3))), axis=1)
+    real = rng.integers(0, k + 1, size=m)
+    real[0] = 0   # row 0 is all padding
+    edges = np.where(np.arange(k) < real[:, None], edges, np.inf)
+    label = rng.normal(size=(m, k + 1))
+    table = PieceTable(edges, label)
+    probes = np.unique(np.concatenate(
+        [np.nextafter(edges.ravel(), -np.inf), edges.ravel(), np.nextafter(edges.ravel(), np.inf),
+         [-1e300, 0.0, 1e300]]))
+    index, lower, upper = _lookups(table, probes, m)
+    want = np.array([[np.searchsorted(row, x, side="left") for row in edges] for x in probes])
+    assert np.array_equal(index, want)
+    assert np.array_equal(np.array([table.rows(np.full(m, x))[0] for x in probes]),
+                          label[np.arange(m), want])
+    assert np.all(lower < probes[:, None]) and np.all(probes[:, None] <= upper)
+    _check_brackets(probes, lower, upper, index)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_jump_prox_region_is_searchsorted_right_with_closed_sticking_intervals(seed):
+    # thr <= v is read as pred(thr) < v: the region of v is the number of
+    # thresholds at or below it, and v on either end of the sticking interval
+    # [b + t S_i, b + t S_{i+1}] of a kink b still sticks
+    rng = np.random.default_rng(seed)
+    m, t = int(rng.integers(1, 5)), float(10.0 ** rng.uniform(-6.0, 6.0))
+    kinks = rng.integers(0, 4, size=m) * (seed % 5 != 0)   # every fifth seed: K = 0
+    pack = SeparablePiecewise([random_piecewise(rng, -1.0, 1.0, int(k)) for k in kinks])
+    table = pack.jump_prox(t)
+    starts = pack.bp + t * pack.jump_sum[:, :-1]
+    ends = pack.bp + t * pack.jump_sum[:, 1:]
+    # sticking intervals are closed: a region ends one ulp above an end
+    thresholds = np.empty((m, 2 * pack.bp.shape[1]))
+    thresholds[:, 0::2], thresholds[:, 1::2] = starts, np.nextafter(ends, np.inf)
+    ticks = np.concatenate([starts.ravel(), ends.ravel()])
+    ticks = ticks[np.isfinite(ticks)]
+    probes = np.unique(np.concatenate(
+        [np.nextafter(ticks, -np.inf), ticks, np.nextafter(ticks, np.inf), [-1e300, 0.0, 1e300]]))
+    index, lower, upper = _lookups(table, probes, m)
+    want = np.array([[np.searchsorted(row, x, side="right") for row in thresholds] for x in probes])
+    assert np.array_equal(index, want)
+    for j in range(m):
+        stuck = (starts[j] <= probes[:, None]) & (probes[:, None] <= ends[j])
+        assert np.array_equal(index[:, j] % 2 == 1, stuck.any(axis=1)), j
+        for probe, kink in np.argwhere(stuck):
+            assert table(np.full(m, probes[probe]))[j] == pack.bp[j, kink], (j, probes[probe])
+    assert np.all(lower < probes[:, None]) and np.all(probes[:, None] <= upper)
+    _check_brackets(probes, lower, upper, index)
 
 
 @pytest.mark.parametrize("H", [np.diag([1e308, 1e308]), np.array([[1e308, 1e307], [1e307, 1e308]])])

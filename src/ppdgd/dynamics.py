@@ -11,12 +11,15 @@ a continuous part d, taken explicitly, and its jumps, whose antiderivative g
 is taken implicitly through prox_{dtau g} together with the box. A y on a
 kink whose target lies inside the kink's interval lands on it exactly, so
 kink-pinned solves stop at stop_tol instead of chattering around the kink.
-Without kinks the step is projected Euler, bit for bit. The stopping norm is
-the step residual ||((y+ - y)/dtau, dlam)||.
+Without kinks the step is projected Euler. The stopping norm is the step
+residual ||((y+ - y)/dtau, dlam)||.
 
-A coordinate changes its piece of h or its region of the jump prox a few
-times per run, so integrate caches the rows of both and looks them up again
-only when one bracket test of [v, y] fails (see integrate).
+The step is piecewise affine in (y, lam), and a run changes its mode (the
+pieces of h and regions of the jump prox it reads, the clip into Omega and
+the piece of x*(lam)) a few times in thousands of steps. integrate writes
+each mode's step as one affine map and advances BLOCK_STEPS steps of it per
+matrix-vector product, reading the mode again only at a step that leaves it
+(see integrate).
 
 integrate writes each recorded sample (the start, every record_every-th step
 and the last step) into preallocated t, y, lam and drift arrays. They start
@@ -35,11 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InitialPointOutsideOmega, InvalidConfig, NonFiniteState
-from .geometry import _check_dim, _check_member, active_faces, tangent_rule
-from .inner import _grad_phi
+from .geometry import _check_dim, _check_member, active_faces, clip_pattern, tangent_rule
+from .inner import _grad_phi, x_star_piece
 from .model import DATA_RANGE, Problem
 
 RECORD_BLOCK = 4096   # rows of the first sample buffer and of each CSV write
+BLOCK_STEPS = 128     # steps per block of integrate, a power of two
+MODE_READS = 3        # reads of one mode at one state before its step is taken regardless
 
 
 class TerminationReason(enum.Enum):
@@ -154,6 +159,55 @@ def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]
     return tau * dy, tau * dlam
 
 
+def _forward_rows(P: Problem, dtau: float, c2: np.ndarray, qd: np.ndarray) -> np.ndarray:
+    """Rows V of v = y + dtau * (-B'lam - c2 y - qd), so that v = V [y, lam, 1]."""
+    m = P.m
+    V = np.empty((m, m + P.p + 1))
+    V[:, :m] = np.diag(1.0 - dtau * c2)
+    V[:, m:-1] = -dtau * P.Bt
+    V[:, -1] = -dtau * qd
+    return V
+
+
+def _step_map(P: Problem, dtau: float, z: np.ndarray, V: np.ndarray, slope, icpt, u=None):
+    """The step in the mode of z = [y, lam, 1] as z+ = M z, and the rows F of its tests.
+
+    V holds the forward rows of y's pieces and (slope, icpt) the rows of v's
+    prox regions. The clip into Omega is read from u (from U z when u is
+    None) and the piece of x*(lam) at lam. F z stacks y, v, u, the rows T of
+    x_star_piece, then y+ - y and dlam. Returns M, F and the brackets
+    (lower, upper) of u and T; those of y and v come with their table rows.
+    """
+    m, p = P.m, P.p
+    lo, hi = P.Omega.lo, P.Omega.hi
+    U = slope[:, None] * V
+    U[:, -1] += icpt
+    at_lo, at_hi, ulo, uhi = clip_pattern(U.dot(z) if u is None else u, lo, hi)
+    Y = np.where((at_lo | at_hi)[:, None], 0.0, U)
+    Y[:, -1] = np.where(at_lo, lo, np.where(at_hi, hi, U[:, -1]))
+    x0, X1, T0, T1, tlo, thi = x_star_piece(P, z[m:-1])
+    D = np.hstack([P.B, P.A @ X1, (P.A @ x0 - P.C)[:, None]])   # dlam = D z
+    L = dtau * D
+    L[:, m:-1] += np.eye(p)
+    M = np.vstack([Y, L, np.eye(1, m + p + 1, m + p)])
+    I_y = np.eye(m, m + p + 1)
+    T = np.hstack([np.zeros((T0.size, m)), T1, T0[:, None]])
+    F = np.vstack([I_y, V, U, T, Y - I_y, D])
+    return M, F, np.concatenate([ulo, tlo]), np.concatenate([uhi, thi])
+
+
+def _powers(M: np.ndarray) -> np.ndarray:
+    """M^0 .. M^BLOCK_STEPS stacked into rows, by doubling into one array."""
+    N = M.shape[0]
+    pw = np.empty((BLOCK_STEPS + 1, N, N))
+    pw[0], pw[1] = np.eye(N), M
+    s = 1
+    while s < BLOCK_STEPS:   # pw[:s + 1] holds M^0 .. M^s
+        np.matmul(pw[1:s + 1], pw[s], out=pw[s + 1:2 * s + 1])
+        s *= 2
+    return pw.reshape(-1, N)
+
+
 def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the dynamics from s0 with fixed forward-backward steps.
 
@@ -180,22 +234,27 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     [dl, dr] iff v_j lies in [b_ji + dtau S_ji, b_ji + dtau (S_ji + J_ji)],
     the interval on which the prox sticks at b_ji; y_j stays on the kink
     exactly. Without kinks, prox_{dtau g} is the identity and the step is
-    projected Euler, bit for bit.
+    projected Euler.
 
-    The step reads d through the rows (c2, q - S) of the piece covering each
-    y_j and the prox through the rows (slope, intercept) of the region holding
-    each v_j. Both tables are PieceTables, so each row comes with its bracket
-    (lower, upper]: the piece's breakpoints, and the region's thresholds as
-    their predecessor floats. A step computes v with the cached piece rows,
-    then tests lower < [v, y] <= upper once for all 2m entries. A miss (a y_j
-    left its piece, a v_j its region, or the first step) looks both up again,
-    recomputes v with the fresh piece rows and looks up its regions. Each
-    bracket holds exactly for the arguments that the one lookup maps to the
-    cached row, so a hit uses the rows the lookups would return, and the step
-    is the uncached one, bit for bit. The y-side elementwise ops
-    write into preallocated buffers. Matvecs and dots use ndarray.dot, which
-    gives what @ gives, bit for bit, at about half the call overhead on these
-    small sizes.
+    The step is piecewise affine in z = [y, lam, 1]. Its mode is the piece
+    of h holding each y_j and the prox region holding each v_j (rows of two
+    PieceTables, with their brackets), whether the clip into Omega keeps
+    u_j = prox(v)_j or takes lo_j or hi_j, and the affine piece of x*(lam)
+    (inner.x_star_piece). In one mode the step is z+ = M z, and y, v, u, the
+    rows T of the piece of x*, y+ - y and dlam are rows F z. integrate reads
+    the mode at z and forms M^0 .. M^K, K = BLOCK_STEPS, by doubling. A block
+    is one product for its states M^j z and one for their rows F M^j z; then
+    vectorized tests find its first step that leaves the mode (a bracket
+    lower < [y, v, u, T] <= upper fails), whose residual meets stop_tol or
+    is not finite, or that is the last, and the kept rows go straight into
+    the sample buffers. The mode is read again at the step that left it;
+    the pieces and regions are looked up again only when a y or v bracket
+    failed. A mode must pass its own brackets at the state it was read at,
+    as the block computes them. Where rounding puts a value on one side of
+    an edge for the read and on the other for the block, the mode is read
+    again from the block's v and u, and after MODE_READS reads its step is
+    taken in the mode read last: a tie that rounding breaks either way. The
+    steps are those of a step-by-step loop up to the order of rounding.
 
     Records the initial condition, every record_every-th accepted step and
     the final state, each with the residual of the step taken from it.
@@ -213,12 +272,11 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     if not P.Omega.contains(y):
         raise InitialPointOutsideOmega("y(0) violates Omega beyond 1e-9")
 
-    m = P.m
-    lo, hi = P.Omega.lo, P.Omega.hi
-    neg_Bt, B, C = -P.Bt, P.B, P.C   # neg_Bt.dot(lam) is -(B'lam) bit for bit: negation is exact
+    m, p, K = P.m, P.p, BLOCK_STEPS
     dt, every, stop_tol = cfg.dt, cfg.record_every, cfg.stop_tol
     dtau = dt * cfg.tau
-    dtau2 = dtau * dtau
+    # the squared residual is ||y+ - y||^2 / dtau^2 + ||dlam||^2
+    weights = np.concatenate([np.full(m, 1.0 / (dtau * dtau)), np.ones(p)])
     advice = (f"dt*tau*L = {dtau * P.drift_lipschitz:.3g} with drift Lipschitz estimate "
               f"L = {P.drift_lipschitz:.3g}; reduce dt")
     if not math.isfinite(dtau * float(P.hpack.jump_sum.max())):   # the prox table overflows
@@ -229,69 +287,82 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     # never sized by t_end alone: a run may stop at stop_tol long before it
     rows = min(n_steps // every + 2, RECORD_BLOCK)
     ts, drifts = np.empty(rows), np.empty(rows)
-    ys, lams = np.empty((rows, P.m)), np.empty((rows, P.p))
+    ys, lams = np.empty((rows, m)), np.empty((rows, p))
     n = 0
 
-    def forward(y, w, c2, qd, v):
-        """v = y + dtau * (w - d(y)), d(y) = c2 * y + qd, written into v."""
-        np.multiply(c2, y, out=v)
-        np.add(v, qd, out=v)
-        np.subtract(w, v, out=v)
-        np.multiply(v, dtau, out=v)
-        np.add(y, v, out=v)
+    def keep(S, drift, count, final):
+        """Record rows j < count of the block on the record_every grid; row count - 1 if final."""
+        nonlocal ts, drifts, ys, lams, n
+        grid = slice((-k) % every, count, every)
+        kept = len(range(count)[grid])
+        last = final and (k + count - 1) % every != 0
+        while n + kept + last > ts.size:
+            ts, drifts, ys, lams = (np.concatenate((b, np.empty_like(b)))
+                                    for b in (ts, drifts, ys, lams))
+        end = n + kept
+        ts[n:end] = np.arange(k + grid.start, k + count, every) * dt
+        ys[n:end], lams[n:end], drifts[n:end] = S[grid, :m], S[grid, m:-1], drift[grid]
+        if last:
+            ts[end], ys[end], lams[end], drifts[end] = (k + count - 1) * dt, S[count - 1, :m], \
+                S[count - 1, m:-1], drift[count - 1]
+            end += 1
+        n = end
 
-    # z = [v, y] of the current step; z_next receives y+. The cached rows of
-    # each y_j's piece and v_j's region hold while lower < z <= upper; the NaN
-    # brackets miss on the first step
-    z, z_next = np.empty(2 * m), np.empty(2 * m)
-    views = (z, z[:m], z[m:])
-    views_next = (z_next, z_next[:m], z_next[m:])
-    z[m:] = y
-    c2 = qd = slope = icpt = np.zeros(m)
-    lower, upper = np.full(2 * m, np.nan), np.full(2 * m, np.nan)
-    inside = np.empty(4 * m, dtype=bool)
-    above, below = inside[:2 * m], inside[2 * m:]
-    dy = np.empty(m)
-
-    k = 0
-    t = 0.0
+    z = np.concatenate([y, lam, [1.0]])
+    k = 0                   # step index of z
+    reads = 0               # mode reads at z
+    read = lookup = True    # read the mode at z; look its pieces and regions up
+    v = u = None            # v and u at z as the last block computed them
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up raises NonFiniteState
         while True:
-            z, v, y = views
-            w = neg_Bt.dot(lam)
-            forward(y, w, c2, qd, v)
-            np.less(lower, z, out=above)
-            np.less_equal(z, upper, out=below)
-            if np.count_nonzero(inside) < 4 * m:   # a y_j left its piece or a v_j its region
-                c2, qd, _, lower[m:], upper[m:] = pieces.rows(y)
-                forward(y, w, c2, qd, v)
-                slope, icpt, lower[:m], upper[:m] = regions.rows(v)
-            y_next = views_next[2]
-            np.multiply(slope, v, out=y_next)
-            np.add(y_next, icpt, out=y_next)
-            np.maximum(y_next, lo, out=y_next)
-            np.minimum(y_next, hi, out=y_next)
-            # the module global _grad_phi is looked up on every step, so a
-            # replacement of it reaches every evaluation
-            dlam = _grad_phi(P, lam) + B.dot(y) - C
-            np.subtract(y_next, y, out=dy)
-            drift = math.sqrt(dy.dot(dy) / dtau2 + dlam.dot(dlam))
-            if not math.isfinite(drift):
-                raise NonFiniteState(f"non-finite state at t = {t}; {advice}")
-            stop = drift <= stop_tol
-            last = stop or k >= n_steps
-            if last or k % every == 0:
-                if n == ts.size:
-                    ts, drifts, ys, lams = (np.concatenate((b, np.empty_like(b)))
-                                            for b in (ts, drifts, ys, lams))
-                ts[n], drifts[n], ys[n], lams[n] = t, drift, y, lam
-                n += 1
-            if last:
+            if read:
+                if lookup:
+                    c2, qd, _, ylo, yhi = pieces.rows(z[:m])
+                    V = _forward_rows(P, dtau, c2, qd)
+                    slope, icpt, vlo, vhi = regions.rows(V.dot(z) if v is None else v)
+                M, F, ulo, uhi = _step_map(P, dtau, z, V, slope, icpt, u)
+                lower, upper = np.concatenate([ylo, vlo, ulo]), np.concatenate([yhi, vhi, uhi])
+                nb = lower.size
+                powers, FT = _powers(M), np.ascontiguousarray(F.T)
+                reads += 1
+                read = False
+            S = powers.dot(z).reshape(K + 1, -1)   # the states z_0 .. z_K of the block
+            G = S[:K].dot(FT)                      # the rows F z_j of z_0 .. z_(K-1)
+            ok = ((lower < G[:, :nb]) & (G[:, :nb] <= upper)).all(axis=1)
+            if reads >= MODE_READS:   # a tie that rounding breaks either way
+                ok[0] = True
+            drift = np.sqrt(np.square(G[:, nb:]).dot(weights))
+            go = ok & (drift > stop_tol)
+            go &= drift < np.inf
+            final = n_steps - k < K   # the block holds step n_steps, the last
+            span = n_steps - k + 1 if final else K
+            e = int(np.argmin(go[:span]))
+            if go[e]:   # no step of the block halts
+                e = span
+            if e == span and not final:
+                keep(S, drift, K, False)
+                z, k, reads = S[K].copy(), k + K, 0
+                continue
+            if e == span or ok[e]:   # the last step, or the residual meets stop_tol
+                e = min(e, span - 1)
+                if not drift[e] < np.inf:
+                    raise NonFiniteState(f"non-finite state at t = {(k + e) * dt}; {advice}")
+                stop = drift[e] <= stop_tol
+                keep(S, drift, e + 1, True)
                 break
-            views, views_next = views_next, views
-            lam = lam + dtau * dlam
-            k += 1
-            t = k * dt
+            # z_e leaves the mode; the residual of z_(e-1) was finite, so an
+            # overflow in z_e is lam + dtau * dlam
+            if not np.isfinite(S[e]).all():
+                raise NonFiniteState(f"non-finite state at t = {(k + e) * dt}; {advice}")
+            inside = (lower < G[e, :nb]) & (G[e, :nb] <= upper)
+            y_fail, v_fail = not inside[:m].all(), not inside[m:2 * m].all()
+            lookup = y_fail or v_fail
+            v = None if y_fail else G[e, m:2 * m].copy()
+            u = None if lookup else G[e, 2 * m:3 * m].copy()
+            if e > 0:
+                keep(S, drift, e, False)
+                z, k, reads = S[e].copy(), k + e, 0
+            read = True
 
     if max(lams[:n].max(), -lams[:n].min()) > DATA_RANGE:   # |lam - lam*|^2 would overflow
         t = ts[np.argmax((np.abs(lams[:n]) > DATA_RANGE).any(axis=1))]

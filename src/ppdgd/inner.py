@@ -6,7 +6,8 @@ Problem caches the unconstrained minimizer x_base - dual_map @ lam, so every
 inner_mode is exact to roundoff: with X free it is the answer; with a box and
 diagonal H its componentwise clamp is; with a box and dense H a primal-dual
 active-set solve starts from that clamp and ends with an exact reduced solve
-on the final free set.
+on the final free set. x_star_piece gives x*(lam) as one affine piece of lam
+around a multiplier, with the rows on which that piece holds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InnerSolveDiverged
-from .geometry import project_box
+from .geometry import clip_pattern, project_box
 from .model import Problem
 
 KKT_TOL = 1e-10     # absolute bound on the fixed-point residual ||x - clip(x - g)||
@@ -101,6 +102,48 @@ def _x_star(P: Problem, lam: np.ndarray) -> tuple[np.ndarray, int]:
     if P.inner_mode == "box_diag":
         x = np.minimum(np.maximum(x, P.X.lo), P.X.hi)
     return x, 0
+
+
+def x_star_piece(P: Problem, lam: np.ndarray):
+    """Affine piece of x*(lam) at lam, and the rows on which it holds.
+
+    Returns (x0, X1, T0, T1, lower, upper): x*(l) = x0 + X1 l for every l
+    with lower < T0 + T1 l <= upper, lam among them, per inner_mode:
+    - free: one piece on the whole space, no rows;
+    - box_diag: the clamp pattern of x_base - dual_map l;
+    - box_dense: the active pattern of _box_dense_minimizer's x, with
+      H_FF x_F = -(c_F + A_F'l + H_FA x_A) solved exactly on the free
+      coordinates. Its rows are the free coordinates, strictly inside the
+      box, and the gradient at the bound ones, of the sign that keeps the
+      bound (any sign where lo = hi).
+    """
+    lo, hi = P.X.lo, P.X.hi
+    if P.inner_mode == "free":
+        none = np.empty(0)
+        return P.x_base, -P.dual_map, none, np.empty((0, P.p)), none, none
+    if P.inner_mode == "box_diag":
+        at_lo, at_hi, lower, upper = clip_pattern(P.x_base - P.dual_map.dot(lam), lo, hi)
+        x0 = np.where(at_lo, lo, np.where(at_hi, hi, P.x_base))
+        X1 = np.where((at_lo | at_hi)[:, None], 0.0, -P.dual_map)
+        return x0, X1, P.x_base, -P.dual_map, lower, upper
+    H = P.f.H
+    x, _ = _box_dense_minimizer(P, lam)
+    at_lo = x <= lo
+    at_hi = ~at_lo & (x >= hi)
+    free = ~(at_lo | at_hi)
+    pinned = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+    # identity rows and columns at the pinned coordinates, as in _box_dense_minimizer
+    reduced = np.where(free[:, None] & free, H, np.eye(P.n))
+    rhs = np.where(free[:, None], -np.column_stack([P.f.c + H @ pinned, P.A.T]), 0.0)
+    sol = np.linalg.solve(reduced, rhs)
+    x0 = np.where(free, sol[:, 0], pinned)
+    X1 = np.where(free[:, None], sol[:, 1:], 0.0)
+    T0 = np.where(free, x0, H @ x0 + P.f.c)
+    T1 = np.where(free[:, None], X1, H @ X1 + P.A.T)
+    below_zero = -np.finfo(float).smallest_subnormal   # g > below_zero is g >= 0
+    lower = np.where(free, lo, np.where(at_hi | (lo == hi), -np.inf, below_zero))
+    upper = np.where(free, np.nextafter(hi, -np.inf), np.where(at_hi, 0.0, np.inf))
+    return x0, X1, T0, T1, lower, upper
 
 
 def _grad_phi(P: Problem, lam: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from ppdgd import (
     select_subgradient,
     solve_inner,
 )
+from ppdgd import dynamics
 from ppdgd.analysis import write_envelope_csv
 from ppdgd.model import PieceTable, SeparablePiecewise
 from ppdgd.random_problems import random_piecewise, random_problem
@@ -256,11 +258,45 @@ def _on_a_face(P, y0, lam0):
     return y0
 
 
+def _scale(want, dt):
+    """Largest |value| over the reference rows (y, lam, drift_norm) of a run.
+
+    drift_norm holds (y+ - y)/dt, which turns a rounding difference in y
+    into one 1/dt times larger: its scale is at least that of y over dt.
+    """
+    ys, lams, drifts = (np.abs(a).max() for a in want)
+    return ys, lams, max(drifts, ys / dt)
+
+
+def _row_mismatch(P, got, want, scale, tol):
+    """Per row: do y or lam, and does drift_norm, leave the reference rows?
+
+    got and want are (y, lam, drift_norm) rows. A value may leave its
+    reference by tol times its scale, except a reference y_j on a
+    breakpoint of h_j or a bound of Omega, which must be matched exactly.
+    """
+    (y, lam, drift), (ry, rl, rd) = got, want
+    edges = [np.append(fn.breakpoints, [lo, hi]) for fn, lo, hi in zip(P.h, P.Omega.lo, P.Omega.hi)]
+    pinned = np.column_stack([np.isin(ry[:, j], e) for j, e in enumerate(edges)])
+    state = ((np.abs(y - ry) > tol * scale[0]) | (pinned & (y != ry))).any(axis=1) \
+        | (np.abs(lam - rl) > tol * scale[1]).any(axis=1)
+    return state, np.abs(drift - rd) > tol * scale[2]
+
+
+def _assert_close_rows(P, traj, want, tol):
+    """Rows of integrate within tol of the reference rows (t, y, lam, drift_norm), t exactly."""
+    assert np.array_equal(traj.t, want[0])
+    state, drift = _row_mismatch(P, (traj.y, traj.lam, traj.drift_norm), want[1:],
+                                 _scale(want[1:], traj.config.dt), tol)
+    assert not state.any() and not drift.any(), (np.argmax(state), np.argmax(drift))
+
+
 @pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("steps", [1, 5000])
 def test_euler_steps_match_public_field_ops(steps, every):
     # every recorded row of integrate against a plain loop of the forward-backward
-    # step over per-coordinate PiecewiseScalarFn data and the public dual field;
+    # step over per-coordinate PiecewiseScalarFn data and the public dual field,
+    # up to the order of rounding;
     # 5000 steps recorded one by one outgrow the first 4096-row sample buffer,
     # and the last step is recorded whatever its index
     rng = np.random.default_rng(123)
@@ -291,18 +327,15 @@ def test_euler_steps_match_public_field_ops(steps, every):
                 rows.append((k * dt, y, lam,
                              math.sqrt(float(dy @ dy) / (dt * dt) + float(dlam @ dlam))))
             y, lam = y_next, lam + dt * dlam
-        t, ys, lams, drifts = (np.array(c) for c in zip(*rows))
         assert traj.terminated_by is TerminationReason.TIME_LIMIT
-        assert np.array_equal(traj.t, t)
-        assert np.array_equal(traj.y, ys)
-        assert np.array_equal(traj.lam, lams)
-        assert np.array_equal(traj.drift_norm, drifts)
+        _assert_close_rows(P, traj, tuple(np.array(c) for c in zip(*rows)), 1e-12)
 
 
 def test_kink_free_steps_match_projected_euler():
-    # without kinks the forward-backward step is projected Euler, bit for bit:
-    # y/lam rows of integrate against the old loop over rhs, select_subgradient
-    # and project_box, in every inner mode, from starts on a face of Omega
+    # without kinks the forward-backward step is projected Euler: the rows of
+    # integrate against the old loop over rhs, select_subgradient and
+    # project_box, in every inner mode, from starts on a face of Omega; the
+    # box_dense active-set solve is exact only to KKT_TOL
     rng = np.random.default_rng(2718)
     steps, every = 2000, 7
     dt = 2.0 ** -9
@@ -318,18 +351,20 @@ def test_kink_free_steps_match_projected_euler():
         lam0 = rng.normal(size=P.p)
         y0 = _on_a_face(P, rng.uniform(P.Omega.lo, P.Omega.hi), lam0)
         traj = integrate(P, State(y0, lam0), cfg)
-        ys, lams = [], []
+        rows = []
         y, lam = y0, lam0
         for k in range(steps + 1):
-            if k % every == 0 or k == steps:
-                ys.append(y)
-                lams.append(lam)
             _, dlam = rhs(P, State(y, lam), 1.0)
             raw = -select_subgradient(P, y, lam) - P.Bt @ lam
-            y, lam = project_box(y + dt * raw, P.Omega), lam + dt * dlam
+            y_next = project_box(y + dt * raw, P.Omega)
+            if k % every == 0 or k == steps:
+                dy = y_next - y
+                rows.append((k * dt, y, lam,
+                             math.sqrt(float(dy @ dy) / (dt * dt) + float(dlam @ dlam))))
+            y, lam = y_next, lam + dt * dlam
         assert traj.terminated_by is TerminationReason.TIME_LIMIT
-        assert np.array_equal(traj.y, np.array(ys))
-        assert np.array_equal(traj.lam, np.array(lams))
+        _assert_close_rows(P, traj, tuple(np.array(c) for c in zip(*rows)),
+                           1e-9 if P.inner_mode == "box_dense" else 1e-12)
     assert sorted(set(modes)) == ["box_dense", "box_diag", "free"]
 
 
@@ -516,11 +551,46 @@ def _ulps(x):
     return np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)
 
 
+def _near_edge(P, dt, y, lam):
+    """Does some y_j lie within 4 ulps of a breakpoint, or the reference v_j of a prox threshold?"""
+    v, thr = _reference_forward(P, dt)(y, lam), _thresholds(P, dt)
+    for j, fn in enumerate(P.h):
+        edges = (y[j], fn.breakpoints), (v[j], thr[np.isfinite(thr[:, j]), j])
+        if any(np.any(np.abs(x - e) <= 4 * np.abs(np.spacing(e))) for x, e in edges):
+            return True
+    return False
+
+
+def _assert_matches_up_to_ties(P, dt, traj, tol):
+    """Rows of integrate, one per step, against the reference loop up to ties.
+
+    A row may leave the reference only after a step from a reference state
+    whose y or v lies within 4 ulps of an edge of its bracket, a tie that
+    rounding breaks the other way; after that step, the rows must match the
+    reference loop restarted from integrate's own state.
+    """
+    steps = len(traj) - 1
+    assert np.array_equal(traj.t, np.arange(steps + 1) * dt)
+    got = (traj.y, traj.lam, traj.drift_norm)
+    scale = _scale(_reference_rows(P, traj.y[0], traj.lam[0], dt, steps, 1)[1:], dt)
+    start = 0
+    while start <= steps:
+        _, ry, rl, rd = _reference_rows(P, traj.y[start], traj.lam[start], dt, steps - start, 1)
+        state, drift = _row_mismatch(P, [a[start:] for a in got], (ry, rl, rd), scale, tol)
+        drift[:-1] |= state[1:]   # a step that leaves the reference, or its residual
+        if not drift.any():
+            return
+        i = int(np.argmax(drift))
+        assert _near_edge(P, dt, ry[i], rl[i]), (start + i, traj.y[start + i], traj.lam[start + i])
+        start += i + 1
+
+
 @pytest.mark.parametrize("mode", ["free", "box_diag", "box_dense"])
 def test_cached_step_matches_reference_at_bracket_edges(mode):
-    # integrate caches the piece of each y_j and the prox region of each v_j
-    # and reuses them while [v, y] stays inside their brackets. Every row must
-    # still match the reference loop, which looks both up on every step:
+    # integrate reads the piece of each y_j and the prox region of each v_j
+    # once per mode and steps in that mode while [y, v] stays inside their
+    # brackets. The rows must still match the reference loop, which looks
+    # both up on every step, up to ties that rounding breaks either way:
     # - y(0) on a breakpoint and one ulp either side;
     # - v at the first step on a prox threshold and one ulp either side;
     # - y landing on the kink at 0.35 from the piece above, after which the
@@ -562,23 +632,27 @@ def test_cached_step_matches_reference_at_bracket_edges(mode):
 
     runs = [(P, y0, lam0, 7) for y0, lam0 in runs]
     # the long run: five and four kinks, from a corner of Omega
-    h = [_kinked([-0.6, -0.3, 0.0, 0.3, 0.6], [0.05, 0.1, 0.05, 0.1, 0.05],
-                 [1.0, 1.5, 0.8, 1.2, 1.0, 1.4]),
-         _kinked([-0.45, -0.15, 0.15, 0.45], [0.1, 0.05, 0.1, 0.05], [1.2, 0.8, 1.0, 1.5, 1.0])]
-    P = _mode_problem(mode, h, [0.3, -0.2])
+    P = _long_run_problem(mode)
     y0, lam0 = np.array([-0.95, 0.95]), np.array([3.0, -3.0])
     _, y, lam, _ = _reference_rows(P, y0, lam0, dt, 500, 1)
     assert all(np.count_nonzero(c) >= 10 for c in _mode_changes(P, dt, y, lam))
     runs.append((P, y0, lam0, 500))
 
-    for every in (1, 3):
-        for P, y0, lam0, steps in runs:
-            cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0, record_every=every)
-            traj = integrate(P, State(y0, lam0), cfg)
-            assert traj.terminated_by is TerminationReason.TIME_LIMIT
-            for got, want in zip((traj.t, traj.y, traj.lam, traj.drift_norm),
-                                 _reference_rows(P, y0, lam0, dt, steps, every)):
-                assert np.array_equal(got, want), (every, y0, lam0)
+    for P, y0, lam0, steps in runs:
+        cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0)
+        traj = integrate(P, State(y0, lam0), cfg)
+        assert traj.terminated_by is TerminationReason.TIME_LIMIT
+        if steps == 500:
+            _assert_close_rows(P, traj, _reference_rows(P, y0, lam0, dt, steps, 1), 1e-12)
+        else:
+            _assert_matches_up_to_ties(P, dt, traj, 1e-12)
+        # recording every third step leaves the steps as they are
+        cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0, record_every=3)
+        sub = integrate(P, State(y0, lam0), cfg)
+        rows = sorted({*range(0, steps + 1, 3), steps})
+        for got, want in zip((sub.t, sub.y, sub.lam, sub.drift_norm),
+                             (traj.t, traj.y, traj.lam, traj.drift_norm)):
+            assert np.array_equal(got, want[rows])
 
 
 def test_step_looks_up_pieces_and_regions_only_when_they_change(monkeypatch):
@@ -614,6 +688,92 @@ def test_step_looks_up_pieces_and_regions_only_when_they_change(monkeypatch):
     assert calls["piece_rows"] == calls["region_rows"] <= np.count_nonzero(piece | region) + 1
 
 
+def _long_run_problem(mode):
+    """The long run of test_cached_step_matches_reference_at_bracket_edges: five and four kinks."""
+    h = [_kinked([-0.6, -0.3, 0.0, 0.3, 0.6], [0.05, 0.1, 0.05, 0.1, 0.05],
+                 [1.0, 1.5, 0.8, 1.2, 1.0, 1.4]),
+         _kinked([-0.45, -0.15, 0.15, 0.45], [0.1, 0.05, 0.1, 0.05], [1.2, 0.8, 1.0, 1.5, 1.0])]
+    return _mode_problem(mode, h, [0.3, -0.2])
+
+
+def test_block_edges_match_reference(monkeypatch):
+    # integrate takes BLOCK_STEPS steps of one mode per block. Against the
+    # reference loop: a mode that changes on the first step of a block and on
+    # the last, stop_tol met on either, a t_end in mid-block and on a block's
+    # end, a single step that leaves the mode, with every step recorded and
+    # every 3rd and 7th, which do not divide BLOCK_STEPS
+    K, dt = dynamics.BLOCK_STEPS, 2.0 ** -5
+    P = _long_run_problem("free")
+    _, y, lam, drift = _reference_rows(P, np.array([-0.95, 0.95]), np.array([3.0, -3.0]),
+                                       dt, 1200, 1)
+    change = np.flatnonzero(np.logical_or(*_mode_changes(P, dt, y, lam))) + 1
+    # a step that ends more than K steps in one mode, and a stretch with no
+    # more mode changes and a falling residual
+    c = next(c for c, prev in zip(change[1:], change) if c - prev > K)
+    quiet = change[-1] + 1
+    assert quiet + 3 * K <= 1200 and np.all(np.diff(drift[quiet:]) < 0)
+    assert np.all((P.Omega.lo < y[quiet:]) & (y[quiet:] < P.Omega.hi))
+
+    reads = []
+    step_map = dynamics._step_map
+
+    def spy(P, dtau, z, *rows):
+        reads.append(z[:-1].copy())
+        return step_map(P, dtau, z, *rows)
+
+    monkeypatch.setattr(dynamics, "_step_map", spy)
+    # (start row, steps to t_end, stop_tol, the last step, the first steps that read the mode)
+    cases = [(c - K, 2 * K, 0.0, 2 * K, [0, K]),          # the first step of the second block
+             (c - K + 1, 2 * K, 0.0, 2 * K, [0, K - 1]),  # the last step of the first block
+             (c - K, K + 37, 0.0, K + 37, [0, K]),        # t_end in mid-block
+             (c - 1, 1, 0.0, 1, [0, 1])]                  # one step, and it leaves the mode
+    for j in (K, K - 1):   # stop_tol met on the first step of a block, and on the last
+        cases.append((quiet, 3 * K, 0.5 * (drift[quiet + j - 1] + drift[quiet + j]), j, [0]))
+    for start, steps, stop_tol, last, read_at in cases:
+        y0, lam0 = y[start], lam[start]
+        for every in (1, 3, 7):
+            reads.clear()
+            cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=stop_tol, record_every=every)
+            traj = integrate(P, State(y0, lam0), cfg)
+            assert traj.terminated_by is (TerminationReason.STOP_TOL if stop_tol
+                                          else TerminationReason.TIME_LIMIT)
+            _assert_close_rows(P, traj, _reference_rows(P, y0, lam0, dt, last, every), 1e-12)
+            if every == 1:
+                states = np.hstack([traj.y, traj.lam])
+                rows = [int(np.flatnonzero((states == r).all(axis=1))[0]) for r in reads]
+                assert rows[:len(read_at)] == read_at, (start, steps, rows)
+
+
+def test_box_dense_steps_match_reference_with_kinks():
+    # box_dense solves built like the boxed_dense benchmark: random_problem
+    # data with X = [-1, 1]^n and H dense, kinks kept, from starts with y_1 on
+    # a face of Omega and another y_j on a breakpoint. The active-set solve is
+    # exact only to KKT_TOL, so rows agree to 1e-9; some x*(lam) must change
+    # its active pattern along the way
+    rng = np.random.default_rng(31)
+    dt, steps = 2.0 ** -8, 300
+    cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0, record_every=7)
+    pattern_changes = 0
+    for _ in range(30):
+        R = random_problem(rng, max_dim=6)
+        P = build_problem(R.f, R.h, R.A, R.B, R.C, BoxSet.box(-np.ones(R.n), np.ones(R.n)), R.Omega)
+        assert P.inner_mode == "box_dense"
+        lam0 = rng.normal(size=P.p)
+        y0 = _on_a_face(P, rng.uniform(P.Omega.lo, P.Omega.hi), lam0)
+        kinked = [j for j, fn in enumerate(P.h[1:], 1) if fn.breakpoints.size]
+        if kinked:
+            y0[kinked[0]] = P.h[kinked[0]].breakpoints[0]
+        traj = integrate(P, State(y0, lam0), cfg)
+        want = _reference_rows(P, y0, lam0, dt, steps, 1)
+        assert traj.terminated_by is TerminationReason.TIME_LIMIT
+        rows = sorted({*range(0, steps + 1, 7), steps})
+        _assert_close_rows(P, traj, tuple(a[rows] for a in want), 1e-9)
+        x = np.array([solve_inner(P, lam).x_star for lam in want[2]])
+        pattern = (x <= P.X.lo).astype(int) - (x >= P.X.hi)
+        pattern_changes += np.count_nonzero(np.any(np.diff(pattern, axis=0), axis=1))
+    assert pattern_changes >= 1
+
+
 def test_early_stop_allocates_nothing_in_proportion_to_t_end():
     # 1e15 steps to t_end: sample buffers sized for them could not be allocated
     P = boundary_equilibrium_problem()
@@ -621,6 +781,24 @@ def test_early_stop_allocates_nothing_in_proportion_to_t_end():
                      IntegratorConfig(dt=1e-6, t_end=1e9))
     assert traj.terminated_by is TerminationReason.STOP_TOL
     assert len(traj) == 1
+
+
+def test_integrate_memory_stays_near_its_samples(case_problem):
+    # the case-study feeder at the CLI defaults runs 50,000 steps to t_end: the
+    # sample buffers grow by doubling and the Trajectory gets trimmed copies,
+    # so the peak stays within three times the returned samples, plus what one
+    # mode's tables and one block take
+    cfg = IntegratorConfig(dt=1e-3, t_end=50.0, stop_tol=1e-8)
+    s0 = State(np.zeros(case_problem.m), np.zeros(case_problem.p))
+    tracemalloc.start()
+    try:
+        traj = integrate(case_problem, s0, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 50_001
+    samples = sum(a.nbytes for a in (traj.t, traj.y, traj.lam, traj.drift_norm))
+    assert peak <= 3 * samples + 2 ** 20, (peak, samples)
 
 
 def test_trajectory_csv_format(tmp_path, one_dim_problem):

@@ -14,12 +14,14 @@ kink-pinned solves stop at stop_tol instead of chattering around the kink.
 Without kinks the step is projected Euler. The stopping norm is the step
 residual ||((y+ - y)/dtau, dlam)||.
 
-The step is piecewise affine in (y, lam), and a run changes its mode (the
-pieces of h and regions of the jump prox it reads, the clip into Omega and
-the piece of x*(lam)) a few times in thousands of steps. integrate writes
-each mode's step as one affine map and advances BLOCK_STEPS steps of it per
-matrix-vector product, reading the mode again only at a step that leaves it
-(see integrate).
+The step is piecewise affine in (y, lam). integrate writes the step of each
+mode (the pieces of h and regions of the jump prox it reads, the clip into
+Omega and the piece of x*(lam)) as one affine map and advances blocks of up
+to BLOCK_STEPS steps of it per matrix-vector product, reading the mode
+again only at a step that leaves it (see integrate). That pays where modes
+last long, as in the benchmark's runs, which change mode a few times in
+thousands of steps; where the mode changes every few steps, each read costs
+more than the steps it batches.
 
 integrate writes each recorded sample (the start, every record_every-th step
 and the last step) into preallocated t, y, lam and drift arrays. They start
@@ -44,6 +46,7 @@ from .model import DATA_RANGE, Problem
 
 RECORD_BLOCK = 4096   # rows of the first sample buffer and of each CSV write
 BLOCK_STEPS = 128     # steps per block of integrate, a power of two
+FIRST_BLOCK = 8       # steps of a mode's first block, doubled per block up to BLOCK_STEPS
 MODE_READS = 3        # reads of one mode at one state before its step is taken regardless
 
 
@@ -196,16 +199,12 @@ def _step_map(P: Problem, dtau: float, z: np.ndarray, V: np.ndarray, slope, icpt
     return M, F, np.concatenate([ulo, tlo]), np.concatenate([uhi, thi])
 
 
-def _powers(M: np.ndarray) -> np.ndarray:
-    """M^0 .. M^BLOCK_STEPS stacked into rows, by doubling into one array."""
-    N = M.shape[0]
-    pw = np.empty((BLOCK_STEPS + 1, N, N))
-    pw[0], pw[1] = np.eye(N), M
-    s = 1
-    while s < BLOCK_STEPS:   # pw[:s + 1] holds M^0 .. M^s
+def _double(pw: np.ndarray, s: int, size: int) -> int:
+    """Extend pw[:s + 1] = M^0 .. M^s to M^0 .. M^size by doubling; s and size powers of two."""
+    while s < size:
         np.matmul(pw[1:s + 1], pw[s], out=pw[s + 1:2 * s + 1])
         s *= 2
-    return pw.reshape(-1, N)
+    return s
 
 
 def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
@@ -242,19 +241,23 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     u_j = prox(v)_j or takes lo_j or hi_j, and the affine piece of x*(lam)
     (inner.x_star_piece). In one mode the step is z+ = M z, and y, v, u, the
     rows T of the piece of x*, y+ - y and dlam are rows F z. integrate reads
-    the mode at z and forms M^0 .. M^K, K = BLOCK_STEPS, by doubling. A block
-    is one product for its states M^j z and one for their rows F M^j z; then
-    vectorized tests find its first step that leaves the mode (a bracket
-    lower < [y, v, u, T] <= upper fails), whose residual meets stop_tol or
-    is not finite, or that is the last, and the kept rows go straight into
-    the sample buffers. The mode is read again at the step that left it;
-    the pieces and regions are looked up again only when a y or v bracket
-    failed. A mode must pass its own brackets at the state it was read at,
-    as the block computes them. Where rounding puts a value on one side of
-    an edge for the read and on the other for the block, the mode is read
-    again from the block's v and u, and after MODE_READS reads its step is
-    taken in the mode read last: a tie that rounding breaks either way. The
-    steps are those of a step-by-step loop up to the order of rounding.
+    the mode at z. The mode's first block takes FIRST_BLOCK steps, and each
+    block after it twice as many, up to K = BLOCK_STEPS; the powers M^0 .. M^s
+    a block needs are formed by doubling, on top of those the block before
+    it formed, so a mode that ends within a few steps costs its read, a few
+    small products and one short block. A block is one product for its
+    states M^j z and one for their rows F M^j z; then vectorized tests find
+    its first step that leaves the mode (a bracket lower < [y, v, u, T] <=
+    upper fails), whose residual meets stop_tol or is not finite, or that is
+    the last, and the kept rows go straight into the sample buffers. The
+    mode is read again at the step that left it; the pieces and regions are
+    looked up again only when a y or v bracket failed. A mode must pass its
+    own brackets at the state it was read at, as the block computes them.
+    Where rounding puts a value on one side of an edge for the read and on
+    the other for the block, the mode is read again from the block's v and
+    u, and after MODE_READS reads its step is taken in the mode read last: a
+    tie that rounding breaks either way. The steps are those of a
+    step-by-step loop up to the order of rounding.
 
     Records the initial condition, every record_every-th accepted step and
     the final state, each with the residual of the step taken from it.
@@ -309,6 +312,8 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
         n = end
 
     z = np.concatenate([y, lam, [1.0]])
+    pw = np.empty((K + 1, z.size, z.size))   # M^0 .. M^K of the mode, filled as blocks need them
+    pw[0] = np.eye(z.size)
     k = 0                   # step index of z
     reads = 0               # mode reads at z
     read = lookup = True    # read the mode at z; look its pieces and regions up
@@ -323,25 +328,28 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                 M, F, ulo, uhi = _step_map(P, dtau, z, V, slope, icpt, u)
                 lower, upper = np.concatenate([ylo, vlo, ulo]), np.concatenate([yhi, vhi, uhi])
                 nb = lower.size
-                powers, FT = _powers(M), np.ascontiguousarray(F.T)
+                pw[1], FT = M, np.ascontiguousarray(F.T)
+                filled, size = 1, FIRST_BLOCK
                 reads += 1
                 read = False
-            S = powers.dot(z).reshape(K + 1, -1)   # the states z_0 .. z_K of the block
-            G = S[:K].dot(FT)                      # the rows F z_j of z_0 .. z_(K-1)
+            filled = _double(pw, filled, size)
+            S = pw[:size + 1].reshape(-1, z.size).dot(z).reshape(size + 1, -1)   # z_0 .. z_size
+            G = S[:size].dot(FT)   # the rows F z_j of z_0 .. z_(size - 1)
             ok = ((lower < G[:, :nb]) & (G[:, :nb] <= upper)).all(axis=1)
             if reads >= MODE_READS:   # a tie that rounding breaks either way
                 ok[0] = True
             drift = np.sqrt(np.square(G[:, nb:]).dot(weights))
             go = ok & (drift > stop_tol)
             go &= drift < np.inf
-            final = n_steps - k < K   # the block holds step n_steps, the last
-            span = n_steps - k + 1 if final else K
+            final = n_steps - k < size   # the block holds step n_steps, the last
+            span = n_steps - k + 1 if final else size
             e = int(np.argmin(go[:span]))
             if go[e]:   # no step of the block halts
                 e = span
             if e == span and not final:
-                keep(S, drift, K, False)
-                z, k, reads = S[K].copy(), k + K, 0
+                keep(S, drift, size, False)
+                z, k, reads = S[size].copy(), k + size, 0
+                size = min(2 * size, K)
                 continue
             if e == span or ok[e]:   # the last step, or the residual meets stop_tol
                 e = min(e, span - 1)

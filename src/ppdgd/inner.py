@@ -113,9 +113,9 @@ def x_star_piece(P: Problem, lam: np.ndarray):
     - box_diag: the clamp pattern of x_base - dual_map l;
     - box_dense: the active pattern of _box_dense_minimizer's x, with
       H_FF x_F = -(c_F + A_F'l + H_FA x_A) solved exactly on the free
-      coordinates. Its rows are the free coordinates, strictly inside the
-      box, and the gradient at the bound ones, of the sign that keeps the
-      bound (any sign where lo = hi).
+      coordinates. Its rows are the free coordinates, inside the box, and
+      the gradient at the bound ones, of the sign that keeps the bound (any
+      sign where lo = hi), each up to KKT_TOL.
     """
     lo, hi = P.X.lo, P.X.hi
     if P.inner_mode == "free":
@@ -140,9 +140,10 @@ def x_star_piece(P: Problem, lam: np.ndarray):
     X1 = np.where(free[:, None], sol[:, 1:], 0.0)
     T0 = np.where(free, x0, H @ x0 + P.f.c)
     T1 = np.where(free[:, None], X1, H @ X1 + P.A.T)
-    below_zero = -np.finfo(float).smallest_subnormal   # g > below_zero is g >= 0
-    lower = np.where(free, lo, np.where(at_hi | (lo == hi), -np.inf, below_zero))
-    upper = np.where(free, np.nextafter(hi, -np.inf), np.where(at_hi, 0.0, np.inf))
+    # as loose as the residual test of _box_dense_minimizer, so that the
+    # piece holds at every lam whose x that test accepts
+    lower = np.where(free, lo - KKT_TOL, np.where(at_hi | (lo == hi), -np.inf, -KKT_TOL))
+    upper = np.where(free, hi + KKT_TOL, np.where(at_hi, KKT_TOL, np.inf))
     return x0, X1, T0, T1, lower, upper
 
 

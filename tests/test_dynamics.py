@@ -258,33 +258,42 @@ def _on_a_face(P, y0, lam0):
     return y0
 
 
-def _scale(want, dt):
-    """Largest |value| over the reference rows (y, lam, drift_norm) of a run.
+def _edges(P):
+    """Per coordinate j: the breakpoints of h_j and the bounds of Omega_j."""
+    return [np.append(fn.breakpoints, [lo, hi]) for fn, lo, hi in zip(P.h, P.Omega.lo, P.Omega.hi)]
 
-    drift_norm holds (y+ - y)/dt, which turns a rounding difference in y
-    into one 1/dt times larger: its scale is at least that of y over dt.
-    """
-    ys, lams, drifts = (np.abs(a).max() for a in want)
-    return ys, lams, max(drifts, ys / dt)
+
+def _lands(edges, y, y_next):
+    """Does the step y -> y_next put some y_j exactly on an edge it was not on?"""
+    return any(b != a and b in e for a, b, e in zip(y.tolist(), y_next.tolist(), edges))
+
+
+def _scale(want, dt):
+    """Largest |value| of y, lam and drift_norm over the reference rows of a run, and of y / dt."""
+    ys, lams, drifts = (np.abs(a).max() for a in want[:3])
+    return ys, lams, drifts, ys / dt
 
 
 def _row_mismatch(P, got, want, scale, tol):
     """Per row: do y or lam, and does drift_norm, leave the reference rows?
 
-    got and want are (y, lam, drift_norm) rows. A value may leave its
-    reference by tol times its scale, except a reference y_j on a
+    got holds (y, lam, drift_norm) rows and want the reference's, with a
+    flag per row for a step that lands some y_j on an edge. A value may
+    leave its reference by tol times its scale, except a reference y_j on a
     breakpoint of h_j or a bound of Omega, which must be matched exactly.
+    The residual of a landing step is (b - y_j)/dt for the edge b whatever
+    y_j was, so it turns a rounding difference in y_j into one 1/dt times
+    larger: on those rows alone drift_norm's scale is that of y over dt.
     """
-    (y, lam, drift), (ry, rl, rd) = got, want
-    edges = [np.append(fn.breakpoints, [lo, hi]) for fn, lo, hi in zip(P.h, P.Omega.lo, P.Omega.hi)]
-    pinned = np.column_stack([np.isin(ry[:, j], e) for j, e in enumerate(edges)])
+    (y, lam, drift), (ry, rl, rd, lands) = got, want
+    pinned = np.column_stack([np.isin(ry[:, j], e) for j, e in enumerate(_edges(P))])
     state = ((np.abs(y - ry) > tol * scale[0]) | (pinned & (y != ry))).any(axis=1) \
         | (np.abs(lam - rl) > tol * scale[1]).any(axis=1)
-    return state, np.abs(drift - rd) > tol * scale[2]
+    return state, np.abs(drift - rd) > tol * np.where(lands, max(scale[2:]), scale[2])
 
 
 def _assert_close_rows(P, traj, want, tol):
-    """Rows of integrate within tol of the reference rows (t, y, lam, drift_norm), t exactly."""
+    """Rows of integrate within tol of the reference (t, y, lam, drift_norm, lands), t exactly."""
     assert np.array_equal(traj.t, want[0])
     state, drift = _row_mismatch(P, (traj.y, traj.lam, traj.drift_norm), want[1:],
                                  _scale(want[1:], traj.config.dt), tol)
@@ -316,7 +325,7 @@ def test_euler_steps_match_public_field_ops(steps, every):
     starts.append((P, y0, lam0))
     for P, y0, lam0 in starts:
         traj = integrate(P, State(y0, lam0), cfg)
-        reference_step = _reference_stepper(P, dt)
+        reference_step, edges = _reference_stepper(P, dt), _edges(P)
         rows = []
         y, lam = y0, lam0
         for k in range(steps + 1):
@@ -325,7 +334,8 @@ def test_euler_steps_match_public_field_ops(steps, every):
             dy = y_next - y
             if k % every == 0 or k == steps:
                 rows.append((k * dt, y, lam,
-                             math.sqrt(float(dy @ dy) / (dt * dt) + float(dlam @ dlam))))
+                             math.sqrt(float(dy @ dy) / (dt * dt) + float(dlam @ dlam)),
+                             _lands(edges, y, y_next)))
             y, lam = y_next, lam + dt * dlam
         assert traj.terminated_by is TerminationReason.TIME_LIMIT
         _assert_close_rows(P, traj, tuple(np.array(c) for c in zip(*rows)), 1e-12)
@@ -351,7 +361,7 @@ def test_kink_free_steps_match_projected_euler():
         lam0 = rng.normal(size=P.p)
         y0 = _on_a_face(P, rng.uniform(P.Omega.lo, P.Omega.hi), lam0)
         traj = integrate(P, State(y0, lam0), cfg)
-        rows = []
+        edges, rows = _edges(P), []
         y, lam = y0, lam0
         for k in range(steps + 1):
             _, dlam = rhs(P, State(y, lam), 1.0)
@@ -360,7 +370,8 @@ def test_kink_free_steps_match_projected_euler():
             if k % every == 0 or k == steps:
                 dy = y_next - y
                 rows.append((k * dt, y, lam,
-                             math.sqrt(float(dy @ dy) / (dt * dt) + float(dlam @ dlam))))
+                             math.sqrt(float(dy @ dy) / (dt * dt) + float(dlam @ dlam)),
+                             _lands(edges, y, y_next)))
             y, lam = y_next, lam + dt * dlam
         assert traj.terminated_by is TerminationReason.TIME_LIMIT
         _assert_close_rows(P, traj, tuple(np.array(c) for c in zip(*rows)),
@@ -478,8 +489,8 @@ def _reference_forward(P, dt):
 
 
 def _reference_rows(P, y0, lam0, dt, steps, every):
-    """(t, y, lam, drift_norm) of a plain loop of the reference step, recorded like integrate."""
-    reference_step = _reference_stepper(P, dt)
+    """(t, y, lam, drift_norm, lands) of a loop of the reference step, recorded like integrate."""
+    reference_step, edges = _reference_stepper(P, dt), _edges(P)
     rows = []
     y, lam = y0, lam0
     for k in range(steps + 1):
@@ -488,7 +499,8 @@ def _reference_rows(P, y0, lam0, dt, steps, every):
         dy = y_next - y
         if k % every == 0 or k == steps:
             rows.append((k * dt, y, lam,
-                         math.sqrt(float(dy @ dy) / (dt * dt) + float(dlam @ dlam))))
+                         math.sqrt(float(dy @ dy) / (dt * dt) + float(dlam @ dlam)),
+                         _lands(edges, y, y_next)))
         y, lam = y_next, lam + dt * dlam
     return tuple(np.array(c) for c in zip(*rows))
 
@@ -575,8 +587,8 @@ def _assert_matches_up_to_ties(P, dt, traj, tol):
     scale = _scale(_reference_rows(P, traj.y[0], traj.lam[0], dt, steps, 1)[1:], dt)
     start = 0
     while start <= steps:
-        _, ry, rl, rd = _reference_rows(P, traj.y[start], traj.lam[start], dt, steps - start, 1)
-        state, drift = _row_mismatch(P, [a[start:] for a in got], (ry, rl, rd), scale, tol)
+        _, ry, rl, *rest = _reference_rows(P, traj.y[start], traj.lam[start], dt, steps - start, 1)
+        state, drift = _row_mismatch(P, [a[start:] for a in got], (ry, rl, *rest), scale, tol)
         drift[:-1] |= state[1:]   # a step that leaves the reference, or its residual
         if not drift.any():
             return
@@ -615,7 +627,7 @@ def test_cached_step_matches_reference_at_bracket_edges(mode):
     # step, and at the second v lands one ulp below its sticking interval
     y0 = np.array([0.4])
     lam0 = _landing_lam(P, dt, y0, np.nextafter(thr[2], -np.inf), 1)
-    _, y, lam, _ = _reference_rows(P, y0, lam0, dt, 2, 1)
+    _, y, lam, *_ = _reference_rows(P, y0, lam0, dt, 2, 1)
     assert y[1, 0] == b_kink and y[2, 0] != b_kink
     c2_right, q_right = 2.0 * P.h[0].coeffs[2, 0], P.h[0].coeffs[2, 1]
     d_right = c2_right * b_kink + (q_right - P.hpack.jump_sum[0, 2])
@@ -626,7 +638,7 @@ def test_cached_step_matches_reference_at_bracket_edges(mode):
     # the upper threshold at the second step
     y0 = np.array([b_low])
     lam0 = _landing_lam(P, dt, y0, thr[1], 1)
-    _, y, _, _ = _reference_rows(P, y0, lam0, dt, 2, 1)
+    _, y, *_ = _reference_rows(P, y0, lam0, dt, 2, 1)
     assert y[1, 0] == b_low and y[2, 0] != b_low
     runs.append((y0, lam0))
 
@@ -634,7 +646,7 @@ def test_cached_step_matches_reference_at_bracket_edges(mode):
     # the long run: five and four kinks, from a corner of Omega
     P = _long_run_problem(mode)
     y0, lam0 = np.array([-0.95, 0.95]), np.array([3.0, -3.0])
-    _, y, lam, _ = _reference_rows(P, y0, lam0, dt, 500, 1)
+    _, y, lam, *_ = _reference_rows(P, y0, lam0, dt, 500, 1)
     assert all(np.count_nonzero(c) >= 10 for c in _mode_changes(P, dt, y, lam))
     runs.append((P, y0, lam0, 500))
 
@@ -697,42 +709,55 @@ def _long_run_problem(mode):
 
 
 def test_block_edges_match_reference(monkeypatch):
-    # integrate takes BLOCK_STEPS steps of one mode per block. Against the
-    # reference loop: a mode that changes on the first step of a block and on
-    # the last, stop_tol met on either, a t_end in mid-block and on a block's
-    # end, a single step that leaves the mode, with every step recorded and
-    # every 3rd and 7th, which do not divide BLOCK_STEPS
-    K, dt = dynamics.BLOCK_STEPS, 2.0 ** -5
+    # integrate takes the steps of one mode in blocks of FIRST_BLOCK, twice
+    # that, and so on up to BLOCK_STEPS steps. Against the reference loop: a
+    # mode that changes on the first step of a block and on the last, at the
+    # end of the first block and at the start of the first full one,
+    # stop_tol met on either, a t_end in mid-block and on a block's end, a
+    # single step that leaves the mode, with every step recorded and every
+    # 3rd and 7th, which do not divide the block sizes
+    K, F, dt = dynamics.BLOCK_STEPS, dynamics.FIRST_BLOCK, 2.0 ** -5
+    # the blocks of a mode read at step 0 end at F, 3F, 7F, ...; the one
+    # that starts at ends[-2] is the first of BLOCK_STEPS steps
+    ends = [F * (2 ** i - 1) for i in range(1, (K // F).bit_length() + 1)]
+    assert ends[-1] - ends[-2] == K
     P = _long_run_problem("free")
-    _, y, lam, drift = _reference_rows(P, np.array([-0.95, 0.95]), np.array([3.0, -3.0]),
-                                       dt, 1200, 1)
+    _, y, lam, drift, _ = _reference_rows(P, np.array([-0.95, 0.95]), np.array([3.0, -3.0]),
+                                          dt, 1200, 1)
     change = np.flatnonzero(np.logical_or(*_mode_changes(P, dt, y, lam))) + 1
-    # a step that ends more than K steps in one mode, and a stretch with no
-    # more mode changes and a falling residual
-    c = next(c for c, prev in zip(change[1:], change) if c - prev > K)
+    # a step that ends more than ends[-2] steps in one mode, and a stretch
+    # with no more mode changes and a falling residual
+    c = next(c for c, prev in zip(change[1:], change) if c - prev > ends[-2])
     quiet = change[-1] + 1
     assert quiet + 3 * K <= 1200 and np.all(np.diff(drift[quiet:]) < 0)
     assert np.all((P.Omega.lo < y[quiet:]) & (y[quiet:] < P.Omega.hi))
 
-    reads = []
-    step_map = dynamics._step_map
+    reads, sizes = [], []
+    step_map, double = dynamics._step_map, dynamics._double
 
     def spy(P, dtau, z, *rows):
         reads.append(z[:-1].copy())
         return step_map(P, dtau, z, *rows)
 
+    def spy_double(pw, s, size):
+        sizes.append(size)
+        return double(pw, s, size)
+
     monkeypatch.setattr(dynamics, "_step_map", spy)
+    monkeypatch.setattr(dynamics, "_double", spy_double)
     # (start row, steps to t_end, stop_tol, the last step, the first steps that read the mode)
-    cases = [(c - K, 2 * K, 0.0, 2 * K, [0, K]),          # the first step of the second block
-             (c - K + 1, 2 * K, 0.0, 2 * K, [0, K - 1]),  # the last step of the first block
-             (c - K, K + 37, 0.0, K + 37, [0, K]),        # t_end in mid-block
-             (c - 1, 1, 0.0, 1, [0, 1])]                  # one step, and it leaves the mode
-    for j in (K, K - 1):   # stop_tol met on the first step of a block, and on the last
-        cases.append((quiet, 3 * K, 0.5 * (drift[quiet + j - 1] + drift[quiet + j]), j, [0]))
+    cases = [(c - 1, 1, 0.0, 1, [0, 1])]   # one step, and it leaves the mode
+    for E in (ends[0], ends[-2]):
+        cases += [(c - E, E + 3 * F, 0.0, E + 3 * F, [0, E]),  # the first step of a block
+                  (c - E + 1, E + 3 * F, 0.0, E + 3 * F, [0, E - 1]),  # the last step of one
+                  (c - E, E + 37, 0.0, E + 37, [0, E])]  # t_end in mid-block
+        for j in (E, E - 1):   # stop_tol met on the first step of a block, and on the last
+            cases.append((quiet, 3 * K, 0.5 * (drift[quiet + j - 1] + drift[quiet + j]), j, [0]))
     for start, steps, stop_tol, last, read_at in cases:
         y0, lam0 = y[start], lam[start]
         for every in (1, 3, 7):
             reads.clear()
+            sizes.clear()
             cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=stop_tol, record_every=every)
             traj = integrate(P, State(y0, lam0), cfg)
             assert traj.terminated_by is (TerminationReason.STOP_TOL if stop_tol
@@ -742,6 +767,8 @@ def test_block_edges_match_reference(monkeypatch):
                 states = np.hstack([traj.y, traj.lam])
                 rows = [int(np.flatnonzero((states == r).all(axis=1))[0]) for r in reads]
                 assert rows[:len(read_at)] == read_at, (start, steps, rows)
+            if stop_tol:   # one mode: its blocks double up to BLOCK_STEPS steps
+                assert sizes == [min(F << i, K) for i in range(sum(e <= last for e in ends) + 1)]
 
 
 def test_box_dense_steps_match_reference_with_kinks():
@@ -772,6 +799,39 @@ def test_box_dense_steps_match_reference_with_kinks():
         pattern = (x <= P.X.lo).astype(int) - (x >= P.X.hi)
         pattern_changes += np.count_nonzero(np.any(np.diff(pattern, axis=0), axis=1))
     assert pattern_changes >= 1
+
+
+def test_box_dense_mode_at_a_weakly_active_bound_is_read_once(monkeypatch):
+    # x*(lam*) = (-1, 0.3) has x_1 on its lower bound with a zero multiplier,
+    # so near lam* the multiplier that _box_dense_minimizer accepts has either
+    # sign up to roundoff; a mode read there must pass its own rows, or every
+    # step reads it MODE_READS times
+    H, A = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[1.0, 1.0]])
+    x_star, lam_star = np.array([-1.0, 0.3]), np.array([0.2])
+    y_star = -lam_star   # h(y) = y^2 / 2 and B = [1]
+    P = build_problem(QuadraticSmoothFn(H, -(H @ x_star + A.T @ lam_star)),
+                      [PiecewiseScalarFn.quadratic(0.5)], A, np.eye(1), A @ x_star + y_star,
+                      BoxSet.box([-1.0, -1.0], [1.0, 1.0]), BoxSet.box([-1.0], [1.0]))
+    assert P.inner_mode == "box_dense"
+    reads = []
+    step_map = dynamics._step_map
+
+    def spy(*args):
+        reads.append(1)
+        return step_map(*args)
+
+    monkeypatch.setattr(dynamics, "_step_map", spy)
+    dt, steps = 2.0 ** -10, 2000
+    cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0, record_every=7)
+    rows = sorted({*range(0, steps + 1, 7), steps})
+    for dy, dlam in [(0.0, 0.0), (0.0, 1e-12), (0.0, -1e-12), (1e-3, 0.0), (-1e-3, 0.0)]:
+        y0, lam0 = y_star + dy, lam_star + dlam
+        reads.clear()
+        traj = integrate(P, State(y0, lam0), cfg)
+        assert len(reads) <= 2, (dy, dlam, len(reads))
+        if dy:   # from lam* itself every residual is roundoff and has no scale
+            want = _reference_rows(P, y0, lam0, dt, steps, 1)
+            _assert_close_rows(P, traj, tuple(a[rows] for a in want), 1e-9)
 
 
 def test_early_stop_allocates_nothing_in_proportion_to_t_end():

@@ -17,11 +17,12 @@ residual ||((y+ - y)/dtau, dlam)||.
 The step is piecewise affine in (y, lam). integrate writes the step of each
 mode (the pieces of h and regions of the jump prox it reads, the clip into
 Omega and the piece of x*(lam)) as one affine map and advances blocks of up
-to BLOCK_STEPS steps of it per matrix-vector product, reading the mode
-again only at a step that leaves it (see integrate). That pays where modes
-last long, as in the benchmark's runs, which change mode a few times in
-thousands of steps; where the mode changes every few steps, each read costs
-more than the steps it batches.
+to BLOCK_STEPS steps of it per matrix-vector product. It reads a mode once
+per state, takes the first step as read and reads again only at a step
+that leaves the mode (see integrate). That pays where modes last long, as
+in the benchmark's runs, which change mode a few times in thousands of
+steps; where the mode changes every few steps, each read costs more than
+the steps it batches.
 
 integrate writes each recorded sample (the start, every record_every-th step
 and the last step) into preallocated t, y, lam and drift arrays. They start
@@ -47,7 +48,6 @@ from .model import DATA_RANGE, Problem
 RECORD_BLOCK = 4096   # rows of the first sample buffer and of each CSV write
 BLOCK_STEPS = 128     # steps per block of integrate, a power of two
 FIRST_BLOCK = 8       # steps of a mode's first block, doubled per block up to BLOCK_STEPS
-MODE_READS = 3        # reads of one mode at one state before its step is taken regardless
 
 
 class TerminationReason(enum.Enum):
@@ -162,30 +162,26 @@ def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]
     return tau * dy, tau * dlam
 
 
-def _forward_rows(P: Problem, dtau: float, c2: np.ndarray, qd: np.ndarray) -> np.ndarray:
-    """Rows V of v = y + dtau * (-B'lam - c2 y - qd), so that v = V [y, lam, 1]."""
-    m = P.m
-    V = np.empty((m, m + P.p + 1))
-    V[:, :m] = np.diag(1.0 - dtau * c2)
-    V[:, m:-1] = -dtau * P.Bt
-    V[:, -1] = -dtau * qd
-    return V
+def _step_map(P: Problem, dtau: float, z: np.ndarray, pieces, regions):
+    """The mode of the step from z = [y, lam, 1]: z+ = M z, and the rows F of its tests.
 
-
-def _step_map(P: Problem, dtau: float, z: np.ndarray, V: np.ndarray, slope, icpt, u=None):
-    """The step in the mode of z = [y, lam, 1] as z+ = M z, and the rows F of its tests.
-
-    V holds the forward rows of y's pieces and (slope, icpt) the rows of v's
-    prox regions. The clip into Omega is read from u (from U z when u is
-    None) and the piece of x*(lam) at lam. F z stacks y, v, u, the rows T of
-    x_star_piece, then y+ - y and dlam. Returns M, F and the brackets
-    (lower, upper) of u and T; those of y and v come with their table rows.
+    Looks up the pieces of h at y (pieces) and so the forward rows V of
+    v = y + dtau * (-B'lam - c2 y - qd), the prox regions at v = V z
+    (regions), the clip into Omega at u = U z and the piece of x*(lam) at
+    lam. F z stacks y, v, u, the rows T of x_star_piece, then y+ - y and
+    dlam. Returns M, F and the brackets (lower, upper) of [y, v, u, T].
     """
     m, p = P.m, P.p
     lo, hi = P.Omega.lo, P.Omega.hi
+    c2, qd, _, ylo, yhi = pieces.rows(z[:m])
+    V = np.empty((m, m + p + 1))
+    V[:, :m] = np.diag(1.0 - dtau * c2)
+    V[:, m:-1] = -dtau * P.Bt
+    V[:, -1] = -dtau * qd
+    slope, icpt, vlo, vhi = regions.rows(V.dot(z))
     U = slope[:, None] * V
     U[:, -1] += icpt
-    at_lo, at_hi, ulo, uhi = clip_pattern(U.dot(z) if u is None else u, lo, hi)
+    at_lo, at_hi, ulo, uhi = clip_pattern(U.dot(z), lo, hi)
     Y = np.where((at_lo | at_hi)[:, None], 0.0, U)
     Y[:, -1] = np.where(at_lo, lo, np.where(at_hi, hi, U[:, -1]))
     x0, X1, T0, T1, tlo, thi = x_star_piece(P, z[m:-1])
@@ -196,7 +192,7 @@ def _step_map(P: Problem, dtau: float, z: np.ndarray, V: np.ndarray, slope, icpt
     I_y = np.eye(m, m + p + 1)
     T = np.hstack([np.zeros((T0.size, m)), T1, T0[:, None]])
     F = np.vstack([I_y, V, U, T, Y - I_y, D])
-    return M, F, np.concatenate([ulo, tlo]), np.concatenate([uhi, thi])
+    return M, F, np.concatenate([ylo, vlo, ulo, tlo]), np.concatenate([yhi, vhi, uhi, thi])
 
 
 def _double(pw: np.ndarray, s: int, size: int) -> int:
@@ -241,23 +237,24 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     u_j = prox(v)_j or takes lo_j or hi_j, and the affine piece of x*(lam)
     (inner.x_star_piece). In one mode the step is z+ = M z, and y, v, u, the
     rows T of the piece of x*, y+ - y and dlam are rows F z. integrate reads
-    the mode at z. The mode's first block takes FIRST_BLOCK steps, and each
-    block after it twice as many, up to K = BLOCK_STEPS; the powers M^0 .. M^s
-    a block needs are formed by doubling, on top of those the block before
-    it formed, so a mode that ends within a few steps costs its read, a few
-    small products and one short block. A block is one product for its
-    states M^j z and one for their rows F M^j z; then vectorized tests find
-    its first step that leaves the mode (a bracket lower < [y, v, u, T] <=
-    upper fails), whose residual meets stop_tol or is not finite, or that is
-    the last, and the kept rows go straight into the sample buffers. The
-    mode is read again at the step that left it; the pieces and regions are
-    looked up again only when a y or v bracket failed. A mode must pass its
-    own brackets at the state it was read at, as the block computes them.
-    Where rounding puts a value on one side of an edge for the read and on
-    the other for the block, the mode is read again from the block's v and
-    u, and after MODE_READS reads its step is taken in the mode read last: a
-    tie that rounding breaks either way. The steps are those of a
-    step-by-step loop up to the order of rounding.
+    the mode at z in one call, _step_map. The mode's first block takes
+    FIRST_BLOCK steps, and each block after it twice as many, up to
+    K = BLOCK_STEPS; the powers M^0 .. M^s a block needs are formed by
+    doubling, on top of those the block before it formed, so a mode that
+    ends within a few steps costs its read, a few small products and one
+    short block. A block is one product for its states M^j z and one for
+    their rows F M^j z; then vectorized tests find its first step that
+    leaves the mode (a bracket lower < [y, v, u, T] <= upper fails), whose
+    residual meets stop_tol or is not finite, or that is the last, and the
+    kept rows go straight into the sample buffers. The mode is read again
+    at the step that left it. The mode read at z is the mode of the step
+    from z, so that step is taken without testing its brackets; every later
+    step is tested, step 0 of a block that continues a mode too. Where
+    rounding puts a value on one side of an edge for the read and on the
+    other for the block, the step is taken in the mode read: a tie that
+    rounding breaks either way. So every read advances at least one step,
+    and the steps are those of a step-by-step loop up to the order of
+    rounding.
 
     Records the initial condition, every record_every-th accepted step and
     the final state, each with the residual of the step taken from it.
@@ -314,30 +311,21 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     z = np.concatenate([y, lam, [1.0]])
     pw = np.empty((K + 1, z.size, z.size))   # M^0 .. M^K of the mode, filled as blocks need them
     pw[0] = np.eye(z.size)
-    k = 0                   # step index of z
-    reads = 0               # mode reads at z
-    read = lookup = True    # read the mode at z; look its pieces and regions up
-    v = u = None            # v and u at z as the last block computed them
+    k = 0         # step index of z
+    read = True   # read the mode at z
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up raises NonFiniteState
         while True:
             if read:
-                if lookup:
-                    c2, qd, _, ylo, yhi = pieces.rows(z[:m])
-                    V = _forward_rows(P, dtau, c2, qd)
-                    slope, icpt, vlo, vhi = regions.rows(V.dot(z) if v is None else v)
-                M, F, ulo, uhi = _step_map(P, dtau, z, V, slope, icpt, u)
-                lower, upper = np.concatenate([ylo, vlo, ulo]), np.concatenate([yhi, vhi, uhi])
+                M, F, lower, upper = _step_map(P, dtau, z, pieces, regions)
                 nb = lower.size
                 pw[1], FT = M, np.ascontiguousarray(F.T)
                 filled, size = 1, FIRST_BLOCK
-                reads += 1
-                read = False
             filled = _double(pw, filled, size)
             S = pw[:size + 1].reshape(-1, z.size).dot(z).reshape(size + 1, -1)   # z_0 .. z_size
             G = S[:size].dot(FT)   # the rows F z_j of z_0 .. z_(size - 1)
             ok = ((lower < G[:, :nb]) & (G[:, :nb] <= upper)).all(axis=1)
-            if reads >= MODE_READS:   # a tie that rounding breaks either way
-                ok[0] = True
+            if read:   # the mode read at z is the mode of its step
+                ok[0], read = True, False
             drift = np.sqrt(np.square(G[:, nb:]).dot(weights))
             go = ok & (drift > stop_tol)
             go &= drift < np.inf
@@ -348,7 +336,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                 e = span
             if e == span and not final:
                 keep(S, drift, size, False)
-                z, k, reads = S[size].copy(), k + size, 0
+                z, k = S[size].copy(), k + size
                 size = min(2 * size, K)
                 continue
             if e == span or ok[e]:   # the last step, or the residual meets stop_tol
@@ -362,14 +350,9 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             # overflow in z_e is lam + dtau * dlam
             if not np.isfinite(S[e]).all():
                 raise NonFiniteState(f"non-finite state at t = {(k + e) * dt}; {advice}")
-            inside = (lower < G[e, :nb]) & (G[e, :nb] <= upper)
-            y_fail, v_fail = not inside[:m].all(), not inside[m:2 * m].all()
-            lookup = y_fail or v_fail
-            v = None if y_fail else G[e, m:2 * m].copy()
-            u = None if lookup else G[e, 2 * m:3 * m].copy()
             if e > 0:
                 keep(S, drift, e, False)
-                z, k, reads = S[e].copy(), k + e, 0
+                z, k = S[e].copy(), k + e
             read = True
 
     if max(lams[:n].max(), -lams[:n].min()) > DATA_RANGE:   # |lam - lam*|^2 would overflow

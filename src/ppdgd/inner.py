@@ -2,12 +2,14 @@
 
 For a multiplier lam the inner problem is min_{x in X} f(x) + lam'Ax; its
 value is the dual function phi(lam) and its gradient is A x*(lam). The
-Problem caches the unconstrained minimizer x_base - dual_map @ lam, so every
-inner_mode is exact to roundoff: with X free it is the answer; with a box and
-diagonal H its componentwise clamp is; with a box and dense H a primal-dual
-active-set solve starts from that clamp and ends with an exact reduced solve
-on the final free set. x_star_piece gives x*(lam) as one affine piece of lam
-around a multiplier, with the rows on which that piece holds.
+Problem caches the unconstrained minimizer x_base - dual_map @ lam, and the
+solve takes one of two paths, both exact to roundoff. With X free or H
+diagonal, x* is the clamp of that minimizer into X; a free X is the box
+[-inf, inf]^n, whose clamp is the identity. With a box and dense H
+(inner_mode "box_dense") a primal-dual active-set solve starts from that
+clamp and ends with an exact reduced solve on the final free set.
+x_star_piece gives x*(lam) as one affine piece of lam around a multiplier,
+with the rows on which that piece holds.
 """
 
 from __future__ import annotations
@@ -95,62 +97,57 @@ def _box_dense_minimizer(P: Problem, lam: np.ndarray):
 
 
 def _x_star(P: Problem, lam: np.ndarray) -> tuple[np.ndarray, int]:
-    """Inner minimizer x*(lam) and the active-set steps it took, per inner_mode."""
+    """Inner minimizer x*(lam) and the active-set steps it took: a clamp, or box_dense's solve."""
     if P.inner_mode == "box_dense":
         return _box_dense_minimizer(P, lam)
-    x = P.x_base - P.dual_map.dot(lam)
-    if P.inner_mode == "box_diag":
-        x = np.minimum(np.maximum(x, P.X.lo), P.X.hi)
-    return x, 0
+    return np.minimum(np.maximum(P.x_base - P.dual_map.dot(lam), P.X.lo), P.X.hi), 0
 
 
 def x_star_piece(P: Problem, lam: np.ndarray):
     """Affine piece of x*(lam) at lam, and the rows on which it holds.
 
     Returns (x0, X1, T0, T1, lower, upper): x*(l) = x0 + X1 l for every l
-    with lower < T0 + T1 l <= upper, lam among them, per inner_mode:
-    - free: one piece on the whole space, no rows;
-    - box_diag: the clamp pattern of x_base - dual_map l;
+    with lower < T0 + T1 l <= upper, lam among them. The piece is
+    - with X free or H diagonal: the clamp pattern of x_base - dual_map l;
     - box_dense: the active pattern of _box_dense_minimizer's x, with
       H_FF x_F = -(c_F + A_F'l + H_FA x_A) solved exactly on the free
       coordinates. Its rows are the free coordinates, inside the box, and
       the gradient at the bound ones, of the sign that keeps the bound (any
       sign where lo = hi), each up to KKT_TOL.
+    Rows whose bracket is (-inf, inf] test nothing and are left out, so a
+    free X has none.
     """
     lo, hi = P.X.lo, P.X.hi
-    if P.inner_mode == "free":
-        none = np.empty(0)
-        return P.x_base, -P.dual_map, none, np.empty((0, P.p)), none, none
-    if P.inner_mode == "box_diag":
+    if P.inner_mode == "box_dense":
+        H = P.f.H
+        x, _ = _box_dense_minimizer(P, lam)
+        at_lo = x <= lo
+        at_hi = ~at_lo & (x >= hi)
+        free = ~(at_lo | at_hi)
+        pinned = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+        # identity rows and columns at the pinned coordinates, as in _box_dense_minimizer
+        reduced = np.where(free[:, None] & free, H, np.eye(P.n))
+        rhs = np.where(free[:, None], -np.column_stack([P.f.c + H @ pinned, P.A.T]), 0.0)
+        sol = np.linalg.solve(reduced, rhs)
+        x0 = np.where(free, sol[:, 0], pinned)
+        X1 = np.where(free[:, None], sol[:, 1:], 0.0)
+        T0 = np.where(free, x0, H @ x0 + P.f.c)
+        T1 = np.where(free[:, None], X1, H @ X1 + P.A.T)
+        # as loose as the residual test of _box_dense_minimizer, so that the
+        # piece holds at every lam whose x that test accepts
+        lower = np.where(free, lo - KKT_TOL, np.where(at_hi | (lo == hi), -np.inf, -KKT_TOL))
+        upper = np.where(free, hi + KKT_TOL, np.where(at_hi, KKT_TOL, np.inf))
+    else:
+        T0, T1 = P.x_base, -P.dual_map
         at_lo, at_hi, lower, upper = clip_pattern(P.x_base - P.dual_map.dot(lam), lo, hi)
-        x0 = np.where(at_lo, lo, np.where(at_hi, hi, P.x_base))
-        X1 = np.where((at_lo | at_hi)[:, None], 0.0, -P.dual_map)
-        return x0, X1, P.x_base, -P.dual_map, lower, upper
-    H = P.f.H
-    x, _ = _box_dense_minimizer(P, lam)
-    at_lo = x <= lo
-    at_hi = ~at_lo & (x >= hi)
-    free = ~(at_lo | at_hi)
-    pinned = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
-    # identity rows and columns at the pinned coordinates, as in _box_dense_minimizer
-    reduced = np.where(free[:, None] & free, H, np.eye(P.n))
-    rhs = np.where(free[:, None], -np.column_stack([P.f.c + H @ pinned, P.A.T]), 0.0)
-    sol = np.linalg.solve(reduced, rhs)
-    x0 = np.where(free, sol[:, 0], pinned)
-    X1 = np.where(free[:, None], sol[:, 1:], 0.0)
-    T0 = np.where(free, x0, H @ x0 + P.f.c)
-    T1 = np.where(free[:, None], X1, H @ X1 + P.A.T)
-    # as loose as the residual test of _box_dense_minimizer, so that the
-    # piece holds at every lam whose x that test accepts
-    lower = np.where(free, lo - KKT_TOL, np.where(at_hi | (lo == hi), -np.inf, -KKT_TOL))
-    upper = np.where(free, hi + KKT_TOL, np.where(at_hi, KKT_TOL, np.inf))
-    return x0, X1, T0, T1, lower, upper
+        x0 = np.where(at_lo, lo, np.where(at_hi, hi, T0))
+        X1 = np.where((at_lo | at_hi)[:, None], 0.0, T1)
+    tests = (lower > -np.inf) | (upper < np.inf)
+    return x0, X1, T0[tests], T1[tests], lower[tests], upper[tests]
 
 
 def _grad_phi(P: Problem, lam: np.ndarray) -> np.ndarray:
-    """Dual gradient A x*(lam) without the full InnerSolution (hot path)."""
-    if P.inner_mode == "free":   # affine in lam: one cached product instead of two
-        return P.grad_base - P.dual_gram.dot(lam)
+    """Dual gradient A x*(lam) without the full InnerSolution."""
     return P.A.dot(_x_star(P, lam)[0])
 
 

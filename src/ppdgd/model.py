@@ -259,14 +259,14 @@ class PiecewiseScalarFn:
 
 
 class PieceTable:
-    """Padded interval table: one lookup for where each v_j sits.
+    """Padded interval table: one search for where each v_j sits.
 
     Row j splits the axis at its nondecreasing, +inf-padded edges into
     intervals (lower, upper], and interval k of row j is entry offsets[j] + k
     of each flat column. index counts the edges strictly below v_j, so at an
     edge v_j falls in the interval to its left, and lower < v <= upper holds
     exactly for the v that map to the same interval (an empty interval gets
-    lower == upper). A lookup costs one compare-and-count and one gather per
+    lower == upper). A search costs one compare-and-count and one gather per
     column.
     """
 
@@ -297,7 +297,7 @@ class SeparablePiecewise:
     field rhs), the piece rows of the forward-backward step (integrate) and
     the polish of the equilibrium oracle. prox, the oracle's exact
     per-coordinate proximal step, reads every piece at once, not through the
-    lookup.
+    table.
     Padding breakpoints are +inf, so they never count below a finite y, and
     padding pieces carry an empty interval (+inf, +inf] so they can never win
     a candidate comparison.
@@ -420,12 +420,11 @@ class Problem:
     drift_lipschitz: float   # NonFiniteState reports dt * tau * drift_lipschitz
     Bt: np.ndarray = field(repr=False)   # contiguous copy of B.T, shared by all paths
     hpack: SeparablePiecewise = field(repr=False)
-    # inner-solve cache; fields depend on the X/H structure
-    inner_mode: str = field(repr=False)               # "free" | "box_diag" | "box_dense"
-    x_base: np.ndarray = field(repr=False)            # -H^{-1} c (-c/diag(H) for box_diag)
-    dual_map: np.ndarray = field(repr=False)          # H^{-1} A' (A'/diag(H)[:,None] for box_diag)
-    dual_gram: np.ndarray | None = field(repr=False)  # A H^{-1} A' (free only)
-    grad_base: np.ndarray | None = field(repr=False)  # A @ x_base (free only)
+    # inner-solve cache: x*(lam) is the clamp of x_base - dual_map @ lam into X,
+    # or in box_dense, the only mode the solve branches on, where its active-set solve starts
+    inner_mode: str = field(repr=False)        # "free" | "box_diag" | "box_dense"
+    x_base: np.ndarray = field(repr=False)     # -H^{-1} c (-c/diag(H) for box_diag)
+    dual_map: np.ndarray = field(repr=False)   # H^{-1} A' (A'/diag(H)[:,None] for box_diag)
 
     @property
     def n(self) -> int:
@@ -506,15 +505,12 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
         hd = np.diagonal(f.H)
         x_base = -f.c / hd
         dual_map = A.T / hd[:, None]
-        mode, dual_gram, grad_base = "box_diag", None, None
+        mode = "box_diag"
     else:
         chol = np.linalg.cholesky(f.H)
         x_base = cholesky_solve(chol, -f.c)
         dual_map = cholesky_solve(chol, A.T)
-        if X.is_free:
-            mode, dual_gram, grad_base = "free", A @ dual_map, A @ x_base
-        else:
-            mode, dual_gram, grad_base = "box_dense", None, None
+        mode = "free" if X.is_free else "box_dense"
 
     return Problem(
         f=f, h=h, A=A, B=B, C=C, X=X, Omega=Omega,
@@ -522,5 +518,4 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
         drift_lipschitz=lip,
         Bt=np.ascontiguousarray(B.T), hpack=SeparablePiecewise(h),
         inner_mode=mode, x_base=x_base, dual_map=dual_map,
-        dual_gram=dual_gram, grad_base=grad_base,
     )

@@ -27,7 +27,7 @@ from ppdgd import (
 )
 from ppdgd import dynamics
 from ppdgd.analysis import write_envelope_csv
-from ppdgd.model import PieceTable, SeparablePiecewise
+from ppdgd.model import SeparablePiecewise
 from ppdgd.random_problems import random_piecewise, random_problem
 
 
@@ -597,21 +597,18 @@ def _assert_matches_up_to_ties(P, dt, traj, tol):
         start += i + 1
 
 
-@pytest.mark.parametrize("mode", ["free", "box_diag", "box_dense"])
-def test_cached_step_matches_reference_at_bracket_edges(mode):
-    # integrate reads the piece of each y_j and the prox region of each v_j
-    # once per mode and steps in that mode while [y, v] stays inside their
-    # brackets. The rows must still match the reference loop, which looks
-    # both up on every step, up to ties that rounding breaks either way:
-    # - y(0) on a breakpoint and one ulp either side;
-    # - v at the first step on a prox threshold and one ulp either side;
-    # - y landing on the kink at 0.35 from the piece above, after which the
-    #   reference v falls one ulp below the sticking interval, while the
-    #   cached piece above would have kept it inside;
-    # - v at the second step on the upper threshold of the sticking interval
-    #   at -0.5, which the cached sticking region would have kept;
-    # - one long run across many pieces and regions.
-    dt = 2.0 ** -5
+def _edge_runs(mode, dt):
+    """(P, y0, lam0, steps) of the runs of test_cached_step_matches_reference_at_bracket_edges.
+
+    - y(0) on a breakpoint and one ulp either side;
+    - v at the first step on a prox threshold and one ulp either side;
+    - y landing on the kink at 0.35 from the piece above, after which the
+      reference v falls one ulp below the sticking interval, while the
+      cached piece above would have kept it inside;
+    - v at the second step on the upper threshold of the sticking interval
+      at -0.5, which the cached sticking region would have kept;
+    - one long run across many pieces and regions.
+    """
     # kinks at -0.5 (jump 0.25) and 0.35 (jump 97, where the curvature changes
     # from 1 to 1.1); at 0.35 the left and right pieces give d values that
     # differ by rounding, by several ulp(0.35) / dt
@@ -649,8 +646,18 @@ def test_cached_step_matches_reference_at_bracket_edges(mode):
     _, y, lam, *_ = _reference_rows(P, y0, lam0, dt, 500, 1)
     assert all(np.count_nonzero(c) >= 10 for c in _mode_changes(P, dt, y, lam))
     runs.append((P, y0, lam0, 500))
+    return runs
 
-    for P, y0, lam0, steps in runs:
+
+@pytest.mark.parametrize("mode", ["free", "box_diag", "box_dense"])
+def test_cached_step_matches_reference_at_bracket_edges(mode):
+    # integrate reads the piece of each y_j and the prox region of each v_j
+    # once per mode and steps in that mode while [y, v] stays inside their
+    # brackets. The rows must still match the reference loop, which looks
+    # both up on every step, up to ties that rounding breaks either way, on
+    # the runs of _edge_runs
+    dt = 2.0 ** -5
+    for P, y0, lam0, steps in _edge_runs(mode, dt):
         cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0)
         traj = integrate(P, State(y0, lam0), cfg)
         assert traj.terminated_by is TerminationReason.TIME_LIMIT
@@ -667,37 +674,76 @@ def test_cached_step_matches_reference_at_bracket_edges(mode):
             assert np.array_equal(got, want[rows])
 
 
-def test_step_looks_up_pieces_and_regions_only_when_they_change(monkeypatch):
-    # integrate must reuse its cached rows: count the lookups in each of its two
-    # tables, the pieces of h (P.hpack.pieces) and the regions of the jump prox
-    calls = {"piece_rows": 0, "region_rows": 0}
-    rows = PieceTable.rows
+def _spy_reads(monkeypatch):
+    """List that gets the state [y, lam] of every mode read (_step_map call) of integrate."""
+    reads, step_map = [], dynamics._step_map
 
-    def counted(self, v):
-        calls["piece_rows" if self is P.hpack.pieces else "region_rows"] += 1
-        return rows(self, v)
+    def spy(P, dtau, z, *tables):
+        reads.append(z[:-1].copy())
+        return step_map(P, dtau, z, *tables)
 
-    monkeypatch.setattr(PieceTable, "rows", counted)
+    monkeypatch.setattr(dynamics, "_step_map", spy)
+    return reads
+
+
+def _bound_changes(P, dt, y, lam):
+    """Per step after the first: does the clip into Omega, does the bound pattern of x*, change?"""
+    step = _reference_stepper(P, dt)
+    y_next = np.array([step(yk, lk) for yk, lk in zip(y, lam)])
+    clip = (y_next == P.Omega.lo).astype(int) - (y_next == P.Omega.hi)
+    x = np.array([solve_inner(P, lk).x_star for lk in lam])
+    pattern = (x <= P.X.lo).astype(int) - (x >= P.X.hi)
+    return tuple(np.any(np.diff(c, axis=0), axis=1) for c in (clip, pattern))
+
+
+def test_integrate_reads_a_mode_only_where_it_changes(monkeypatch):
+    reads = _spy_reads(monkeypatch)
     # from the kink-pinned equilibria of test_step_from_kink_pinned_equilibrium_stays_on_the_kink,
-    # only the first of 500 steps looks anything up
+    # one read serves all 500 steps
     for seed in (6, 14):
         P = random_problem(np.random.default_rng(seed), max_dim=5)
         eq = equilibrium_oracle(P)
         for tau in (1.0, 5.0):
-            calls.update(piece_rows=0, region_rows=0)
+            reads.clear()
             cfg = IntegratorConfig(dt=2e-3, tau=tau, t_end=1.0, stop_tol=0.0)
             assert len(integrate(P, State(eq.y_star, eq.lambda_star), cfg)) == 501
-            assert calls == {"piece_rows": 1, "region_rows": 1}
+            assert len(reads) == 1
     # on a random instance: the first step, then once per step at which some
-    # y_j changes its piece or some v_j its prox region
+    # y_j changes its piece, some v_j its prox region, some y+_j its clip
+    # into Omega or x*(lam) its bound pattern
     rng = np.random.default_rng(20240811)
     P = random_problem(rng)
     cfg = IntegratorConfig(dt=2e-3, t_end=60.0, stop_tol=1e-8)
-    calls.update(piece_rows=0, region_rows=0)
+    reads.clear()
     traj = integrate(P, State(rng.uniform(P.Omega.lo, P.Omega.hi), np.zeros(P.p)), cfg)
     piece, region = _mode_changes(P, cfg.dt, traj.y, traj.lam)
+    clip, pattern = _bound_changes(P, cfg.dt, traj.y, traj.lam)
     assert np.count_nonzero(piece) >= 3 and np.count_nonzero(region) >= 3
-    assert calls["piece_rows"] == calls["region_rows"] <= np.count_nonzero(piece | region) + 1
+    assert len(reads) <= np.count_nonzero(piece | region | clip | pattern) + 1
+
+
+def test_a_mode_read_always_advances_a_step(monkeypatch):
+    # the mode read at a state is the mode of the step from it, so that step
+    # is taken as read and the next read is at a later state, also where
+    # rounding ties a value to an edge: the diverging run of
+    # test_diverging_multiplier_raises_non_finite_state, and the runs of
+    # test_cached_step_matches_reference_at_bracket_edges
+    reads = _spy_reads(monkeypatch)
+    P = build_problem(QuadraticSmoothFn(np.eye(1), np.zeros(1)), [PiecewiseScalarFn.quadratic(0.5)],
+                      np.eye(1), np.eye(1), np.full(1, 0.5), BoxSet.box([-2.0], [2.0]),
+                      BoxSet.box([-1.0], [1.0]))
+    with pytest.raises(NonFiniteState, match="recorded lam left"):
+        integrate(P, State(np.zeros(1), np.zeros(1)),
+                  IntegratorConfig(dt=1e300, t_end=40e300, stop_tol=0.0))
+    assert 0 < len(reads) <= 40
+    assert not any(np.array_equal(a, b) for a, b in zip(reads, reads[1:]))
+    dt = 2.0 ** -5
+    for mode in ("free", "box_diag", "box_dense"):
+        for P, y0, lam0, steps in _edge_runs(mode, dt):
+            reads.clear()
+            integrate(P, State(y0, lam0), IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0))
+            assert 0 < len(reads) <= steps
+            assert not any(np.array_equal(a, b) for a, b in zip(reads, reads[1:])), (mode, y0, lam0)
 
 
 def _long_run_problem(mode):
@@ -732,18 +778,13 @@ def test_block_edges_match_reference(monkeypatch):
     assert quiet + 3 * K <= 1200 and np.all(np.diff(drift[quiet:]) < 0)
     assert np.all((P.Omega.lo < y[quiet:]) & (y[quiet:] < P.Omega.hi))
 
-    reads, sizes = [], []
-    step_map, double = dynamics._step_map, dynamics._double
-
-    def spy(P, dtau, z, *rows):
-        reads.append(z[:-1].copy())
-        return step_map(P, dtau, z, *rows)
+    reads, sizes = _spy_reads(monkeypatch), []
+    double = dynamics._double
 
     def spy_double(pw, s, size):
         sizes.append(size)
         return double(pw, s, size)
 
-    monkeypatch.setattr(dynamics, "_step_map", spy)
     monkeypatch.setattr(dynamics, "_double", spy_double)
     # (start row, steps to t_end, stop_tol, the last step, the first steps that read the mode)
     cases = [(c - 1, 1, 0.0, 1, [0, 1])]   # one step, and it leaves the mode
@@ -804,8 +845,8 @@ def test_box_dense_steps_match_reference_with_kinks():
 def test_box_dense_mode_at_a_weakly_active_bound_is_read_once(monkeypatch):
     # x*(lam*) = (-1, 0.3) has x_1 on its lower bound with a zero multiplier,
     # so near lam* the multiplier that _box_dense_minimizer accepts has either
-    # sign up to roundoff; a mode read there must pass its own rows, or every
-    # step reads it MODE_READS times
+    # sign up to roundoff; the steps after a mode read there must pass its
+    # rows, or every step reads the mode again
     H, A = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[1.0, 1.0]])
     x_star, lam_star = np.array([-1.0, 0.3]), np.array([0.2])
     y_star = -lam_star   # h(y) = y^2 / 2 and B = [1]
@@ -813,14 +854,7 @@ def test_box_dense_mode_at_a_weakly_active_bound_is_read_once(monkeypatch):
                       [PiecewiseScalarFn.quadratic(0.5)], A, np.eye(1), A @ x_star + y_star,
                       BoxSet.box([-1.0, -1.0], [1.0, 1.0]), BoxSet.box([-1.0], [1.0]))
     assert P.inner_mode == "box_dense"
-    reads = []
-    step_map = dynamics._step_map
-
-    def spy(*args):
-        reads.append(1)
-        return step_map(*args)
-
-    monkeypatch.setattr(dynamics, "_step_map", spy)
+    reads = _spy_reads(monkeypatch)
     dt, steps = 2.0 ** -10, 2000
     cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0, record_every=7)
     rows = sorted({*range(0, steps + 1, 7), steps})

@@ -17,6 +17,7 @@ from ppdgd import (
     solve_inner,
     strong_concavity_check,
 )
+from ppdgd.inner import _grad_phi, _x_star, x_star_piece
 from ppdgd.random_problems import random_problem
 
 
@@ -49,6 +50,23 @@ def test_case_study_closed_form(case_problem):
         expected = 1.0 - (P.A.T @ lam) / 8.0
         assert np.max(np.abs(sol.x_star - expected)) < 1e-13
         assert np.allclose(sol.grad_phi, P.A @ expected, atol=1e-12)
+
+
+def test_free_x_takes_the_clamp_path_exactly():
+    # a free X is the box [-inf, inf]^n: its clamp leaves x_base - dual_map @ lam
+    # as it is, and x_star_piece has one piece with no rows to test
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        P = random_problem(rng)
+        assert P.X.is_free and P.inner_mode == "free"
+        lam = rng.normal(size=P.p) * 10.0 ** rng.integers(-3, 4)
+        x0, X1, T0, T1, lower, upper = x_star_piece(P, lam)
+        assert np.array_equal(x0, P.x_base) and np.array_equal(X1, -P.dual_map)
+        assert T0.shape == (0,) and T1.shape == (0, P.p) and lower.size == upper.size == 0
+        x, steps = _x_star(P, lam)
+        assert np.array_equal(x, P.x_base - P.dual_map @ lam) and steps == 0
+        want = solve_inner(P, lam).grad_phi
+        assert np.linalg.norm(_grad_phi(P, lam) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_zero_multiplier_pure_quadratic():

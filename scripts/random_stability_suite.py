@@ -8,7 +8,9 @@ then compared against the independently computed equilibrium. Equilibria
 pinned at a kink of h are kept. Prints worst cases over the whole campaign.
 Exits 1, with one line on stderr, when any instance fails the decay envelope,
 leaves Omega by more than MEMBER_TOL, ends farther than GAP_TOL from the
-equilibrium or with an endpoint KKT residual above KKT_TOL; exits 0 otherwise.
+equilibrium or with an endpoint KKT residual above KKT_TOL, or when the
+oracle's equilibrium itself has a KKT residual above ORACLE_KKT_TOL; exits 0
+otherwise.
 """
 
 import argparse
@@ -31,6 +33,7 @@ from ppdgd.random_problems import random_problem
 
 GAP_TOL = 1e-4   # endpoint distance to the oracle's (y*, lam*)
 KKT_TOL = 1e-6   # endpoint KKT residual
+ORACLE_KKT_TOL = 1e-10   # the oracle's exact pattern solve is a KKT point up to roundoff
 
 
 def main() -> int:
@@ -42,13 +45,14 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     cfg = IntegratorConfig(dt=args.dt, t_end=60.0, stop_tol=1e-8)
-    worst_gap = worst_kkt = worst_violation = 0.0
+    worst_gap = worst_kkt = worst_oracle_kkt = worst_violation = 0.0
     worst_ratio = np.inf
     failures = []
     t0 = time.monotonic()
     for k in range(args.count):
         P = random_problem(rng, free_x=(k % 2 == 0))
         eq = equilibrium_oracle(P)
+        oracle_kkt = kkt_residual(P, *eq).total
         y0 = rng.uniform(P.Omega.lo, P.Omega.hi)
         traj = integrate(P, State(y0, np.zeros(P.p)), cfg)
         report = certify_envelope(P, traj, eq)
@@ -59,6 +63,7 @@ def main() -> int:
         kkt_end = kkt_residual(P, x_end, traj.y[-1], traj.lam[-1]).total
         worst_gap = max(worst_gap, gap)
         worst_kkt = max(worst_kkt, kkt_end)
+        worst_oracle_kkt = max(worst_oracle_kkt, oracle_kkt)
         worst_violation = max(worst_violation, violation)
         if report.fitted_rate is not None:
             worst_ratio = min(worst_ratio, report.fitted_rate / (0.5 * P.gamma))
@@ -67,6 +72,7 @@ def main() -> int:
             ("Omega", not violation <= MEMBER_TOL),
             ("gap", not gap <= GAP_TOL),
             ("KKT", not kkt_end <= KKT_TOL),
+            ("oracle KKT", not oracle_kkt <= ORACLE_KKT_TOL),
         ) if bad]
         if failed:
             failures.append(f"instance {k} ({', '.join(failed)})")
@@ -76,6 +82,7 @@ def main() -> int:
     print(f"worst Omega violation:        {worst_violation:.3e}")
     print(f"worst endpoint/oracle gap:    {worst_gap:.3e}")
     print(f"worst endpoint KKT residual:  {worst_kkt:.3e}")
+    print(f"worst oracle KKT residual:    {worst_oracle_kkt:.3e}")
     print(f"worst fitted-rate / bound:    {worst_ratio:.3f}")
     print(f"elapsed: {elapsed:.1f}s")
     if failures:

@@ -294,13 +294,11 @@ class SeparablePiecewise:
     pieces is the PieceTable of h: its edges are the breakpoints and its
     columns c2, q - S and q, so piece k of coordinate j covers (lower, upper].
     It serves the vectorized Clarke intervals and subgradient selection (the
-    field rhs), the piece rows of the forward-backward step (integrate) and
-    the polish of the equilibrium oracle. prox, the oracle's exact
-    per-coordinate proximal step, reads every piece at once, not through the
-    table.
+    field rhs), the piece rows of the forward-backward step (integrate) and,
+    through atoms, the segments and the final pattern solve of the
+    equilibrium oracle.
     Padding breakpoints are +inf, so they never count below a finite y, and
-    padding pieces carry an empty interval (+inf, +inf] so they can never win
-    a candidate comparison.
+    padding pieces carry an empty interval (+inf, +inf] that holds no finite y.
     """
 
     def __init__(self, fns: tuple[PiecewiseScalarFn, ...]):
@@ -310,13 +308,11 @@ class SeparablePiecewise:
         self.bp = np.full((m, kmax), np.inf)
         self.c2 = np.ones((m, npieces))     # second derivative 2p per piece
         self.q = np.zeros((m, npieces))
-        self.r = np.zeros((m, npieces))
         for j, f in enumerate(fns):
             k = f.breakpoints.size
             self.bp[j, :k] = f.breakpoints
             self.c2[j, : k + 1] = 2.0 * f.coeffs[:, 0]
             self.q[j, : k + 1] = f.coeffs[:, 1]
-            self.r[j, : k + 1] = f.coeffs[:, 2]
         # derivative jump J at each breakpoint (0 on padding; a drop within
         # CONTINUITY_TOL counts as 0) and S, the sum of the jumps below each piece
         real = np.isfinite(self.bp)
@@ -353,16 +349,9 @@ class SeparablePiecewise:
         """Table of prox_{t g}, g_j(s) = sum_i J_ji (s - b_ji)_+ the jump part of h_j."""
         return JumpProx(self.bp, self.jump_sum, t)
 
-    def prox(self, v: np.ndarray, t: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """argmin_{u in [lo, hi]} h_j(u) + (u - v_j)^2 / (2t), exactly per coordinate."""
-        shape = self.c2.shape
-        left = np.maximum(self.pieces.lower.reshape(shape), lo[:, None])
-        right = np.minimum(self.pieces.upper.reshape(shape), hi[:, None])
-        u = (v[:, None] - t * self.q) / (1.0 + t * self.c2)
-        u = np.clip(u, left, right)
-        obj = (0.5 * self.c2) * u * u + self.q * u + self.r + (u - v[:, None]) ** 2 / (2.0 * t)
-        obj = np.where(left <= right, obj, np.inf)
-        return u.ravel()[self.pieces.offsets + np.argmin(obj, axis=1)]
+    def atoms(self, lo: np.ndarray, hi: np.ndarray) -> "AtomTable":
+        """Table of where argmin over [lo_j, hi_j] of h_j(s) - t_j s sits, for a target t."""
+        return AtomTable(self, lo, hi)
 
 
 class JumpProx(PieceTable):
@@ -394,6 +383,47 @@ class JumpProx(PieceTable):
     def __call__(self, v: np.ndarray) -> np.ndarray:
         slope, icpt, _, _ = self.rows(v)
         return slope * v + icpt
+
+
+class AtomTable(PieceTable):
+    """Where argmin over [lo_j, hi_j] of h_j(s) - t_j s sits, for a target t, as a table.
+
+    The points of row j are lo_j, the breakpoints strictly inside (lo_j, hi_j)
+    and hi_j (one point when lo_j == hi_j). An atom is a point or the open
+    interval between two neighbouring points, which lies on one piece of h_j;
+    atom 2k of a row is point k and atom 2k + 1 the interval after it. The
+    minimizer sits at a point when t_j lies in the point's Clarke interval
+    [dl, dr], open to -inf at lo_j and to +inf at hi_j (the normal cone of
+    the box), and inside an interval when t_j lies strictly between the ends
+    of its points. A point starts at dl: dl <= t is pred(dl) < t, so the
+    edges are dr and the predecessor floats of dl. The columns are the ends
+    left <= right of the atom's closure (left == right on a point, +inf
+    past the last point), then c2 and q of the piece under an interval (1
+    and 0 on a point).
+    """
+
+    def __init__(self, hpack: SeparablePiecewise, lo: np.ndarray, hi: np.ndarray):
+        m = lo.size
+        inside = (hpack.bp > lo[:, None]) & (hpack.bp < hi[:, None])
+        pts = np.sort(np.column_stack([lo, np.where(inside, hpack.bp, np.inf),
+                                       np.where(hi > lo, hi, np.inf)]), axis=1)
+        last = np.isfinite(pts).sum(axis=1) - 1
+        pts = pts[:, :last.max() + 1]
+        npts = pts.shape[1]
+        dl, dr = np.empty((m, npts)), np.empty((m, npts))
+        c2, q = np.ones((m, 2 * npts - 1)), np.zeros((m, 2 * npts - 1))
+        for k in range(npts):
+            s = np.where(k <= last, pts[:, k], lo)   # padding points are never reached
+            dl[:, k], dr[:, k] = hpack.clarke(s)
+            if k:   # the interval before point k lies on the piece left of it
+                c2[:, 2 * k - 1], _, q[:, 2 * k - 1], _, _ = hpack.pieces.rows(s)
+        dr[np.arange(m), last] = np.inf   # every later edge accumulates to +inf
+        edges = np.empty((m, 2 * npts - 2))
+        edges[:, 0::2] = dr[:, :-1]
+        edges[:, 1::2] = np.nextafter(dl[:, 1:], -np.inf)
+        ends = np.repeat(pts, 2, axis=1)
+        # neighbouring points so close that their ends cross leave an empty interval
+        super().__init__(np.maximum.accumulate(edges, axis=1), ends[:, :-1], ends[:, 1:], c2, q)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -47,3 +47,17 @@ def identity_problem():
         BoxSet.free(2),
         BoxSet.box([-1.0, -1.0], [1.0, 1.0]),
     )
+
+
+@pytest.fixture
+def weakly_active_box_dense():
+    """Dense H, X = [-1, 1]^2 and h = y^2 / 2 with x* = (-1, 0.3), lam* = 0.2, y* = -0.2.
+
+    x_0 sits on its lower bound with a zero multiplier: the bound is weakly active.
+    """
+    H, A = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[1.0, 1.0]])
+    x_star, lam_star = np.array([-1.0, 0.3]), np.array([0.2])
+    y_star = -lam_star   # h(y) = y^2 / 2 and B = [1]
+    return build_problem(QuadraticSmoothFn(H, -(H @ x_star + A.T @ lam_star)),
+                         [PiecewiseScalarFn.quadratic(0.5)], A, np.eye(1), A @ x_star + y_star,
+                         BoxSet.box([-1.0, -1.0], [1.0, 1.0]), BoxSet.box([-1.0], [1.0]))

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from ppdgd import (
     EquilibriumUnverified,
     IntegratorConfig,
     PiecewiseScalarFn,
+    OracleFailed,
     PointOutsideSet,
     QuadraticSmoothFn,
     State,
@@ -20,7 +22,8 @@ from ppdgd import (
     lyapunov_value,
     solve_inner,
 )
-from ppdgd.random_problems import random_problem
+from ppdgd.cli import _feasible
+from ppdgd.random_problems import random_piecewise, random_problem
 
 
 def test_kkt_residual_zero_at_analytic_equilibrium(one_dim_problem):
@@ -134,8 +137,9 @@ def test_oracle_handles_kink_pinned_equilibrium(kinked_cost):
 
 
 def test_oracle_stops_early_on_a_tiny_kink_jump(monkeypatch):
-    # y* = 0.3 sits on a kink whose derivative jumps by only 1e-6; the 1e-6
-    # and 1e-4 polish patterns pin it after 3 stages, 1e-8 alone takes 5
+    # y* = 0.3 sits on a kink whose derivative jumps by only 1e-6. The dual
+    # active-set method solves 4 reduced systems: the start, one step for
+    # each of the two segment bounds it adds, and the final multiplier
     from ppdgd import analysis
     h = PiecewiseScalarFn(np.array([0.3]), np.array([[0.5, 0.0, 0.0], [0.5, 1e-6, -3e-7]]))
     P = build_problem(
@@ -144,16 +148,146 @@ def test_oracle_stops_early_on_a_tiny_kink_jump(monkeypatch):
         BoxSet.free(1), BoxSet.box([-1.0], [1.0]),
     )
     calls = []
-    solve_stage = analysis._solve_stage
+    reduced_solve = analysis._reduced_solve
 
     def counted(*args):
-        calls.append(args[4])
-        return solve_stage(*args)
+        calls.append(args[2].copy())
+        return reduced_solve(*args)
 
-    monkeypatch.setattr(analysis, "_solve_stage", counted)
+    monkeypatch.setattr(analysis, "_reduced_solve", counted)
     eq = equilibrium_oracle(P)
     assert kkt_residual(P, *eq).total <= 1e-10
-    assert len(calls) <= 3
+    assert eq.y_star[0] == 0.3
+    assert len(calls) <= 4
+
+
+def _enumerated_equilibria(P):
+    """Every triple that meets KKT within 1e-10, by trying each x status and y atom.
+
+    x_i is at lo, free or at hi (free only when X is free); y_j sits on a
+    point of Omega_j (its bounds and the breakpoints inside) or on the piece
+    between two neighbouring points. Each pattern is solved as the full
+    (n + m + p) linear system, by least squares when it is singular.
+    """
+    n, m, p = P.n, P.m, P.p
+    x_options = [(0,) if np.isinf(P.X.lo[i]) else (-1, 0, 1) for i in range(n)]
+    y_options = []
+    for fn, lo, hi in zip(P.h, P.Omega.lo, P.Omega.hi):
+        bp = fn.breakpoints
+        pts = [lo, *bp[(bp > lo) & (bp < hi)]] + ([hi] if hi > lo else [])
+        pieces = [fn.coeffs[fn.piece_index(0.5 * (a + b))] for a, b in zip(pts[:-1], pts[1:])]
+        y_options.append([("point", s) for s in pts] + [("piece", c) for c in pieces])
+    found = []
+    for xs in itertools.product(*x_options):
+        for ys in itertools.product(*y_options):
+            M = np.zeros((n + m + p, n + m + p))
+            rhs = np.zeros(n + m + p)
+            pinned = np.array([status != 0 for status in xs] + [kind == "point" for kind, _ in ys]
+                              + [False] * p)
+            M[n + m:, :n], M[n + m:, n:n + m], rhs[n + m:] = P.A, P.B, P.C
+            for i, status in enumerate(xs):
+                if status:
+                    M[i, i], rhs[i] = 1.0, P.X.lo[i] if status < 0 else P.X.hi[i]
+                else:
+                    M[i, :n], M[i, n + m:], rhs[i] = P.f.H[i], P.A[:, i], -P.f.c[i]
+            for j, (kind, atom) in enumerate(ys):
+                if kind == "point":
+                    M[n + j, n + j], rhs[n + j] = 1.0, atom
+                else:
+                    M[n + j, n + j], M[n + j, n + m:], rhs[n + j] = 2.0 * atom[0], P.B[:, j], -atom[1]
+            z = np.linalg.lstsq(M, rhs, rcond=None)[0]
+            z[pinned] = rhs[pinned]   # exact values: a kink's interval needs y on it
+            x, y, lam = z[:n], z[n:n + m], z[n + m:]
+            if P.X.contains(x) and P.Omega.contains(y) and kkt_residual(P, x, y, lam).total <= 1e-10:
+                found.append((x, y, lam))
+    return found
+
+
+def _tiny_problem(seed):
+    """n <= 3, m <= 2, p <= 2 and up to 2 kinks per h_j; X free, box_diag or box_dense by seed % 3."""
+    rng = np.random.default_rng(seed)
+    kind = ("free", "box_diag", "box_dense")[seed % 3]
+    n = int(rng.integers(2 if kind == "box_dense" else 1, 4))
+    m = int(rng.integers(1, 3))
+    p = int(rng.integers(1, min(2, n) + 1))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    H = (Q * rng.uniform(0.5, 3.0, size=n)) @ Q.T
+    if kind == "box_diag":
+        H = np.diag(rng.uniform(0.5, 3.0, size=n))
+    lo = rng.uniform(-2.0, -0.5, size=m)
+    hi = rng.uniform(0.5, 2.0, size=m)
+    h = [random_piecewise(rng, lo[j], hi[j], int(rng.integers(0, 3))) for j in range(m)]
+    A, B = rng.normal(size=(p, n)), rng.normal(size=(p, m))
+    X = BoxSet.free(n) if kind == "free" else BoxSet.box(np.full(n, -0.5), np.full(n, 0.5))
+    # the noise makes some boxed draws infeasible
+    C = A @ rng.uniform(-0.5, 0.5, size=n) + B @ rng.uniform(lo, hi) + 0.5 * rng.normal(size=p)
+    return build_problem(QuadraticSmoothFn(H, 2.0 * rng.normal(size=n)), h, A, B, C,
+                         X, BoxSet.box(lo, hi))
+
+
+def _degenerate_problem(case, weakly_active_box_dense):
+    """Equilibria where a status test sits exactly on its boundary, in dyadic data.
+
+    h(y) = y^2 / 2 below its kink at 1/4 and derivative 1/4 larger above; the
+    target -(B'lam)_0 of y* = 1/4 is the kink's right or left derivative
+    (left_end, right_end), or y* = 1/2 is Omega's upper face with the
+    unconstrained minimizer on it (face). weakly_active has x_0 on its
+    lower bound with a zero multiplier; pinned has X_0 and Omega (on the
+    kink) single points.
+    """
+    if case == "weakly_active":
+        return weakly_active_box_dense
+    kinked = PiecewiseScalarFn(np.array([0.25]), np.array([[0.5, 0.0, 0.0], [0.5, 0.25, -0.0625]]))
+    if case == "pinned":   # x* = (1/2, 1/4), y* = 1/4 and lam* = -1/4
+        return build_problem(QuadraticSmoothFn(np.eye(2), np.zeros(2)), [kinked], np.ones((1, 2)),
+                             np.eye(1), np.array([1.0]), BoxSet.box([0.5, -1.0], [0.5, 1.0]),
+                             BoxSet.box([0.25], [0.25]))
+    fn, hi, lam = {"right_end": (kinked, 1.0, -0.5), "left_end": (kinked, 1.0, -0.25),
+                   "face": (PiecewiseScalarFn.quadratic(0.5), 0.5, -0.5)}[case]
+    y_star = 0.25 if fn is kinked else 0.5
+    # f = x^2 / 2, A = B = [1]: x* = -lam* and C = x* + y*
+    return build_problem(QuadraticSmoothFn(np.eye(1), np.zeros(1)), [fn], np.eye(1), np.eye(1),
+                         np.array([-lam + y_star]), BoxSet.free(1), BoxSet.box([-1.0], [hi]))
+
+
+def _assert_oracle_matches_enumeration(P):
+    found = _enumerated_equilibria(P)
+    if not found:
+        with pytest.raises(OracleFailed):
+            equilibrium_oracle(P)
+        return
+    eq = equilibrium_oracle(P)
+    assert kkt_residual(P, *eq).total <= 1e-10
+    gaps = [max(float(np.max(np.abs(a - b))) for a, b in zip(eq, cand)) for cand in found]
+    assert min(gaps) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_oracle_matches_enumerated_patterns(seed):
+    _assert_oracle_matches_enumeration(_tiny_problem(seed))
+
+
+@pytest.mark.parametrize("case", ["left_end", "right_end", "face", "weakly_active", "pinned"])
+def test_oracle_matches_enumerated_patterns_at_degenerate_equilibria(case, weakly_active_box_dense):
+    _assert_oracle_matches_enumeration(_degenerate_problem(case, weakly_active_box_dense))
+
+
+def test_box_dense_oracle_campaign():
+    # the draws of the boxed_dense benchmark (its 9 problems come first),
+    # boxed as it boxes them: the oracle fails exactly on the infeasible ones
+    rng = np.random.default_rng([20240811, 3])
+    infeasible = 0
+    for _ in range(200):
+        R = random_problem(rng)
+        X = BoxSet.box(np.full(R.n, -1.0), np.full(R.n, 1.0))
+        P = build_problem(R.f, R.h, R.A, R.B, R.C, X, R.Omega)
+        if _feasible(P):
+            assert kkt_residual(P, *equilibrium_oracle(P)).total <= 1e-10
+        else:
+            infeasible += 1
+            with pytest.raises(OracleFailed):
+                equilibrium_oracle(P)
+    assert infeasible > 0
 
 
 def test_lyapunov_value_basics(one_dim_problem):

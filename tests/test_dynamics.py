@@ -842,17 +842,13 @@ def test_box_dense_steps_match_reference_with_kinks():
     assert pattern_changes >= 1
 
 
-def test_box_dense_mode_at_a_weakly_active_bound_is_read_once(monkeypatch):
+def test_box_dense_mode_at_a_weakly_active_bound_is_read_once(monkeypatch, weakly_active_box_dense):
     # x*(lam*) = (-1, 0.3) has x_1 on its lower bound with a zero multiplier,
     # so near lam* the multiplier that _box_dense_minimizer accepts has either
     # sign up to roundoff; the steps after a mode read there must pass its
     # rows, or every step reads the mode again
-    H, A = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[1.0, 1.0]])
-    x_star, lam_star = np.array([-1.0, 0.3]), np.array([0.2])
-    y_star = -lam_star   # h(y) = y^2 / 2 and B = [1]
-    P = build_problem(QuadraticSmoothFn(H, -(H @ x_star + A.T @ lam_star)),
-                      [PiecewiseScalarFn.quadratic(0.5)], A, np.eye(1), A @ x_star + y_star,
-                      BoxSet.box([-1.0, -1.0], [1.0, 1.0]), BoxSet.box([-1.0], [1.0]))
+    P = weakly_active_box_dense
+    y_star, lam_star = np.array([-0.2]), np.array([0.2])
     assert P.inner_mode == "box_dense"
     reads = _spy_reads(monkeypatch)
     dt, steps = 2.0 ** -10, 2000

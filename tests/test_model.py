@@ -245,39 +245,47 @@ def test_packed_clarke_and_selection_match_scalar_clarke():
             assert np.array_equal(pack.select(y, target), np.clip(target, ref_lo, ref_hi))
 
 
-def _scalar_prox(fn, v, t, lo, hi):
-    """Brute force: each piece's stationary point clamped to piece and box, and both bounds."""
-    edges = np.concatenate([[-np.inf], fn.breakpoints, [np.inf]])
-    cands = [lo, hi]
-    for (p, q, _), left, right in zip(fn.coeffs, edges[:-1], edges[1:]):
-        a, b = max(left, lo), min(right, hi)
-        if a <= b:
-            cands.append(min(max((v - t * q) / (1.0 + t * (2.0 * p)), a), b))
-    return min(cands, key=lambda s: fn.value(s) + (s - v) ** 2 / (2.0 * t))
+def _scalar_atoms(fn, lo, hi):
+    """Brute force: the points of [lo, hi] with their Clarke intervals, the ends at lo and hi open."""
+    bp = fn.breakpoints
+    pts = [lo, *bp[(bp > lo) & (bp < hi)]] + ([hi] if hi > lo else [])
+    ends = [list(fn.clarke(s)) for s in pts]
+    ends[0][0], ends[-1][1] = -np.inf, np.inf
+    return pts, ends
 
 
-def test_packed_prox_matches_scalar_reference():
-    # rows with 0, 1 and 3 kinks; row 2's box cuts off its outer kinks, and
-    # rows 4 and 5 are single points (one on a kink)
+def test_atom_table_matches_scalar_clarke_intervals():
+    # rows with 0, 1 and 3 kinks; row 2's box cuts off its outer kinks, rows
+    # 4 and 5 are single points (one on a kink) and row 6 starts on a kink
     rng = np.random.default_rng(77)
-    fns = [random_piecewise(rng, -1.0, 1.0, k) for k in (0, 1, 3, 3, 0, 1)]
+    fns = [random_piecewise(rng, -1.0, 1.0, k) for k in (0, 1, 3, 3, 0, 1, 2)]
     pack = SeparablePiecewise(fns)
-    lo = np.array([-1.0, -1.0, -0.3, -1.0, 0.25, fns[5].breakpoints[0]])
-    hi = np.array([1.0, 1.0, 0.3, 1.0, 0.25, fns[5].breakpoints[0]])
-    candidates = []
-    for fn, a, b in zip(fns, lo, hi):
-        bp = fn.breakpoints
-        pts = [np.array([a, b, a - 0.7, b + 0.7, 0.5 * (a + b)]),
-               bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)]
-        candidates.append(np.concatenate(pts))
-    longest = max(c.size for c in candidates)
-    vs = [np.array([c[(r + shift) % c.size] for c in candidates])
-          for r in range(longest) for shift in (0, 1, 2)]
-    vs += [rng.uniform(-1.5, 1.5, size=len(fns)) for _ in range(30)]
-    for t in (1e-6, 1.0, 1e6):
-        for v in vs:
-            ref = [_scalar_prox(fn, vj, t, a, b) for fn, vj, a, b in zip(fns, v, lo, hi)]
-            assert np.array_equal(pack.prox(v, t, lo, hi), ref), (t, v)
+    b5, b6 = fns[5].breakpoints[0], fns[6].breakpoints[0]
+    lo = np.array([-1.0, -1.0, -0.3, -1.0, 0.25, b5, b6])
+    hi = np.array([1.0, 1.0, 0.3, 1.0, 0.25, b5, 1.0])
+    table = pack.atoms(lo, hi)
+    left, right, c2, q, _, _ = table.columns
+    rows = [_scalar_atoms(fn, a, b) for fn, a, b in zip(fns, lo, hi)]
+    targets = []
+    for _, ends in rows:
+        e = np.array([x for end in ends for x in end if np.isfinite(x)])
+        targets.append(np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                                       0.5 * (e[:-1] + e[1:]), [-5.0, 5.0]]))
+    longest = max(t.size for t in targets)
+    for r in range(longest):
+        t = np.array([c[r % c.size] for c in targets])
+        flat = table.index(t)
+        for j, ((pts, ends), tj, fn) in enumerate(zip(rows, t, fns)):
+            atom = flat[j] - table.offsets[j]
+            if atom % 2 == 0:   # on point atom // 2
+                dl, dr = ends[atom // 2]
+                assert dl <= tj <= dr and left[flat[j]] == right[flat[j]] == pts[atom // 2], (j, tj)
+            else:   # strictly inside the interval after point atom // 2, on one piece
+                k = atom // 2
+                assert ends[k][1] < tj < ends[k + 1][0], (j, tj)
+                pc, qc, _ = fn.coeffs[fn.piece_index(0.5 * (pts[k] + pts[k + 1]))]
+                assert (left[flat[j]], right[flat[j]]) == (pts[k], pts[k + 1])
+                assert (c2[flat[j]], q[flat[j]]) == (2.0 * pc, qc)
 
 
 def _lookups(table, probes, m):

@@ -16,13 +16,14 @@ residual ||((y+ - y)/dtau, dlam)||.
 
 The step is piecewise affine in (y, lam). integrate writes the step of each
 mode (the pieces of h and regions of the jump prox it reads, the clip into
-Omega and the piece of x*(lam)) as one affine map and advances blocks of up
-to BLOCK_STEPS steps of it per matrix-vector product. It reads a mode once
-per state, takes the first step as read and reads again only at a step
-that leaves the mode (see integrate). That pays where modes last long, as
-in the benchmark's runs, which change mode a few times in thousands of
-steps; where the mode changes every few steps, each read costs more than
-the steps it batches.
+Omega and the piece of x*(lam)) as one affine map and advances it in blocks
+of up to BLOCK_STEPS steps, then in runs of several such blocks, a few
+numpy calls per block or run. It reads a mode once per state, takes the
+first step as read and reads again only at a step that leaves the mode; a
+read keeps the piece of x* while that piece's rows hold (see integrate).
+That pays where modes last long, as in the benchmark's solves, which change
+mode a few times in thousands of steps; where the mode changes every few
+steps, each read costs more than the steps it batches.
 
 integrate writes each recorded sample (the start, every record_every-th step
 and the last step) into preallocated t, y, lam and drift arrays. They start
@@ -46,8 +47,10 @@ from .inner import _grad_phi, x_star_piece
 from .model import DATA_RANGE, Problem
 
 RECORD_BLOCK = 4096   # rows of the first sample buffer and of each CSV write
-BLOCK_STEPS = 128     # steps per block of integrate, a power of two
+BLOCK_STEPS = 128     # steps per block of integrate, a power of two: it keeps M^0 .. M^BLOCK_STEPS
 FIRST_BLOCK = 8       # steps of a mode's first block, doubled per block up to BLOCK_STEPS
+RUN_STEPS = 1024      # steps of a mode's longest run of BLOCK_STEPS-blocks
+RUN_PRODUCT = 2 ** 18   # bound on steps * N_z * rows of a run: OpenBLAS threads larger products
 
 
 class TerminationReason(enum.Enum):
@@ -162,14 +165,15 @@ def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]
     return tau * dy, tau * dlam
 
 
-def _step_map(P: Problem, dtau: float, z: np.ndarray, pieces, regions):
+def _step_map(P: Problem, dtau: float, z: np.ndarray, pieces, regions, piece):
     """The mode of the step from z = [y, lam, 1]: z+ = M z, and the rows F of its tests.
 
     Looks up the pieces of h at y (pieces) and so the forward rows V of
     v = y + dtau * (-B'lam - c2 y - qd), the prox regions at v = V z
-    (regions), the clip into Omega at u = U z and the piece of x*(lam) at
-    lam. F z stacks y, v, u, the rows T of x_star_piece, then y+ - y and
-    dlam. Returns M, F and the brackets (lower, upper) of [y, v, u, T].
+    (regions) and the clip into Omega at u = U z. piece is _piece_rows of
+    a piece of x*(lam) valid at lam. F z stacks y, v, u, the piece's rows
+    T, then y+ - y and dlam. Returns M, F and the brackets (lower, upper)
+    of [y, v, u, T].
     """
     m, p = P.m, P.p
     lo, hi = P.Omega.lo, P.Omega.hi
@@ -184,15 +188,26 @@ def _step_map(P: Problem, dtau: float, z: np.ndarray, pieces, regions):
     at_lo, at_hi, ulo, uhi = clip_pattern(U.dot(z), lo, hi)
     Y = np.where((at_lo | at_hi)[:, None], 0.0, U)
     Y[:, -1] = np.where(at_lo, lo, np.where(at_hi, hi, U[:, -1]))
-    x0, X1, T0, T1, tlo, thi = x_star_piece(P, z[m:-1])
-    D = np.hstack([P.B, P.A @ X1, (P.A @ x0 - P.C)[:, None]])   # dlam = D z
-    L = dtau * D
-    L[:, m:-1] += np.eye(p)
+    L, D, T, tlo, thi = piece
     M = np.vstack([Y, L, np.eye(1, m + p + 1, m + p)])
     I_y = np.eye(m, m + p + 1)
-    T = np.hstack([np.zeros((T0.size, m)), T1, T0[:, None]])
     F = np.vstack([I_y, V, U, T, Y - I_y, D])
     return M, F, np.concatenate([ylo, vlo, ulo, tlo]), np.concatenate([yhi, vhi, uhi, thi])
+
+
+def _piece_rows(P: Problem, dtau: float, lam: np.ndarray):
+    """The piece of x*(lam) at lam (x_star_piece) as rows on z = [y, lam, 1].
+
+    Returns L, D, T and the brackets (lower, upper) of T: in the piece,
+    lam+ = L z and dlam = D z, and the piece holds while lower < T z <= upper.
+    """
+    m = P.m
+    x0, X1, T0, T1, lower, upper = x_star_piece(P, lam)
+    D = np.hstack([P.B, P.A @ X1, (P.A @ x0 - P.C)[:, None]])
+    L = dtau * D
+    L[:, m:-1] += np.eye(P.p)
+    T = np.hstack([np.zeros((T0.size, m)), T1, T0[:, None]])
+    return L, D, T, lower, upper
 
 
 def _double(pw: np.ndarray, s: int, size: int) -> int:
@@ -242,26 +257,35 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     K = BLOCK_STEPS; the powers M^0 .. M^s a block needs are formed by
     doubling, on top of those the block before it formed, so a mode that
     ends within a few steps costs its read, a few small products and one
-    short block. A block is one product for its states M^j z and one for
-    their rows F M^j z; then vectorized tests find its first step that
-    leaves the mode (a bracket lower < [y, v, u, T] <= upper fails), whose
-    residual meets stop_tol or is not finite, or that is the last, and the
-    kept rows go straight into the sample buffers. The mode is read again
-    at the step that left it. The mode read at z is the mode of the step
-    from z, so that step is taken without testing its brackets; every later
-    step is tested, step 0 of a block that continues a mode too. Where
-    rounding puts a value on one side of an edge for the read and on the
-    other for the block, the step is taken in the mode read: a tie that
-    rounding breaks either way. So every read advances at least one step,
-    and the steps are those of a step-by-step loop up to the order of
-    rounding.
+    short block. After that the mode goes on in runs of 2, 4, ... blocks of
+    K steps, up to RUN_STEPS steps and no more than keeps the run's
+    products below RUN_PRODUCT, so the powers stop at M^K. A run chains
+    its block starts, z_(b+1)K = M^K z_bK, and takes the states M^j z_bK of
+    all its blocks from one product with the stacked M^0 .. M^(K-1), and
+    their rows F z_j from one more, one column per step. Vectorized tests,
+    each a reduction over the rows of a column, then find the first step
+    that leaves the mode (a bracket lower < [y, v, u, T] <= upper fails),
+    whose residual meets stop_tol or is not finite, or that is the last,
+    and the kept rows go straight into the sample buffers. The mode is
+    read again at the step that left it. The mode read at z is the mode of
+    the step from z, so that step is taken without testing its brackets;
+    every later step is tested, the first of a block or run that continues
+    a mode too. Where rounding puts a value on one side of an edge for the
+    read and on the other for the block, the step is taken in the mode
+    read: a tie that rounding breaks either way. So every read advances at
+    least one step, and the steps are those of a step-by-step loop up to
+    the order of rounding. The new read keeps the piece of x* where its
+    rows T pass at the step that left the mode, as they pass at every step
+    inside it; x_star_piece runs again only where one of them failed, so a
+    free X, which has none, reads its piece once.
 
     Records the initial condition, every record_every-th accepted step and
     the final state, each with the residual of the step taken from it.
     Terminates at cfg.t_end or as soon as the tau-normalized step residual
     ||((y+ - y)/dtau, dlam)|| drops to cfg.stop_tol; that last step is not
     taken. Raises InitialPointOutsideOmega, or NonFiniteState (step size too
-    large) when a step is not finite or a recorded lam leaves DATA_RANGE.
+    large) when a step is not finite or, as soon as it is recorded, a lam
+    outside DATA_RANGE.
     """
     y = np.asarray(s0.y, dtype=float).copy()
     lam = np.asarray(s0.lam, dtype=float).copy()
@@ -284,14 +308,17 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     pieces, regions = P.hpack.pieces, P.hpack.jump_prox(dtau)
     n_steps = math.ceil(cfg.t_end / dt - 1e-12)   # >= 1: IntegratorConfig checks it
 
-    # never sized by t_end alone: a run may stop at stop_tol long before it
+    # never sized by t_end alone: integration may stop at stop_tol long before it
     rows = min(n_steps // every + 2, RECORD_BLOCK)
     ts, drifts = np.empty(rows), np.empty(rows)
     ys, lams = np.empty((rows, m)), np.empty((rows, p))
     n = 0
 
     def keep(S, drift, count, final):
-        """Record rows j < count of the block on the record_every grid; row count - 1 if final."""
+        """Record rows j < count of the block on the record_every grid; row count - 1 if final.
+
+        Raises NonFiniteState at the first recorded lam outside DATA_RANGE.
+        """
         nonlocal ts, drifts, ys, lams, n
         grid = slice((-k) % every, count, every)
         kept = len(range(count)[grid])
@@ -306,38 +333,55 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             ts[end], ys[end], lams[end], drifts[end] = (k + count - 1) * dt, S[count - 1, :m], \
                 S[count - 1, m:-1], drift[count - 1]
             end += 1
+        recorded = np.abs(lams[n:end])
+        if recorded.max(initial=0.0) > DATA_RANGE:   # |lam - lam*|^2 would overflow
+            t = ts[n + np.argmax((recorded > DATA_RANGE).any(axis=1))]
+            raise NonFiniteState(f"recorded lam left [-{DATA_RANGE:g}, {DATA_RANGE:g}] at t = {t}; "
+                                 f"{advice}")
         n = end
 
     z = np.concatenate([y, lam, [1.0]])
     pw = np.empty((K + 1, z.size, z.size))   # M^0 .. M^K of the mode, filled as blocks need them
     pw[0] = np.eye(z.size)
-    k = 0         # step index of z
-    read = True   # read the mode at z
+    k = 0          # step index of z
+    piece = None   # the rows of the piece of x*(lam) that holds at z, once read
+    read = True    # read the mode at z
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up raises NonFiniteState
         while True:
             if read:
-                M, F, lower, upper = _step_map(P, dtau, z, pieces, regions)
+                if piece is None:
+                    piece = _piece_rows(P, dtau, z[m:-1])
+                M, F, lower, upper = _step_map(P, dtau, z, pieces, regions, piece)
                 nb = lower.size
-                pw[1], FT = M, np.ascontiguousarray(F.T)
+                lower, upper = lower[:, None], upper[:, None]
+                pw[1] = M
                 filled, size = 1, FIRST_BLOCK
-            filled = _double(pw, filled, size)
-            S = pw[:size + 1].reshape(-1, z.size).dot(z).reshape(size + 1, -1)   # z_0 .. z_size
-            G = S[:size].dot(FT)   # the rows F z_j of z_0 .. z_(size - 1)
-            ok = ((lower < G[:, :nb]) & (G[:, :nb] <= upper)).all(axis=1)
+                run = K * max(1, min(RUN_STEPS, RUN_PRODUCT // F.size) // K)   # longest run
+            block = min(size, K)   # a run is size // K blocks of K steps
+            filled = _double(pw, filled, block)
+            starts = np.empty((size // block + 1, z.size))   # z_0, z_block, ..., z_size
+            starts[0] = z
+            for b in range(size // block):
+                starts[b + 1] = pw[block].dot(starts[b])
+            # z_0 .. z_(size - 1), each block's M^j z_bK in one product
+            S = starts[:-1].dot(pw[:block].reshape(-1, z.size).T).reshape(size, -1)
+            G = F.dot(S.T)   # the rows F z_j, one column per step
+            inside = (lower < G[:nb]) & (G[:nb] <= upper)
+            ok = inside.all(axis=0)
             if read:   # the mode read at z is the mode of its step
                 ok[0], read = True, False
-            drift = np.sqrt(np.square(G[:, nb:]).dot(weights))
+            drift = np.sqrt(weights.dot(np.square(G[nb:])))
             go = ok & (drift > stop_tol)
             go &= drift < np.inf
-            final = n_steps - k < size   # the block holds step n_steps, the last
+            final = n_steps - k < size   # the block or run holds step n_steps, the last
             span = n_steps - k + 1 if final else size
             e = int(np.argmin(go[:span]))
-            if go[e]:   # no step of the block halts
+            if go[e]:   # no step of the block or run halts
                 e = span
             if e == span and not final:
                 keep(S, drift, size, False)
-                z, k = S[size].copy(), k + size
-                size = min(2 * size, K)
+                z, k = starts[-1], k + size
+                size = min(2 * size, run)
                 continue
             if e == span or ok[e]:   # the last step, or the residual meets stop_tol
                 e = min(e, span - 1)
@@ -353,12 +397,10 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             if e > 0:
                 keep(S, drift, e, False)
                 z, k = S[e].copy(), k + e
+            if not inside[3 * m:, e].all():   # the rows T of the piece of x* fail at z_e
+                piece = None
             read = True
 
-    if max(lams[:n].max(), -lams[:n].min()) > DATA_RANGE:   # |lam - lam*|^2 would overflow
-        t = ts[np.argmax((np.abs(lams[:n]) > DATA_RANGE).any(axis=1))]
-        raise NonFiniteState(f"recorded lam left [-{DATA_RANGE:g}, {DATA_RANGE:g}] at t = {t}; "
-                             f"{advice}")
     return Trajectory(
         t=ts[:n].copy(),
         y=ys[:n].copy(),

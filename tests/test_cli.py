@@ -298,6 +298,32 @@ def test_run_initial_point_outside_omega_exits_4(tmp_path, capsys):
     assert "InitialPointOutsideOmega" in capsys.readouterr().err
 
 
+def test_run_diverging_multiplier_exits_4_without_integrating_to_t_end(tmp_path):
+    # the box-X problem of test_diverging_multiplier_raises_non_finite_state:
+    # lam leaves DATA_RANGE at the first step of a grid of 1e8 steps, which
+    # used to run on for hours before the recorded lam was checked
+    doc = {
+        "n": 1, "m": 1, "p": 1,
+        "H": {"diag": [1.0]}, "c": [0.0],
+        "A": [[1.0]], "B": [[1.0]], "C": [0.5],
+        "h": [{"breakpoints": [], "pieces": [{"p": 0.5, "q": 0.0, "r": 0.0}]}],
+        "X": {"kind": "box", "lo": [-2.0], "hi": [2.0]},
+        "Omega": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+    }
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppdgd.cli", "run", str(path), "--out", str(tmp_path / "out"),
+         "--dt", "1e300", "--t-end", "1e308"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == [
+        "integration failure: NonFiniteState: recorded lam left [-1e+150, 1e+150] at t = 1e+300; "
+        "dt*tau*L = 4e+300 with drift Lipschitz estimate L = 4; reduce dt"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_seed_draws_start_inside_omega(tmp_path, capsys):
     # same shifted-box problem; with a seed the start is drawn inside Omega
     doc = {

@@ -27,6 +27,7 @@ from ppdgd import (
 )
 from ppdgd import dynamics
 from ppdgd.analysis import write_envelope_csv
+from ppdgd.inner import KKT_TOL
 from ppdgd.model import SeparablePiecewise
 from ppdgd.random_problems import random_piecewise, random_problem
 
@@ -756,72 +757,88 @@ def _long_run_problem(mode):
 
 def test_block_edges_match_reference(monkeypatch):
     # integrate takes the steps of one mode in blocks of FIRST_BLOCK, twice
-    # that, and so on up to BLOCK_STEPS steps. Against the reference loop: a
-    # mode that changes on the first step of a block and on the last, at the
-    # end of the first block and at the start of the first full one,
-    # stop_tol met on either, a t_end in mid-block and on a block's end, a
-    # single step that leaves the mode, with every step recorded and every
-    # 3rd and 7th, which do not divide the block sizes
-    K, F, dt = dynamics.BLOCK_STEPS, dynamics.FIRST_BLOCK, 2.0 ** -5
-    # the blocks of a mode read at step 0 end at F, 3F, 7F, ...; the one
-    # that starts at ends[-2] is the first of BLOCK_STEPS steps
-    ends = [F * (2 ** i - 1) for i in range(1, (K // F).bit_length() + 1)]
-    assert ends[-1] - ends[-2] == K
+    # that, and so on up to BLOCK_STEPS steps, then in runs of 2, 4, ...
+    # blocks up to RUN_STEPS steps. Against the reference loop: a mode that
+    # changes on the first step of a block and on the last, at the end of the
+    # first block and at the start of the first full one, on the first step
+    # of a run and on its last, and on a block edge inside a run; stop_tol
+    # met on either end of a block, on either end of a run and inside one; a
+    # t_end in mid-block and in mid-run; a single step that leaves the mode;
+    # with every step recorded and every 3rd and 7th, which do not divide
+    # the block sizes
+    K, F, dt = dynamics.BLOCK_STEPS, dynamics.FIRST_BLOCK, 2.0 ** -7
     P = _long_run_problem("free")
-    _, y, lam, drift, _ = _reference_rows(P, np.array([-0.95, 0.95]), np.array([3.0, -3.0]),
-                                          dt, 1200, 1)
+    # N_z = 5 and 10 rows: every run up to RUN_STEPS steps stays below RUN_PRODUCT
+    assert 5 * 10 * dynamics.RUN_STEPS <= dynamics.RUN_PRODUCT
+    # the blocks and runs of a mode read at step 0 end at F, 3F, 7F, ...:
+    # ends[4] and ends[5] end the first run, of 2K steps, and the second, of 4K
+    sizes = [min(F << i, dynamics.RUN_STEPS) for i in range(12)]
+    ends = np.cumsum(sizes).tolist()
+    assert sizes[4] == K and ends[5] - ends[4] == 2 * K and ends[6] - ends[5] == 4 * K
+    _, y, lam, drift, lands = _reference_rows(P, np.array([-0.95, 0.95]), np.array([3.0, -3.0]),
+                                              dt, 4800, 1)
     change = np.flatnonzero(np.logical_or(*_mode_changes(P, dt, y, lam))) + 1
-    # a step that ends more than ends[-2] steps in one mode, and a stretch
-    # with no more mode changes and a falling residual
-    c = next(c for c, prev in zip(change[1:], change) if c - prev > ends[-2])
+    # a step that ends more than ends[5] + 2K steps in one mode, and a
+    # stretch with no more mode changes and a falling residual
+    gaps = np.diff(change)
+    c = change[np.argmax(gaps) + 1]
+    assert gaps.max() > ends[5] + 2 * K
     quiet = change[-1] + 1
-    assert quiet + 3 * K <= 1200 and np.all(np.diff(drift[quiet:]) < 0)
+    assert quiet + ends[6] + K <= 4800 and np.all(np.diff(drift[quiet:]) < 0)
     assert np.all((P.Omega.lo < y[quiet:]) & (y[quiet:] < P.Omega.hi))
 
-    reads, sizes = _spy_reads(monkeypatch), []
+    reads, doubled = _spy_reads(monkeypatch), []
     double = dynamics._double
 
     def spy_double(pw, s, size):
-        sizes.append(size)
+        doubled.append(size)
         return double(pw, s, size)
 
     monkeypatch.setattr(dynamics, "_double", spy_double)
     # (start row, steps to t_end, stop_tol, the last step, the first steps that read the mode)
     cases = [(c - 1, 1, 0.0, 1, [0, 1])]   # one step, and it leaves the mode
-    for E in (ends[0], ends[-2]):
-        cases += [(c - E, E + 3 * F, 0.0, E + 3 * F, [0, E]),  # the first step of a block
+    for E in (ends[0], ends[3], ends[4], ends[5]):   # blocks, then the first and second run
+        cases += [(c - E, E + 3 * F, 0.0, E + 3 * F, [0, E]),  # the first step of a block or run
                   (c - E + 1, E + 3 * F, 0.0, E + 3 * F, [0, E - 1]),  # the last step of one
-                  (c - E, E + 37, 0.0, E + 37, [0, E])]  # t_end in mid-block
-        for j in (E, E - 1):   # stop_tol met on the first step of a block, and on the last
-            cases.append((quiet, 3 * K, 0.5 * (drift[quiet + j - 1] + drift[quiet + j]), j, [0]))
+                  (c - E, E + 37, 0.0, E + 37, [0, E])]  # t_end in mid-block or mid-run
+    for E in (ends[4] + K, ends[5] + 2 * K):   # a block edge inside the first run and the second
+        cases.append((c - E, E + 3 * F, 0.0, E + 3 * F, [0, E]))
+    # stop_tol met on the first step of a block or run and on the last, then
+    # on a block edge inside a run and off the block edges inside one
+    for j in (ends[0], ends[0] - 1, ends[3], ends[3] - 1, ends[4], ends[5] - 1,
+              ends[5] + K, ends[5] + K + 37):
+        cases.append((quiet, ends[6] + K, 0.5 * (drift[quiet + j - 1] + drift[quiet + j]), j, [0]))
+    cases.append((quiet, ends[5] + 300, 0.0, ends[5] + 300, [0]))   # t_end in mid-run, one mode
     for start, steps, stop_tol, last, read_at in cases:
         y0, lam0 = y[start], lam[start]
+        want = (np.arange(last + 1) * dt,
+                *(a[start:start + last + 1] for a in (y, lam, drift, lands)))
         for every in (1, 3, 7):
             reads.clear()
-            sizes.clear()
+            doubled.clear()
             cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=stop_tol, record_every=every)
             traj = integrate(P, State(y0, lam0), cfg)
             assert traj.terminated_by is (TerminationReason.STOP_TOL if stop_tol
                                           else TerminationReason.TIME_LIMIT)
-            _assert_close_rows(P, traj, _reference_rows(P, y0, lam0, dt, last, every), 1e-12)
+            rows = sorted({*range(0, last + 1, every), last})
+            _assert_close_rows(P, traj, tuple(a[rows] for a in want), 1e-12)
             if every == 1:
                 states = np.hstack([traj.y, traj.lam])
-                rows = [int(np.flatnonzero((states == r).all(axis=1))[0]) for r in reads]
-                assert rows[:len(read_at)] == read_at, (start, steps, rows)
-            if stop_tol:   # one mode: its blocks double up to BLOCK_STEPS steps
-                assert sizes == [min(F << i, K) for i in range(sum(e <= last for e in ends) + 1)]
+                at = [int(np.flatnonzero((states == r).all(axis=1))[0]) for r in reads]
+                assert at[:len(read_at)] == read_at, (start, steps, at)
+            if start == quiet:   # one mode: its blocks double up to K steps, its runs up to
+                # RUN_STEPS, and the powers stop at M^K
+                assert doubled == [min(s, K) for s in sizes[:sum(e <= last for e in ends) + 1]]
 
 
-def test_box_dense_steps_match_reference_with_kinks():
-    # box_dense solves built like the boxed_dense benchmark: random_problem
-    # data with X = [-1, 1]^n and H dense, kinks kept, from starts with y_1 on
-    # a face of Omega and another y_j on a breakpoint. The active-set solve is
-    # exact only to KKT_TOL, so rows agree to 1e-9; some x*(lam) must change
-    # its active pattern along the way
+def _box_dense_draws():
+    """(P, y0, lam0) of test_box_dense_steps_match_reference_with_kinks.
+
+    box_dense solves built like the boxed_dense benchmark: random_problem
+    data with X = [-1, 1]^n and H dense, kinks kept, from starts with y_1 on
+    a face of Omega and another y_j on a breakpoint.
+    """
     rng = np.random.default_rng(31)
-    dt, steps = 2.0 ** -8, 300
-    cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0, record_every=7)
-    pattern_changes = 0
     for _ in range(30):
         R = random_problem(rng, max_dim=6)
         P = build_problem(R.f, R.h, R.A, R.B, R.C, BoxSet.box(-np.ones(R.n), np.ones(R.n)), R.Omega)
@@ -831,6 +848,17 @@ def test_box_dense_steps_match_reference_with_kinks():
         kinked = [j for j, fn in enumerate(P.h[1:], 1) if fn.breakpoints.size]
         if kinked:
             y0[kinked[0]] = P.h[kinked[0]].breakpoints[0]
+        yield P, y0, lam0
+
+
+def test_box_dense_steps_match_reference_with_kinks():
+    # on the draws of _box_dense_draws. The active-set solve is exact only to
+    # KKT_TOL, so rows agree to 1e-9; some x*(lam) must change its active
+    # pattern along the way
+    dt, steps = 2.0 ** -8, 300
+    cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=0.0, record_every=7)
+    pattern_changes = 0
+    for P, y0, lam0 in _box_dense_draws():
         traj = integrate(P, State(y0, lam0), cfg)
         want = _reference_rows(P, y0, lam0, dt, steps, 1)
         assert traj.terminated_by is TerminationReason.TIME_LIMIT
@@ -862,6 +890,62 @@ def test_box_dense_mode_at_a_weakly_active_bound_is_read_once(monkeypatch, weakl
         if dy:   # from lam* itself every residual is roundoff and has no scale
             want = _reference_rows(P, y0, lam0, dt, steps, 1)
             _assert_close_rows(P, traj, tuple(a[rows] for a in want), 1e-9)
+
+
+def _spy_pieces(monkeypatch):
+    """Lists that get (z, piece) of each mode read of integrate, and lam of each x_star_piece."""
+    taken, fresh = [], []
+    step_map, piece_of = dynamics._step_map, dynamics.x_star_piece
+
+    def spy_step_map(P, dtau, z, pieces, regions, piece):
+        taken.append((z.copy(), piece))
+        return step_map(P, dtau, z, pieces, regions, piece)
+
+    def spy_piece(P, lam):
+        fresh.append(lam.copy())
+        return piece_of(P, lam)
+
+    monkeypatch.setattr(dynamics, "_step_map", spy_step_map)
+    monkeypatch.setattr(dynamics, "x_star_piece", spy_piece)
+    return taken, fresh
+
+
+def test_a_mode_read_keeps_the_piece_of_x_star_while_its_rows_hold(monkeypatch,
+                                                                    weakly_active_box_dense):
+    # a read takes the piece of x* of the mode before it where that piece's
+    # rows pass at the step that left the mode. It must be the piece a fresh
+    # x_star_piece finds there, bit for bit; where a fresh solve picks another
+    # pattern at a weakly active bound, the piece taken must still pass its
+    # own rows within KKT_TOL
+    taken, fresh = _spy_pieces(monkeypatch)
+    # a free X has no rows to fail: one piece serves every read
+    P = _long_run_problem("free")
+    dt = 2.0 ** -5
+    integrate(P, State(np.array([-0.95, 0.95]), np.array([3.0, -3.0])),
+              IntegratorConfig(dt=dt, t_end=500 * dt, stop_tol=0.0))
+    assert len(taken) >= 10 and len(fresh) == 1
+
+    def runs():
+        cfg = IntegratorConfig(dt=2.0 ** -8, t_end=300 * 2.0 ** -8, stop_tol=0.0)
+        for P, y0, lam0 in _box_dense_draws():
+            yield P, y0, lam0, cfg
+        P, cfg = weakly_active_box_dense, IntegratorConfig(dt=2.0 ** -10, t_end=2.0, stop_tol=0.0)
+        for dy, dlam in [(0.0, 0.0), (0.0, 1e-12), (0.0, -1e-12), (1e-3, 0.0), (-1e-3, 0.0)]:
+            yield P, np.array([-0.2 + dy]), np.array([0.2 + dlam]), cfg
+
+    reused = 0
+    for P, y0, lam0, cfg in runs():
+        taken.clear()
+        fresh.clear()
+        integrate(P, State(y0, lam0), cfg)
+        reused += len(taken) - len(fresh)
+        for z, piece in taken:
+            want = dynamics._piece_rows(P, cfg.dt * cfg.tau, z[P.m:-1])
+            if not all(np.array_equal(a, b) for a, b in zip(piece, want)):
+                _, _, T, lower, upper = piece
+                rows = T @ z
+                assert np.all((lower - KKT_TOL < rows) & (rows <= upper + KKT_TOL)), z
+    assert reused >= 30
 
 
 def test_early_stop_allocates_nothing_in_proportion_to_t_end():

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch, EquilibriumUnverified, OracleFailed, PointOutsideSet
 from .geometry import active_faces
 from .model import MEMBER_TOL, Problem
-from .dynamics import Trajectory, _write_csv
+from .dynamics import Trajectory
 
 KKT_TARGET = 1e-6
 ENVELOPE_SLACK = 1e-6
@@ -320,7 +320,9 @@ def envelope_series(P: Problem, traj: Trajectory, eq: Equilibrium):
 
 def write_envelope_csv(path, t, bound, dist) -> None:
     """Write the (t, bound, distance) series of envelope_series as CSV."""
-    _write_csv(path, ("t", "bound", "distance"), (t, bound, dist))
+    from .export import write_csv   # deferred: its tables cost `import ppdgd` nothing
+
+    write_csv(path, ("t", "bound", "distance"), (t, bound, dist))
 
 
 def omega_invariant(P: Problem, traj: Trajectory) -> bool:

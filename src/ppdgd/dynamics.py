@@ -29,7 +29,8 @@ integrate writes each recorded sample (the start, every record_every-th step
 and the last step) into preallocated t, y, lam and drift arrays. They start
 with room for the whole run, capped at RECORD_BLOCK rows, and double when
 full, so a long t_end costs no memory up front; the Trajectory gets trimmed
-copies. write_csv formats RECORD_BLOCK rows at a time, one format per row.
+copies. Trajectory.write_csv hands them to export.write_csv, which formats
+a block of rows per numpy pass.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .geometry import _check_dim, _check_member, active_faces, clip_pattern, tan
 from .inner import _grad_phi, x_star_piece
 from .model import DATA_RANGE, Problem
 
-RECORD_BLOCK = 4096   # rows of the first sample buffer and of each CSV write
+RECORD_BLOCK = 4096   # rows of the first sample buffer
 BLOCK_STEPS = 128     # steps per block of integrate, a power of two: it keeps M^0 .. M^BLOCK_STEPS
 FIRST_BLOCK = 8       # steps of a mode's first block, doubled per block up to BLOCK_STEPS
 RUN_STEPS = 1024      # steps of a mode's longest run of BLOCK_STEPS-blocks
@@ -118,21 +119,9 @@ class Trajectory:
         p = self.lam.shape[1]
         cols = ["t"] + [f"y_{j + 1}" for j in range(m)] \
             + [f"lambda_{i + 1}" for i in range(p)] + ["drift_norm"]
-        _write_csv(path, cols, (self.t, self.y, self.lam, self.drift_norm))
+        from .export import write_csv   # deferred: its tables cost `import ppdgd` nothing
 
-
-def _write_csv(path, header, columns) -> None:
-    """Write CSV rows of equal-length columns, each 1-D or a 2-D block of columns.
-
-    Every value gets 17 significant digits, so it reads back exactly. Rows are
-    formatted RECORD_BLOCK at a time, which bounds the text held in memory.
-    """
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for a in range(0, len(columns[0]), RECORD_BLOCK):
-            block = np.column_stack([c[a:a + RECORD_BLOCK] for c in columns]).tolist()
-            fh.write("".join([row % tuple(values) for values in block]))
+        write_csv(path, cols, (self.t, self.y, self.lam, self.drift_norm))
 
 
 def select_subgradient(P: Problem, y, lam) -> np.ndarray:

@@ -1,10 +1,13 @@
 import bisect
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppdgd import (
     BoxSet,
@@ -25,7 +28,7 @@ from ppdgd import (
     select_subgradient,
     solve_inner,
 )
-from ppdgd import dynamics
+from ppdgd import dynamics, export
 from ppdgd.analysis import write_envelope_csv
 from ppdgd.inner import KKT_TOL
 from ppdgd.model import SeparablePiecewise
@@ -1006,7 +1009,7 @@ def _per_value_csv(header, columns) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("rows", [1, 4096, 4097])
+@pytest.mark.parametrize("rows", [1, export.BLOCK_VALUES // 6 + 1, 4096, 4097])
 def test_csv_writers_match_per_value_formatting(tmp_path, rows):
     rng = np.random.default_rng(rows)
     data = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-300, 300, size=(rows, 6))
@@ -1023,6 +1026,79 @@ def test_csv_writers_match_per_value_formatting(tmp_path, rows):
     write_envelope_csv(tmp_path / "envelope.csv", data[:, 0], data[:, 1], data[:, 2])
     assert (tmp_path / "envelope.csv").read_bytes() == _per_value_csv(
         ["t", "bound", "distance"], [data[:, 0], data[:, 1], data[:, 2]])
+
+
+def _hard_values():
+    """Values whose %.17g text a vectorized writer can get wrong, and their negatives."""
+    powers = [float(f"1e{k}") for k in range(-308, 309)]
+    near = [math.nextafter(x, to) for x in powers for to in (0.0, math.inf)]
+    # at the 17th digit these 18-digit values are exact ties: ...958.75 -> ...958.8
+    rng = np.random.default_rng(0)
+    ties = [float(m) + f for m in rng.integers(10**15, 2**50, size=50) for f in (0.25, 0.75)]
+    ties.append(1458020683536958.75)
+    rest = [
+        9.99999999999999999e-05, 0.0001, 1e-5, 1e16, 1e17,   # %g's fixed/scientific switches
+        2.0**53 + 2, 2.0**60, 2.0**63, 2.0**64, 123456789012345678.0,   # integers above 2^53
+        5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,   # subnormals, least normal
+        1e-280, 1e280, 1.7976931348623157e308, 0.1 + 0.2,
+        0.0, math.inf, math.nan,
+    ]
+    values = np.array(powers + near + ties + rest)
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("ncols", [1, 3])
+def test_csv_writer_hard_cases(tmp_path, ncols):
+    v = _hard_values()
+    data = np.resize(v, (-(-v.size // ncols), ncols))
+    header = [f"c{j}" for j in range(ncols)]
+    export.write_csv(tmp_path / "hard.csv", header, (data,))
+    assert (tmp_path / "hard.csv").read_bytes() == _per_value_csv(header, [data])
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200),
+       ncols=st.integers(1, 4))
+def test_csv_writer_matches_python_on_raw_bit_patterns(tmp_path_factory, bits, ncols):
+    v = np.array(bits, dtype=np.uint64).view(np.float64)
+    data = np.resize(v, (-(-v.size // ncols), ncols))
+    header = [f"c{j}" for j in range(ncols)]
+    path = tmp_path_factory.mktemp("bits") / "bits.csv"
+    export.write_csv(path, header, (data,))
+    assert path.read_bytes() == _per_value_csv(header, [data])
+
+
+@pytest.fixture(scope="module")
+def case_trajectory(case_problem):
+    """The case-study feeder at the CLI defaults: 50,001 samples."""
+    cfg = IntegratorConfig(dt=1e-3, t_end=50.0, stop_tol=1e-8)
+    return integrate(case_problem, State(np.zeros(case_problem.m), np.zeros(case_problem.p)), cfg)
+
+
+def test_csv_writer_formats_nearly_every_case_study_value_itself(case_trajectory):
+    # the values left to Python's '%' keep the bytes right but cost the speed
+    traj = case_trajectory
+    values = np.column_stack([traj.t, traj.y, traj.lam, traj.drift_norm]).ravel()
+    _, _, slow = export._digits(values)
+    assert np.mean(slow) <= 1e-3
+
+
+def test_csv_writer_streams(tmp_path, case_trajectory):
+    # the writer holds one block of rows at a time: its peak does not grow with the rows
+    traj = case_trajectory
+    head = dataclasses.replace(traj, t=traj.t[:8192], y=traj.y[:8192], lam=traj.lam[:8192],
+                               drift_norm=traj.drift_norm[:8192])
+    head.write_csv(tmp_path / "warm.csv")   # imports the writer and builds its tables
+    peaks = []
+    for tr in (head, traj):
+        tracemalloc.start()
+        try:
+            tr.write_csv(tmp_path / "trajectory.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(traj) == 50_001
+    assert peaks[1] <= 1.25 * peaks[0] and peaks[1] < 16 * 2**20, peaks
 
 
 @pytest.mark.parametrize("every, ok", [

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppdgd import (
@@ -156,7 +156,8 @@ def enumerated_box_qp(H, lin, lo, hi):
 
 
 def box_dense_problem(rng, n, cond, degenerate):
-    """Dense H with condition number cond, random c and A, box X with some lo == hi."""
+    """Dense H with condition number cond, random c, A = U diag(s) V' with
+    singular values s in [0.5, 2] (full row rank), box X with some lo == hi."""
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     eigs = np.geomspace(1.0, cond, n) * rng.uniform(0.5, 2.0) / np.sqrt(cond)
     H = (Q * eigs) @ Q.T
@@ -164,7 +165,11 @@ def box_dense_problem(rng, n, cond, degenerate):
     lo = rng.uniform(-1.5, 0.0, size=n)
     hi = lo + rng.uniform(0.1, 2.0, size=n)
     hi[degenerate[:n]] = lo[degenerate[:n]]
-    P = make_problem(H, rng.normal(size=n), rng.normal(size=(p, n)), BoxSet.box(lo, hi), m=p)
+    c = rng.normal(size=n)
+    U, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, p)))
+    A = (U * rng.uniform(0.5, 2.0, size=p)) @ V.T
+    P = make_problem(H, c, A, BoxSet.box(lo, hi), m=p)
     assert P.inner_mode == "box_dense"
     return P
 
@@ -177,6 +182,8 @@ def box_dense_problem(rng, n, cond, degenerate):
     lam_scale=st.sampled_from([0.0, 0.3, 3.0, 100.0]),
     degenerate=st.lists(st.booleans(), min_size=5, max_size=5),
 )
+# a normal draw of A at this seed has A A' eigenvalue ratio 2.2e-12
+@example(n=4, seed=346, log_cond=0.0, lam_scale=3.0, degenerate=[False] * 5)
 def test_box_dense_matches_enumerated_oracle(n, seed, log_cond, lam_scale, degenerate):
     rng = np.random.default_rng(seed)
     P = box_dense_problem(rng, n, 10.0**log_cond, np.array(degenerate))
@@ -213,7 +220,8 @@ def test_box_dense_ill_conditioned_solves_to_roundoff():
 def test_box_dense_stall_safeguard_ends_cycling(monkeypatch):
     import ppdgd.inner as inner
 
-    rng = np.random.default_rng(79)
+    # the first seed of box_dense_problem whose unguarded block steps cycle
+    rng = np.random.default_rng(46)
     P = box_dense_problem(rng, 3, 1e3, np.zeros(3, dtype=bool))
     lam = 3.0 * rng.normal(size=P.p)
     cap = inner._active_set_cap(P.n)

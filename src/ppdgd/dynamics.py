@@ -142,15 +142,15 @@ def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]
 
     dy = tau * tangent-cone projection of (-g - B'lam) at y, and
     dlam = tau * (grad phi(lam) + B y - C). Raises PointOutsideSet when
-    s.y is not in Omega.
+    s.y is not in Omega and NonFiniteState when s.lam is not finite.
     """
     y = _check_dim(s.y, P.Omega, "y")
     _check_member(y, P.Omega)
     lam = np.asarray(s.lam, dtype=float)
+    dlam = _grad_phi(P, lam) + P.B @ y - P.C   # first, before any product with a non-finite lam
     target = -(P.Bt @ lam)
     raw = target - P.hpack.select(y, target)
     dy = tangent_rule(raw, *active_faces(y, P.Omega))
-    dlam = _grad_phi(P, lam) + P.B @ y - P.C
     return tau * dy, tau * dlam
 
 

@@ -1,15 +1,14 @@
 """Inner minimization over x and the induced dual function.
 
 For a multiplier lam the inner problem is min_{x in X} f(x) + lam'Ax; its
-value is the dual function phi(lam) and its gradient is A x*(lam). The
-Problem caches the unconstrained minimizer x_base - dual_map @ lam, and the
-solve takes one of two paths, both exact to roundoff. With X free or H
-diagonal, x* is the clamp of that minimizer into X; a free X is the box
-[-inf, inf]^n, whose clamp is the identity. With a box and dense H
-(inner_mode "box_dense") a primal-dual active-set solve starts from that
-clamp and ends with an exact reduced solve on the final free set.
-x_star_piece gives x*(lam) as one affine piece of lam around a multiplier,
-with the rows on which that piece holds.
+value is the dual function phi(lam) and its gradient is A x*(lam). One
+solve serves every X, a free X being the box [-inf, inf]^n: a primal-dual
+active-set iteration starts from the clamp into X of the unconstrained
+minimizer x_base - dual_map @ lam, which the Problem caches, and ends with
+an exact reduced solve on the final free set. Where no bound binds, H is
+diagonal or X is free, that clamp is already exact and is returned as it
+is. x_star_piece gives x*(lam) as one affine piece of lam around a
+multiplier, with the rows on which that piece holds.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InnerSolveDiverged
-from .geometry import clip_pattern, project_box
+from .errors import DimensionMismatch, InnerSolveDiverged, NonFiniteState
+from .geometry import project_box
 from .model import Problem
 
 KKT_TOL = 1e-10     # absolute bound on the fixed-point residual ||x - clip(x - g)||
@@ -40,12 +39,14 @@ def _active_set_cap(n: int) -> int:
     return 64 * n + 64
 
 
-def _box_dense_minimizer(P: Problem, lam: np.ndarray):
-    """Exact minimizer of f(x) + lam'Ax over a box with dense H.
+def _x_star(P: Problem, lam: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact minimizer x*(lam) of f(x) + lam'Ax over the box X, and the steps it took.
 
     Solves min 0.5 x'Hx + (c + A'lam)'x over lo <= x <= hi by a primal-dual
     active-set (semismooth Newton) iteration started from the clamped
-    unconstrained minimizer, which is already exact when no bound binds.
+    unconstrained minimizer, which is already exact when no bound binds,
+    when H is diagonal and when X is free (every bound infinite): those
+    return it at step 0.
     Each step pins the coordinates where x - g/alpha_m leaves the box and
     solves H_FF x_F = -(lin_F + H_FA x_A) exactly on the free ones; the
     1/alpha_m scaling of that test cycles far less often than unit scaling.
@@ -58,9 +59,14 @@ def _box_dense_minimizer(P: Problem, lam: np.ndarray):
     Block steps can cycle when H is ill-conditioned, so once STALL_STEPS of
     them in a row fail to lower the number of coordinates that change status,
     every later step changes only the first of them: least-index single
-    pivots, finite for a positive definite H (Judice and Pires). Reaching
-    _active_set_cap(n) steps raises InnerSolveDiverged. Returns (x, steps).
+    pivots, finite for a positive definite H (Judice and Pires). Raises
+    NonFiniteState before the first step when lam is not finite, and
+    InnerSolveDiverged on reaching _active_set_cap(n) steps.
     """
+    bad = ~np.isfinite(lam)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteState(f"lam[{i}] = {lam[i]} is not finite; the inner solve needs it finite")
     H, lo, hi = P.f.H, P.X.lo, P.X.hi
     lin = P.f.c + P.A.T @ lam
     x = np.minimum(np.maximum(P.x_base - P.dual_map @ lam, lo), hi)
@@ -96,52 +102,36 @@ def _box_dense_minimizer(P: Problem, lam: np.ndarray):
         x = np.where(free, np.linalg.solve(M, np.where(free, -(lin + H @ pinned), 0.0)), pinned)
 
 
-def _x_star(P: Problem, lam: np.ndarray) -> tuple[np.ndarray, int]:
-    """Inner minimizer x*(lam) and the active-set steps it took: a clamp, or box_dense's solve."""
-    if P.inner_mode == "box_dense":
-        return _box_dense_minimizer(P, lam)
-    return np.minimum(np.maximum(P.x_base - P.dual_map.dot(lam), P.X.lo), P.X.hi), 0
-
-
 def x_star_piece(P: Problem, lam: np.ndarray):
     """Affine piece of x*(lam) at lam, and the rows on which it holds.
 
     Returns (x0, X1, T0, T1, lower, upper): x*(l) = x0 + X1 l for every l
-    with lower < T0 + T1 l <= upper, lam among them. The piece is
-    - with X free or H diagonal: the clamp pattern of x_base - dual_map l;
-    - box_dense: the active pattern of _box_dense_minimizer's x, with
-      H_FF x_F = -(c_F + A_F'l + H_FA x_A) solved exactly on the free
-      coordinates. Its rows are the free coordinates, inside the box, and
-      the gradient at the bound ones, of the sign that keeps the bound (any
-      sign where lo = hi), each up to KKT_TOL.
-    Rows whose bracket is (-inf, inf] test nothing and are left out, so a
-    free X has none.
+    with lower < T0 + T1 l <= upper, lam among them. The piece is the active
+    pattern of _x_star's x, with H_FF x_F = -(c_F + A_F'l + H_FA x_A) solved
+    exactly on the free coordinates. Its rows are the free coordinates,
+    inside the box, and the gradient at the bound ones, of the sign that
+    keeps the bound (any sign where lo = hi), each up to KKT_TOL. Rows whose
+    bracket is (-inf, inf] test nothing and are left out, so a free X has
+    none.
     """
-    lo, hi = P.X.lo, P.X.hi
-    if P.inner_mode == "box_dense":
-        H = P.f.H
-        x, _ = _box_dense_minimizer(P, lam)
-        at_lo = x <= lo
-        at_hi = ~at_lo & (x >= hi)
-        free = ~(at_lo | at_hi)
-        pinned = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
-        # identity rows and columns at the pinned coordinates, as in _box_dense_minimizer
-        reduced = np.where(free[:, None] & free, H, np.eye(P.n))
-        rhs = np.where(free[:, None], -np.column_stack([P.f.c + H @ pinned, P.A.T]), 0.0)
-        sol = np.linalg.solve(reduced, rhs)
-        x0 = np.where(free, sol[:, 0], pinned)
-        X1 = np.where(free[:, None], sol[:, 1:], 0.0)
-        T0 = np.where(free, x0, H @ x0 + P.f.c)
-        T1 = np.where(free[:, None], X1, H @ X1 + P.A.T)
-        # as loose as the residual test of _box_dense_minimizer, so that the
-        # piece holds at every lam whose x that test accepts
-        lower = np.where(free, lo - KKT_TOL, np.where(at_hi | (lo == hi), -np.inf, -KKT_TOL))
-        upper = np.where(free, hi + KKT_TOL, np.where(at_hi, KKT_TOL, np.inf))
-    else:
-        T0, T1 = P.x_base, -P.dual_map
-        at_lo, at_hi, lower, upper = clip_pattern(P.x_base - P.dual_map.dot(lam), lo, hi)
-        x0 = np.where(at_lo, lo, np.where(at_hi, hi, T0))
-        X1 = np.where((at_lo | at_hi)[:, None], 0.0, T1)
+    lo, hi, H = P.X.lo, P.X.hi, P.f.H
+    x, _ = _x_star(P, lam)
+    at_lo = x <= lo
+    at_hi = ~at_lo & (x >= hi)
+    free = ~(at_lo | at_hi)
+    pinned = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+    # identity rows and columns at the pinned coordinates, as in _x_star
+    reduced = np.where(free[:, None] & free, H, np.eye(P.n))
+    rhs = np.where(free[:, None], -np.column_stack([P.f.c + H @ pinned, P.A.T]), 0.0)
+    sol = np.linalg.solve(reduced, rhs)
+    x0 = np.where(free, sol[:, 0], pinned)
+    X1 = np.where(free[:, None], sol[:, 1:], 0.0)
+    T0 = np.where(free, x0, H @ x0 + P.f.c)
+    T1 = np.where(free[:, None], X1, H @ X1 + P.A.T)
+    # as loose as the residual test of _x_star, so that the piece holds at
+    # every lam whose x that test accepts
+    lower = np.where(free, lo - KKT_TOL, np.where(at_hi | (lo == hi), -np.inf, -KKT_TOL))
+    upper = np.where(free, hi + KKT_TOL, np.where(at_hi, KKT_TOL, np.inf))
     tests = (lower > -np.inf) | (upper < np.inf)
     return x0, X1, T0[tests], T1[tests], lower[tests], upper[tests]
 
@@ -152,7 +142,11 @@ def _grad_phi(P: Problem, lam: np.ndarray) -> np.ndarray:
 
 
 def solve_inner(P: Problem, lam) -> InnerSolution:
-    """Solve the inner minimization at lam and evaluate phi and its gradient."""
+    """Solve the inner minimization at lam and evaluate phi and its gradient.
+
+    Raises DimensionMismatch on a lam of the wrong shape and NonFiniteState
+    on one that is not finite.
+    """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (P.p,):
         raise DimensionMismatch(f"lambda has shape {lam.shape}, expected ({P.p},)")

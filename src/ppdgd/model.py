@@ -430,9 +430,9 @@ class AtomTable(PieceTable):
 class Problem:
     """Immutable structured instance with derived curvature/rate constants.
 
-    Built by build_problem only. The inner-minimization cache (the unconstrained
-    minimizer and the precomputed maps for the dual gradient) is attached here
-    so repeated evaluations along a trajectory stay cheap.
+    Built by build_problem only. The maps of the unconstrained inner minimizer,
+    where every inner solve starts, are attached here so repeated evaluations
+    along a trajectory stay cheap.
     """
 
     f: QuadraticSmoothFn
@@ -450,11 +450,10 @@ class Problem:
     drift_lipschitz: float   # NonFiniteState reports dt * tau * drift_lipschitz
     Bt: np.ndarray = field(repr=False)   # contiguous copy of B.T, shared by all paths
     hpack: SeparablePiecewise = field(repr=False)
-    # inner-solve cache: x*(lam) is the clamp of x_base - dual_map @ lam into X,
-    # or in box_dense, the only mode the solve branches on, where its active-set solve starts
-    inner_mode: str = field(repr=False)        # "free" | "box_diag" | "box_dense"
-    x_base: np.ndarray = field(repr=False)     # -H^{-1} c (-c/diag(H) for box_diag)
-    dual_map: np.ndarray = field(repr=False)   # H^{-1} A' (A'/diag(H)[:,None] for box_diag)
+    # the inner solve starts from the clamp of x_base - dual_map @ lam into X
+    inner_mode: str = field(repr=False)        # "free" | "box_diag" | "box_dense", a label only
+    x_base: np.ndarray = field(repr=False)     # -H^{-1} c
+    dual_map: np.ndarray = field(repr=False)   # H^{-1} A'
 
     @property
     def n(self) -> int:
@@ -531,21 +530,13 @@ def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) ->
                         ("drift Lipschitz estimate L", lip)):
         _require_normal(name, value)
 
-    if not X.is_free and f.is_diagonal:
-        hd = np.diagonal(f.H)
-        x_base = -f.c / hd
-        dual_map = A.T / hd[:, None]
-        mode = "box_diag"
-    else:
-        chol = np.linalg.cholesky(f.H)
-        x_base = cholesky_solve(chol, -f.c)
-        dual_map = cholesky_solve(chol, A.T)
-        mode = "free" if X.is_free else "box_dense"
+    chol = np.linalg.cholesky(f.H)
+    mode = "free" if X.is_free else "box_diag" if f.is_diagonal else "box_dense"
 
     return Problem(
         f=f, h=h, A=A, B=B, C=C, X=X, Omega=Omega,
         alpha=f.alpha, alpha_m=f.alpha_m, beta=beta, kappa1=kappa1, gamma=gamma,
         drift_lipschitz=lip,
         Bt=np.ascontiguousarray(B.T), hpack=SeparablePiecewise(h),
-        inner_mode=mode, x_base=x_base, dual_map=dual_map,
+        inner_mode=mode, x_base=cholesky_solve(chol, -f.c), dual_map=cholesky_solve(chol, A.T),
     )

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,14 +10,17 @@ from ppdgd import (
     BoxSet,
     InnerSolveDiverged,
     IntegratorConfig,
+    NonFiniteState,
     PiecewiseScalarFn,
     QuadraticSmoothFn,
     State,
     build_problem,
     integrate,
+    rhs,
     solve_inner,
     strong_concavity_check,
 )
+from ppdgd.geometry import clip_pattern
 from ppdgd.inner import _grad_phi, _x_star, x_star_piece
 from ppdgd.random_problems import random_problem
 
@@ -52,21 +56,43 @@ def test_case_study_closed_form(case_problem):
         assert np.allclose(sol.grad_phi, P.A @ expected, atol=1e-12)
 
 
-def test_free_x_takes_the_clamp_path_exactly():
-    # a free X is the box [-inf, inf]^n: its clamp leaves x_base - dual_map @ lam
-    # as it is, and x_star_piece has one piece with no rows to test
+def test_free_x_piece_is_the_unconstrained_map():
+    # a free X is the box [-inf, inf]^n: the clamp that starts the solve leaves
+    # x_base - dual_map @ lam as it is, already exact, and x_star_piece has one
+    # piece with no rows to test
     rng = np.random.default_rng(5)
     for _ in range(20):
         P = random_problem(rng)
         assert P.X.is_free and P.inner_mode == "free"
         lam = rng.normal(size=P.p) * 10.0 ** rng.integers(-3, 4)
         x0, X1, T0, T1, lower, upper = x_star_piece(P, lam)
-        assert np.array_equal(x0, P.x_base) and np.array_equal(X1, -P.dual_map)
         assert T0.shape == (0,) and T1.shape == (0, P.p) and lower.size == upper.size == 0
+        want = P.x_base - P.dual_map @ lam
+        assert np.linalg.norm(x0 + X1 @ lam - want) <= 1e-14 * np.linalg.norm(want)
         x, steps = _x_star(P, lam)
-        assert np.array_equal(x, P.x_base - P.dual_map @ lam) and steps == 0
+        assert np.array_equal(x, want) and steps == 0
         want = solve_inner(P, lam).grad_phi
         assert np.linalg.norm(_grad_phi(P, lam) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("mode", ["free", "box_diag", "box_dense"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_multiplier_is_rejected_before_the_solve(mode, bad):
+    R = random_problem(np.random.default_rng(11))
+    H = np.diag(np.diagonal(R.f.H)) if mode == "box_diag" else R.f.H
+    X = R.X if mode == "free" else BoxSet.box(np.full(R.n, -1.0), np.full(R.n, 1.0))
+    P = build_problem(QuadraticSmoothFn(H, R.f.c), R.h, R.A, R.B, R.C, X, R.Omega)
+    assert P.inner_mode == mode
+    lam = np.zeros(P.p)
+    lam[-1] = bad
+    s = State(y=np.zeros(P.m), lam=lam)
+    calls = [lambda: solve_inner(P, lam), lambda: rhs(P, s),
+             lambda: integrate(P, s, IntegratorConfig(dt=1e-3, t_end=1.0))]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState, match=rf"lam\[{P.p - 1}\] = {bad} is not finite"):
+                call()
 
 
 def test_zero_multiplier_pure_quadratic():
@@ -96,6 +122,31 @@ def test_box_clamped_minimizer_diagonal():
     G = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     vals = 0.5 * np.sum(G**2, axis=1) + G @ np.array([3.0, 0.0])
     assert sol.phi <= vals.min() + 1e-9
+    # with H diagonal, x* is the clamp of x_base - dual_map @ lam: narrow boxes
+    # make bounds bind, and the piece pins exactly the clamped coordinates
+    rng = np.random.default_rng([7, 7, 7])
+    binding = 0
+    for _ in range(40):
+        R = random_problem(rng, free_x=False)
+        w = 10.0 ** rng.uniform(-2.0, 0.0)
+        P = build_problem(R.f, R.h, R.A, R.B, R.C,
+                          BoxSet.box(np.full(R.n, -w), np.full(R.n, w)), R.Omega)
+        assert P.inner_mode == "box_diag"
+        lam = rng.normal(size=P.p)
+        u = P.x_base - P.dual_map @ lam
+        at_lo, at_hi, _, _ = clip_pattern(u, P.X.lo, P.X.hi)
+        clamp = np.clip(u, P.X.lo, P.X.hi)
+        x0, X1, T0, T1, lower, upper = x_star_piece(P, lam)
+        pinned = ~X1.any(axis=1)
+        assert np.array_equal(at_lo, pinned & (x0 == P.X.lo))
+        assert np.array_equal(at_hi, pinned & (x0 == P.X.hi))
+        assert np.linalg.norm(x0 + X1 @ lam - clamp) <= 1e-14 * np.linalg.norm(clamp)
+        t = T0 + T1 @ lam
+        assert np.all((lower < t) & (t <= upper))
+        x, steps = _x_star(P, lam)
+        assert np.array_equal(x, clamp) and steps == 0
+        binding += bool((at_lo | at_hi).any())
+    assert binding >= 30
 
 
 def test_box_dense_hessian_projected_gradient():

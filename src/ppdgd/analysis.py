@@ -7,7 +7,9 @@ segments between its points (the bounds of Omega_j and the breakpoints
 inside), and solves that QP by the dual active-set method of Goldfarb and
 Idnani: a finite sequence of exact reduced KKT solves, each adding or
 dropping one bound, which proves infeasibility when it cannot add a violated
-bound. The final active bounds of x and the multiplier give the pattern of
+bound. It starts with every segment filled to the atom that the minimizer
+under Ax + By = C alone points to, so a call takes a few solves, not one per
+segment. The final active bounds of x and the multiplier give the pattern of
 the equilibrium, and one exact linear KKT solve on that pattern is the
 returned triple, which must reach KKT_TARGET.
 """
@@ -27,7 +29,10 @@ from .dynamics import Trajectory
 KKT_TARGET = 1e-6
 ENVELOPE_SLACK = 1e-6
 FIT_FLOOR = 1e-10
-ORACLE_STEP_CAP = 64    # dual active-set steps per variable of the segment QP, plus one share
+# dual active-set steps after the start per variable of the segment QP, plus
+# one share; the start needs none, as each of its solves after the second
+# frees a bound that it pinned
+ORACLE_STEP_CAP = 64
 # |G dz| of a bound the active set already fixes is roundoff: at most 1e-10 on
 # 3,200 random draws, where the other bounds gave at least 1e-4
 DEPENDENT_TOL = 1e-8
@@ -151,7 +156,8 @@ def _segment_qp(P: Problem, atoms):
     h_j(y_j) - h_j(Omega.lo_j) = sum_k d_jk w_jk + c2_jk w_jk^2 / 2, d_jk the
     piece's slope at the segment's start, and the convexity of h_j makes that
     order the cheapest, so the QP's (x, y) is the problem's. Returns
-    (G, a, E, d, lo, hi) of min z'Gz / 2 + a'z s.t. Ez = d, lo <= z <= hi.
+    (G, a, E, d, lo, hi) of min z'Gz / 2 + a'z s.t. Ez = d, lo <= z <= hi,
+    and the mask of the w, whose bounds _dual_active_set pins at its start.
     """
     n = P.n
     left, right, c2, q, _, _ = atoms.columns
@@ -163,7 +169,7 @@ def _segment_qp(P: Problem, atoms):
     E = np.hstack([P.A, P.B[:, seg // (left.size // P.m)]])
     lo = np.concatenate([P.X.lo, np.zeros(seg.size)])
     hi = np.concatenate([P.X.hi, right[seg] - left[seg]])
-    return G, a, E, P.C - P.B @ P.Omega.lo, lo, hi
+    return G, a, E, P.C - P.B @ P.Omega.lo, lo, hi, np.arange(n + seg.size) >= n
 
 
 def _reduced_solve(G, E, side, rhs_z, rhs_e):
@@ -183,29 +189,62 @@ def _reduced_solve(G, E, side, rhs_z, rhs_e):
     return z, sol[nf:]
 
 
-def _dual_active_set(G, a, E, d, lo, hi):
+def _pinned_solve(G, a, E, d, lo, hi, side):
+    """Minimizer z and multiplier lam of z'Gz / 2 + a'z s.t. Ez = d with the bounds of side pinned."""
+    pinned = np.where(side < 0, lo, np.where(side > 0, hi, 0.0))
+    z, lam = _reduced_solve(G, E, side, -(a + G @ pinned), d - E @ pinned)
+    return z + pinned, lam
+
+
+def _dual_active_set(G, a, E, d, lo, hi, warm):
     """Active bounds and multiplier of min z'Gz / 2 + a'z s.t. Ez = d, lo <= z <= hi.
 
     The dual active-set method of Goldfarb and Idnani (Math. Programming 27,
-    1983) for a positive definite G. It starts at the minimizer subject to
-    Ez = d alone and adds the most violated bound: z moves toward that bound
-    along the step that keeps Ez = d and the active bounds, while the new
-    bound's multiplier grows from 0 and the active ones change. An active
-    bound whose multiplier reaches 0 first is dropped and the step is taken
-    again. Each step of positive length raises the dual value, so no active
-    set comes back and the method ends; the step cap guards degenerate steps
-    of length 0. A violated bound that Ez = d and the active bounds already
-    fix, with no multiplier left to drop, proves the constraints infeasible.
-    E has full row rank, and only bounds independent of the active ones are
-    added, so every reduced system is nonsingular.
+    1983) for a positive definite G, started from a dual-feasible pattern.
+    The start pins every bound of a warm variable that the minimizer under
+    Ez = d alone violates, then frees the pinned bounds whose multipliers
+    u_k = -side_k (G z + a + E'lam)_k come out negative and solves again,
+    until none does. Each solve but the last frees a bound and none is
+    pinned again, so the start ends; its z minimizes the QP with its bounds
+    held as equalities and their multipliers are >= 0, which is the state
+    the method keeps. No warm variable gives the cold start at Ez = d alone.
+
+    From the start, the method adds the most violated bound: z moves toward
+    that bound along the step that keeps Ez = d and the active bounds, while
+    the new bound's multiplier grows from 0 and the active ones change. An
+    active bound whose multiplier reaches 0 first is dropped and the step is
+    taken again. Each step of positive length raises the dual value, so no
+    active set comes back and the method ends; the step cap guards
+    degenerate steps of length 0. A violated bound that Ez = d and the active
+    bounds already fix, with no multiplier left to drop, proves the
+    constraints infeasible. E restricted to the columns that are never warm
+    must have full row rank: then the start's reduced systems are
+    nonsingular, and since only bounds independent of the active ones are
+    added, so is every later one.
+
+    The oracle warms the segments w of _segment_qp and leaves the bounds of
+    x to the steps. Its x columns are A, which build_problem checks for full
+    row rank, while pinning x as well could make a start singular (and cut
+    the nine boxed_dense draws only from 48 to 38 solves). A segment's
+    column of E is a column of B and its block of G is diagonal, so the
+    first solve puts each w_jk at the separable minimizer for one shared
+    target -(B'lam)_j; convexity orders those, so the pins fill each y_j up
+    to that target's atom.
 
     Returns (side, lam): side -1 at lo, +1 at hi, 0 free, and lam the
-    multiplier of Ez = d. Raises OracleFailed on infeasible constraints and
-    after ORACLE_STEP_CAP * (size of z + 1) steps.
+    multiplier of Ez = d on that pattern. Raises OracleFailed on infeasible
+    constraints and after ORACLE_STEP_CAP * (size of z + 1) steps.
     """
     side = np.zeros(a.size, dtype=int)
+    z, lam = _pinned_solve(G, a, E, d, lo, hi, side)
+    changed = warm & ((z < lo) | (z > hi))   # the bounds pinned, then each pass's freed ones
+    side[changed] = np.where(z[changed] < lo[changed], -1, 1)
     u = np.zeros(a.size)   # multipliers of the active bounds, all >= 0
-    z, _ = _reduced_solve(G, E, side, -a, d)
+    while changed.any():
+        z, lam = _pinned_solve(G, a, E, d, lo, hi, side)
+        u = -side * (G @ z + a + E.T @ lam)
+        changed = u < 0.0
+        side[changed] = 0
     cap = ORACLE_STEP_CAP * (a.size + 1)
     i = -1   # the bound being added, once one is violated
     for _ in range(cap):
@@ -214,8 +253,9 @@ def _dual_active_set(G, a, E, d, lo, hi):
                 violation = np.where(side == 0, np.maximum(lo - z, z - hi), 0.0)
             i = int(np.argmax(violation))
             if not violation[i] > 0.0:
-                pinned = np.where(side < 0, lo, np.where(side > 0, hi, 0.0))
-                return side, _reduced_solve(G, E, side, -(a + G @ pinned), d - E @ pinned)[1]
+                if lam is None:   # a step has moved z since the last solve
+                    lam = _pinned_solve(G, a, E, d, lo, hi, side)[1]
+                return side, lam
             normal = 1.0 if z[i] < lo[i] else -1.0   # the bound holds where normal * (z_i - bound) >= 0
             bound, added = (lo[i] if normal > 0 else hi[i]), 0.0
             e = np.where(np.arange(a.size) == i, normal, 0.0)
@@ -230,7 +270,7 @@ def _dual_active_set(G, a, E, d, lo, hi):
         step = min(full, ratios.min(initial=np.inf))
         if step == np.inf:
             raise OracleFailed("Ax + By = C has no solution over X x Omega")
-        z, u, added = z + step * dz, u - step * r, added + step
+        z, u, added, lam = z + step * dz, u - step * r, added + step, None
         if step == full:
             side[i], u[i], z[i], i = -int(normal), added, bound, -1
         else:

@@ -22,6 +22,7 @@ from ppdgd import (
     lyapunov_value,
     solve_inner,
 )
+from ppdgd import analysis
 from ppdgd.cli import _feasible
 from ppdgd.random_problems import random_piecewise, random_problem
 
@@ -138,9 +139,9 @@ def test_oracle_handles_kink_pinned_equilibrium(kinked_cost):
 
 def test_oracle_stops_early_on_a_tiny_kink_jump(monkeypatch):
     # y* = 0.3 sits on a kink whose derivative jumps by only 1e-6. The dual
-    # active-set method solves 4 reduced systems: the start, one step for
-    # each of the two segment bounds it adds, and the final multiplier
-    from ppdgd import analysis
+    # active-set method solves 2 reduced systems: the minimizer under Ax + By = C
+    # alone, then the start that pins the two segment bounds it violates, which
+    # is final and gives the multiplier
     h = PiecewiseScalarFn(np.array([0.3]), np.array([[0.5, 0.0, 0.0], [0.5, 1e-6, -3e-7]]))
     P = build_problem(
         QuadraticSmoothFn(np.array([[1.0]]), np.zeros(1)), [h],
@@ -158,7 +159,7 @@ def test_oracle_stops_early_on_a_tiny_kink_jump(monkeypatch):
     eq = equilibrium_oracle(P)
     assert kkt_residual(P, *eq).total <= 1e-10
     assert eq.y_star[0] == 0.3
-    assert len(calls) <= 4
+    assert len(calls) <= 2
 
 
 def _enumerated_equilibria(P):
@@ -272,15 +273,19 @@ def test_oracle_matches_enumerated_patterns_at_degenerate_equilibria(case, weakl
     _assert_oracle_matches_enumeration(_degenerate_problem(case, weakly_active_box_dense))
 
 
+def _boxed(R):
+    """R with X replaced by [-1, 1]^n, as the boxed_dense benchmark boxes its draws."""
+    X = BoxSet.box(np.full(R.n, -1.0), np.full(R.n, 1.0))
+    return build_problem(R.f, R.h, R.A, R.B, R.C, X, R.Omega)
+
+
 def test_box_dense_oracle_campaign():
     # the draws of the boxed_dense benchmark (its 9 problems come first),
     # boxed as it boxes them: the oracle fails exactly on the infeasible ones
     rng = np.random.default_rng([20240811, 3])
     infeasible = 0
     for _ in range(200):
-        R = random_problem(rng)
-        X = BoxSet.box(np.full(R.n, -1.0), np.full(R.n, 1.0))
-        P = build_problem(R.f, R.h, R.A, R.B, R.C, X, R.Omega)
+        P = _boxed(random_problem(rng))
         if _feasible(P):
             assert kkt_residual(P, *equilibrium_oracle(P)).total <= 1e-10
         else:
@@ -288,6 +293,75 @@ def test_box_dense_oracle_campaign():
             with pytest.raises(OracleFailed):
                 equilibrium_oracle(P)
     assert infeasible > 0
+
+
+def test_warm_start_ends_where_the_cold_start_ends():
+    # a third each free, box_diag and box_dense; the cold start pins no bound
+    # at its start, the oracle's pins the segment bounds its first solve violates
+    rng = np.random.default_rng([7, 7, 7])
+    infeasible = 0
+    for k in range(300):
+        R = random_problem(rng, free_x=(k % 3 != 1))
+        P = _boxed(R) if k % 3 == 2 else R
+        G, a, E, d, lo, hi, warm = analysis._segment_qp(P, P.hpack.atoms(P.Omega.lo, P.Omega.hi))
+        assert warm.any()
+        starts = (np.zeros_like(warm), warm)
+        if not _feasible(P):
+            infeasible += 1
+            for start in starts:
+                with pytest.raises(OracleFailed):
+                    analysis._dual_active_set(G, a, E, d, lo, hi, start)
+            continue
+        (cold_side, cold_lam), (side, lam) = (
+            analysis._dual_active_set(G, a, E, d, lo, hi, start) for start in starts)
+        assert np.array_equal(side, cold_side)
+        assert np.array_equal(lam, cold_lam)
+    assert infeasible > 0
+
+
+def test_oracle_solve_count_on_the_benchmark_draws(monkeypatch):
+    # the draws of random_campaign (alternating free_x) and of boxed_dense; the
+    # cold start took 92 and 120 reduced solves on them
+    calls = []
+    reduced_solve = analysis._reduced_solve
+
+    def counted(*args):
+        calls.append(None)
+        return reduced_solve(*args)
+
+    monkeypatch.setattr(analysis, "_reduced_solve", counted)
+    rng = np.random.default_rng(20240811)
+    for k in range(7):
+        equilibrium_oracle(random_problem(rng, free_x=(k % 2 == 0)))
+    assert len(calls) <= 32
+    calls.clear()
+    rng = np.random.default_rng([20240811, 3])
+    for _ in range(9):
+        equilibrium_oracle(_boxed(random_problem(rng)))
+    assert len(calls) <= 60
+
+
+def test_oracle_kkt_is_roundoff_on_ill_conditioned_H():
+    # cond(H) up to 1e6, A and B as drawn: the absolute KKT total reaches
+    # 2.6e-10 here, above the other oracle tests' 1e-10 bars, but relative
+    # to the size of the terms it sums it stays at roundoff
+    rng = np.random.default_rng(0)
+    checked = 0
+    for k in range(300):
+        R = random_problem(rng)
+        Q, _ = np.linalg.qr(rng.normal(size=(R.n, R.n)))
+        H = (Q * np.geomspace(1.0, 10.0 ** rng.uniform(0.0, 6.0), R.n)) @ Q.T
+        X = BoxSet.free(R.n) if k % 2 == 0 else BoxSet.box(np.full(R.n, -1.0), np.full(R.n, 1.0))
+        P = build_problem(QuadraticSmoothFn(H, R.f.c), R.h, R.A, R.B, R.C, X, R.Omega)
+        if not _feasible(P):
+            continue
+        x, y, lam = equilibrium_oracle(P)
+        norm = np.linalg.norm
+        scale = (norm(H, 2) * norm(x) + norm(P.f.c) + norm(P.A, 2) * norm(lam)
+                 + norm(P.B, 2) * norm(y) + norm(P.C))
+        assert kkt_residual(P, x, y, lam).total <= 1e-13 * scale
+        checked += 1
+    assert checked > 250
 
 
 def test_lyapunov_value_basics(one_dim_problem):

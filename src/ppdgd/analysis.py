@@ -11,7 +11,9 @@ bound. It starts with every segment filled to the atom that the minimizer
 under Ax + By = C alone points to, so a call takes a few solves, not one per
 segment. The final active bounds of x and the multiplier give the pattern of
 the equilibrium, and one exact linear KKT solve on that pattern is the
-returned triple, which must reach KKT_TARGET.
+returned triple, which must reach KKT_TARGET. The proof, checked as a Farkas
+certificate, is the package's one feasibility verdict (InfeasibleProblem);
+OracleFailed means neither a proof nor an equilibrium within KKT_TARGET.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EquilibriumUnverified, OracleFailed, PointOutsideSet
+from .errors import (DimensionMismatch, EquilibriumUnverified, InfeasibleProblem, OracleFailed,
+                     PointOutsideSet)
 from .geometry import active_faces
 from .model import MEMBER_TOL, Problem
 from .dynamics import Trajectory
@@ -217,7 +220,9 @@ def _dual_active_set(G, a, E, d, lo, hi, warm):
     active set comes back and the method ends; the step cap guards
     degenerate steps of length 0. A violated bound that Ez = d and the active
     bounds already fix, with no multiplier left to drop, proves the
-    constraints infeasible. E restricted to the columns that are never warm
+    constraints infeasible: v = E'mu of the step's mu has v'z > mu'd on the
+    whole box (Farkas), which is checked in floating point, as roundoff at
+    extreme scales can break it. E restricted to the columns that are never warm
     must have full row rank: then the start's reduced systems are
     nonsingular, and since only bounds independent of the active ones are
     added, so is every later one.
@@ -232,8 +237,9 @@ def _dual_active_set(G, a, E, d, lo, hi, warm):
     to that target's atom.
 
     Returns (side, lam): side -1 at lo, +1 at hi, 0 free, and lam the
-    multiplier of Ez = d on that pattern. Raises OracleFailed on infeasible
-    constraints and after ORACLE_STEP_CAP * (size of z + 1) steps.
+    multiplier of Ez = d on that pattern. Raises InfeasibleProblem when it
+    proves the constraints infeasible, and OracleFailed when the proof fails
+    its check or after ORACLE_STEP_CAP * (size of z + 1) steps.
     """
     side = np.zeros(a.size, dtype=int)
     z, lam = _pinned_solve(G, a, E, d, lo, hi, side)
@@ -268,8 +274,13 @@ def _dual_active_set(G, a, E, d, lo, hi, warm):
         drop = np.flatnonzero(r > 0.0)
         ratios = u[drop] / r[drop]
         step = min(full, ratios.min(initial=np.inf))
-        if step == np.inf:
-            raise OracleFailed("Ax + By = C has no solution over X x Omega")
+        if step == np.inf:   # v = E'mu: v_i = normal, 0 on the other free z, side_k v_k <= 0
+            v = E.T @ mu
+            with np.errstate(invalid="ignore", over="ignore"):   # 0 * inf or overflow: no proof
+                gap = np.where(v > 0.0, v * lo, v * hi).sum() - mu @ d
+            if 0.0 < gap < np.inf:   # v'z > mu'd = mu'Ez on the whole box (Farkas)
+                raise InfeasibleProblem("Ax + By = C has no solution over X x Omega")
+            raise OracleFailed("the dual active-set method's infeasibility proof fails its check")
         z, u, added, lam = z + step * dz, u - step * r, added + step, None
         if step == full:
             side[i], u[i], z[i], i = -int(normal), added, bound, -1
@@ -322,9 +333,10 @@ def equilibrium_oracle(P: Problem) -> Equilibrium:
     exact solve on that pattern (_pattern_solve), clipped into X and into the
     closure of each y_j's atom, is the equilibrium.
 
-    Raises OracleFailed when Ax + By = C has no solution over X x Omega, when
-    the dual active-set method exceeds its step cap, and when the
-    equilibrium's KKT total exceeds KKT_TARGET.
+    Raises InfeasibleProblem on a proof that Ax + By = C has no solution over
+    X x Omega, and OracleFailed on data that it cannot decide or solve: past
+    the step cap or on a proof that fails its check, on a pattern solve that
+    is not finite, and on a KKT total above KKT_TARGET.
     """
     atoms = P.hpack.atoms(P.Omega.lo, P.Omega.hi)
     side, lam = _dual_active_set(*_segment_qp(P, atoms))

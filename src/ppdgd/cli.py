@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: validate (structural assumptions and rate constants), run
-(integrate a problem file), certify (integrate + equilibrium oracle +
-envelope certificate), casestudy (the feeder demo, with repeatable --tau).
+Subcommands: validate (structural assumptions, rate constants and the
+oracle's feasibility verdict), run (integrate a problem file), certify
+(equilibrium oracle + integrate + envelope certificate), casestudy (the
+feeder demo, with repeatable --tau).
 
 Exit codes: 0 success, 2 parse error (problem file or flags) or i/o error,
 3 assumption failure, 4 integration failure, 5 certification failure; main
@@ -29,26 +30,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CERTIFICATION = 5
 
-FEASIBILITY_TOL = 1e-6   # residual of Ax + By = C, relative to max(1, |C|_inf)
-INFEASIBLE = "Ax + By = C has no solution over X x Omega"
-
-
-def _feasible(P: Problem) -> bool:
-    """Probe whether Ax + By = C admits a solution over X x Omega."""
-    if P.X.is_free:
-        return True  # A has full row rank, so x alone reaches any right-hand side
-    import scipy.optimize  # deferred: keeps `validate` startup fast
-
-    M = np.hstack([P.A, P.B])
-    lo = np.concatenate([P.X.lo, P.Omega.lo])
-    hi = np.concatenate([P.X.hi, P.Omega.hi])
-    free = lo < hi   # lsq_linear needs lo < hi; a pinned coordinate moves to the right-hand side
-    gap = P.C - M[:, ~free] @ lo[~free]
-    if free.any():
-        res = scipy.optimize.lsq_linear(M[:, free], gap, bounds=(lo[free], hi[free]))
-        gap = gap - M[:, free] @ res.x
-    return float(np.max(np.abs(gap))) <= FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(P.C))))
-
 
 def _cmd_validate(args) -> int:
     P = load_problem(args.problem)
@@ -58,10 +39,12 @@ def _cmd_validate(args) -> int:
     for check in ("smooth_strongly_convex", "nonsmooth_strongly_convex", "full_row_rank",
                   "omega_compact"):
         print(f"check {check}: pass")
-    feasible = _feasible(P)
-    print(f"check feasible: {'pass' if feasible else 'fail'}")
-    if not feasible:
-        raise InfeasibleProblem(INFEASIBLE)
+    try:   # the oracle's proof is the verdict; its other failures propagate (exit 5)
+        equilibrium_oracle(P)
+    except InfeasibleProblem:
+        print("check feasible: fail")
+        raise
+    print("check feasible: pass")
     return EXIT_OK
 
 
@@ -84,14 +67,14 @@ def _certify(P: Problem, cfg: IntegratorConfig, seed, out: Path, eq=None, tag: s
 
     Writes trajectory{tag}.csv, envelope{tag}.csv and report{tag}.json under
     out, creating out only after certification, and returns (trajectory,
-    report, invariant). Without eq, an infeasible P raises InfeasibleProblem
-    before the integration starts; a given eq shows that P is feasible.
+    report, invariant). Without eq, the oracle solves P before the
+    integration starts, as it does not read the trajectory: an infeasible P
+    raises InfeasibleProblem and an unsolved one OracleFailed before any
+    step. A given eq shows that P is feasible.
     """
-    if eq is None and not _feasible(P):
-        raise InfeasibleProblem(INFEASIBLE)
-    traj = integrate(P, _initial_state(P, seed), cfg)
     if eq is None:
         eq = equilibrium_oracle(P)
+    traj = integrate(P, _initial_state(P, seed), cfg)
     report = certify_envelope(P, traj, eq)
     out.mkdir(parents=True, exist_ok=True)
     traj.write_csv(out / f"trajectory{tag}.csv")

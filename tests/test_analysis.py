@@ -8,9 +8,10 @@ from ppdgd import (
     BoxSet,
     Equilibrium,
     EquilibriumUnverified,
+    InfeasibleProblem,
     IntegratorConfig,
-    PiecewiseScalarFn,
     OracleFailed,
+    PiecewiseScalarFn,
     PointOutsideSet,
     QuadraticSmoothFn,
     State,
@@ -23,8 +24,30 @@ from ppdgd import (
     solve_inner,
 )
 from ppdgd import analysis
-from ppdgd.cli import _feasible
 from ppdgd.random_problems import random_piecewise, random_problem
+
+FEASIBILITY_TOL = 1e-6   # residual of Ax + By = C, relative to max(1, |C|_inf)
+
+
+def _feasible(P) -> bool:
+    """Probe whether Ax + By = C admits a solution over X x Omega.
+
+    scipy's bounded least squares, independent of the oracle's proof: the
+    reference that the oracle's infeasibility verdicts are checked against.
+    """
+    if P.X.is_free:
+        return True  # A has full row rank, so x alone reaches any right-hand side
+    import scipy.optimize
+
+    M = np.hstack([P.A, P.B])
+    lo = np.concatenate([P.X.lo, P.Omega.lo])
+    hi = np.concatenate([P.X.hi, P.Omega.hi])
+    free = lo < hi   # lsq_linear needs lo < hi; a pinned coordinate moves to the right-hand side
+    gap = P.C - M[:, ~free] @ lo[~free]
+    if free.any():
+        res = scipy.optimize.lsq_linear(M[:, free], gap, bounds=(lo[free], hi[free]))
+        gap = gap - M[:, free] @ res.x
+    return float(np.max(np.abs(gap))) <= FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(P.C))))
 
 
 def test_kkt_residual_zero_at_analytic_equilibrium(one_dim_problem):
@@ -254,7 +277,7 @@ def _degenerate_problem(case, weakly_active_box_dense):
 def _assert_oracle_matches_enumeration(P):
     found = _enumerated_equilibria(P)
     if not found:
-        with pytest.raises(OracleFailed):
+        with pytest.raises(InfeasibleProblem):
             equilibrium_oracle(P)
         return
     eq = equilibrium_oracle(P)
@@ -281,7 +304,8 @@ def _boxed(R):
 
 def test_box_dense_oracle_campaign():
     # the draws of the boxed_dense benchmark (its 9 problems come first),
-    # boxed as it boxes them: the oracle fails exactly on the infeasible ones
+    # boxed as it boxes them: the oracle proves infeasible exactly the draws
+    # that the probe rejects
     rng = np.random.default_rng([20240811, 3])
     infeasible = 0
     for _ in range(200):
@@ -290,9 +314,25 @@ def test_box_dense_oracle_campaign():
             assert kkt_residual(P, *equilibrium_oracle(P)).total <= 1e-10
         else:
             infeasible += 1
-            with pytest.raises(OracleFailed):
+            with pytest.raises(InfeasibleProblem):
                 equilibrium_oracle(P)
     assert infeasible > 0
+
+
+def test_an_infeasibility_proof_that_fails_its_check_is_no_verdict():
+    # feasible (x = (0.5, 0), y = 0), but c_1 = 1e128 gives bound multipliers
+    # near 1e127, whose steps lose the O(1) parts of z: the method found no
+    # bound to drop and took the data for infeasible, which the Farkas
+    # check of its multiplier refutes
+    P = build_problem(QuadraticSmoothFn(np.diag([1.0, 2.0]), np.array([0.0, 1e128])),
+                      [PiecewiseScalarFn.quadratic(0.5),
+                       PiecewiseScalarFn(np.array([0.2]), np.array([[0.5, 0.0, 0.0],
+                                                                    [1.0, -0.2, 0.02]]))],
+                      np.ones((1, 2)), np.array([[1.0, -1.0]]), np.array([0.5]),
+                      BoxSet.box([-2.0, -2.0], [2.0, 2.0]), BoxSet.box([-1.0, -1.0], [1.0, 1.0]))
+    assert _feasible(P)
+    with pytest.raises(OracleFailed, match="infeasibility proof fails its check"):
+        equilibrium_oracle(P)
 
 
 def test_warm_start_ends_where_the_cold_start_ends():
@@ -309,7 +349,7 @@ def test_warm_start_ends_where_the_cold_start_ends():
         if not _feasible(P):
             infeasible += 1
             for start in starts:
-                with pytest.raises(OracleFailed):
+                with pytest.raises(InfeasibleProblem):
                     analysis._dual_active_set(G, a, E, d, lo, hi, start)
             continue
         (cold_side, cold_lam), (side, lam) = (

@@ -2,12 +2,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ppdgd import NonFiniteState, OracleFailed, PpdgdError, RankDeficient, cli, dump_problem, errors
+from ppdgd import (BoxSet, NonFiniteState, OracleFailed, PpdgdError, RankDeficient, analysis,
+                   build_problem, cli, dump_problem, errors)
 from ppdgd.casestudy import build_case
 from ppdgd.cli import main
 from ppdgd.dynamics import TerminationReason
+from ppdgd.random_problems import random_problem
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +163,8 @@ def _readme_doc(**sets):
       "Omega": {"kind": "box", "lo": [-1.0, 0.25], "hi": [1.0, 0.25]}}, (0,)),
 ])
 def test_pinned_box_coordinates_pass_the_feasibility_probe(sets, certified, tmp_path, capsys):
-    # lsq_linear needs lo < hi: both files used to end in a ValueError traceback
+    # a coordinate with lo = hi: both files once ended in a ValueError
+    # traceback from the least-squares feasibility probe that the oracle replaced
     path = tmp_path / "pinned.json"
     path.write_text(json.dumps(_readme_doc(**sets)))
     assert main(["validate", str(path)]) == 0
@@ -194,6 +198,67 @@ def test_certify_infeasible_boxes_exit_3_before_integrating(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     _exits_3_without_output(
         path, "InfeasibleProblem: Ax + By = C has no solution over X x Omega", tmp_path, capsys)
+
+
+def _near_edge_problems(count):
+    """Feasible draws 1e-6 inside the edge of A (X) + B (Omega), with X = [-1, 1]^n.
+
+    v is the vertex of X x Omega where d'(Ax + By) peaks for a random unit d,
+    and C = A v_x + B v_y - 1e-6 d.
+    """
+    rng = np.random.default_rng(21)
+    for k in range(count):
+        R = random_problem(rng, free_x=(k % 2 == 0))
+        X = BoxSet.box(np.full(R.n, -1.0), np.full(R.n, 1.0))
+        M = np.hstack([R.A, R.B])
+        lo, hi = np.concatenate([X.lo, R.Omega.lo]), np.concatenate([X.hi, R.Omega.hi])
+        d = rng.normal(size=R.p)
+        d /= np.linalg.norm(d)
+        v = np.where(M.T @ d > 0, hi, lo)
+        yield build_problem(R.f, R.h, R.A, R.B, M @ v - 1e-6 * d, X, R.Omega)
+
+
+def test_feasible_near_edge_files_pass(tmp_path, capsys):
+    # a bounded least-squares probe stopped at residuals near 1e-5 on these
+    # and rejected 9 of the 10 as infeasible; the oracle solves each of them
+    for k, P in enumerate(_near_edge_problems(10)):
+        path = tmp_path / f"edge{k}.json"
+        dump_problem(P, path)
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "check feasible: pass"
+        # X binds at these points, so the envelope may fail (ROADMAP item 2)
+        assert main(["certify", str(path), "--t-end", "1", "--seed", "1",
+                     "--out", str(tmp_path / f"out{k}")]) != 3
+        assert "InfeasibleProblem" not in capsys.readouterr().err
+
+
+def test_validate_and_certify_on_a_box_x_file_leave_scipy_unloaded(tmp_path):
+    path = tmp_path / "boxed.json"
+    path.write_text(json.dumps(_readme_doc(X={"kind": "box", "lo": [-1.0, -1.0],
+                                                "hi": [1.0, 1.0]})))
+    script = ("import runpy, sys\n"
+              "sys.argv[0] = 'ppdgd'\n"
+              "try:\n"
+              "    runpy.run_module('ppdgd.cli', run_name='__main__')\n"
+              "except SystemExit as exc:\n"
+              "    print('exit', exc.code)\n"
+              "print('scipy' in sys.modules)\n")
+    for argv in (["validate", str(path)],
+                 ["certify", str(path), "--t-end", "2", "--out", str(tmp_path / "out")]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.splitlines()[-2:] == ["exit 0", "False"], proc.stdout + proc.stderr
+        assert proc.stderr == ""
+
+
+def test_validate_oracle_failure_exits_5_with_one_line(toy_file, monkeypatch, capsys):
+    # any failure of the oracle but a proof of infeasibility gives no verdict
+    monkeypatch.setattr(analysis, "KKT_TARGET", -1.0)
+    assert main(["validate", toy_file]) == 5
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("certification failure: OracleFailed: ")
+    assert "check feasible" not in captured.out
 
 
 def test_infinite_drift_lipschitz_estimate_exits_3(tmp_path, capsys):

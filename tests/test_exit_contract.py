@@ -1,13 +1,17 @@
-"""Exit-code contract of `ppdgd certify` on mutated problem files and flags.
+"""Exit-code contract of `ppdgd certify` and `ppdgd validate` on mutated problem files.
 
-Every run ends with an exit code in {0, 2, 3, 4, 5} and no traceback. Exit 0
-prints nothing on stderr and exits 2-4 print exactly one line. Exit 5 prints
-one line, or none after its `envelope_ok = ` report line (a failed envelope
-or invariance check).
+Every certify run ends with an exit code in {0, 2, 3, 4, 5} and no
+traceback. Exit 0 prints nothing on stderr and exits 2-4 print exactly one
+line. Exit 5 prints one line, or none after its `envelope_ok = ` report line
+(a failed envelope or invariance check). validate, which runs the oracle but
+does not integrate, ends with 0, 2, 3 or 5, and every exit but 0 prints
+exactly one stderr line.
 """
 
+import contextlib
 import copy
 import functools
+import io
 import json
 import math
 import operator
@@ -20,6 +24,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import ppdgd
+from ppdgd.cli import main
 
 # the README example with a box X
 BASE = {
@@ -58,12 +63,12 @@ def _paths(node, path=()):
 
 
 @st.composite
-def mutated_docs(draw):
+def mutated_docs(draw, kinds=("number", "number", "type", "drop", "nest")):
     doc = copy.deepcopy(BASE)
     for _ in range(draw(st.integers(0, 3))):
         *head, key = draw(st.sampled_from(list(_paths(doc))))
         parent = functools.reduce(operator.getitem, head, doc)
-        kind = draw(st.sampled_from(["number", "number", "type", "drop", "nest"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "number":
             parent[key] = draw(NUMBERS)
         elif kind == "type":   # a copy: a later mutation must not change WRONG_TYPES
@@ -128,3 +133,37 @@ def certify_keeps_the_exit_contract(doc, argv, tmp_path: Path):
 @given(doc=mutated_docs(), argv=flags())
 def test_certify_keeps_the_exit_contract_on_mutants(doc, argv, tmp_path_factory):
     certify_keeps_the_exit_contract(doc, argv, tmp_path_factory.mktemp("mutant"))
+
+
+def validate_in_process(doc, tmp_path: Path):
+    """(exit code, stdout, stderr lines) of `ppdgd validate` on doc, run through cli.main."""
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(path)])
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+# in process, so cheap: more examples, half of them with only numbers changed,
+# which reach the oracle more often
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate], suppress_health_check=[HealthCheck.too_slow])
+@given(doc=st.one_of(mutated_docs(), mutated_docs(kinds=("number",))))
+def test_validate_keeps_the_exit_contract_on_mutants(doc, tmp_path_factory):
+    code, _, err = validate_in_process(doc, tmp_path_factory.mktemp("mutant"))
+    case = f"file {json.dumps(doc)}: exit {code}, stderr {err}"
+    assert code in (0, 2, 3, 5), case
+    assert len(err) == (0 if code == 0 else 1), case
+
+
+def test_validate_exits_5_where_the_oracle_misses_its_kkt_target(tmp_path):
+    # validate printed check feasible: pass here before it ran the oracle;
+    # certify already ended with this line
+    doc = copy.deepcopy(BASE)
+    doc["h"][0]["pieces"][0]["p"] = 1e114
+    code, out, err = validate_in_process(doc, tmp_path)
+    assert code == 5
+    assert err == ["certification failure: OracleFailed: the equilibrium's KKT total "
+                   "5.000e-01 exceeds 1e-06"]
+    assert "check feasible" not in out

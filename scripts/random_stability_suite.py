@@ -33,7 +33,7 @@ from ppdgd.random_problems import random_problem
 
 GAP_TOL = 1e-4   # endpoint distance to the oracle's (y*, lam*)
 KKT_TOL = 1e-6   # endpoint KKT residual
-ORACLE_KKT_TOL = 1e-10   # the oracle's exact pattern solve is a KKT point up to roundoff
+ORACLE_KKT_TOL = 1e-12   # the dual active-set method's last exact solve is a KKT point up to roundoff
 
 
 def main() -> int:

@@ -9,9 +9,9 @@ Idnani: a finite sequence of exact reduced KKT solves, each adding or
 dropping one bound, which proves infeasibility when it cannot add a violated
 bound. It starts with every segment filled to the atom that the minimizer
 under Ax + By = C alone points to, so a call takes a few solves, not one per
-segment. The final active bounds of x and the multiplier give the pattern of
-the equilibrium, and one exact linear KKT solve on that pattern is the
-returned triple, which must reach KKT_TARGET. The proof, checked as a Farkas
+segment. The method's last exact solve is the equilibrium: x from its
+solution, lam from its multiplier and each y_j from lam through the atom it
+points to; the triple must reach KKT_TARGET. The proof, checked as a Farkas
 certificate, is the package's one feasibility verdict (InfeasibleProblem);
 OracleFailed means neither a proof nor an equilibrium within KKT_TARGET.
 """
@@ -97,7 +97,7 @@ class ConvergenceReport:
 
 def _interval_distance(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Distance of 0 to each interval [low_j, high_j] (low <= high, inf allowed)."""
-    return np.maximum(0.0, np.maximum(low, -high))
+    return np.maximum(np.maximum(low, -high), 0.0)   # 0.0 second: max(0.0, -0.0) is -0.0
 
 
 def _normal_interval(v: np.ndarray, S):
@@ -236,8 +236,8 @@ def _dual_active_set(G, a, E, d, lo, hi, warm):
     target -(B'lam)_j; convexity orders those, so the pins fill each y_j up
     to that target's atom.
 
-    Returns (side, lam): side -1 at lo, +1 at hi, 0 free, and lam the
-    multiplier of Ez = d on that pattern. Raises InfeasibleProblem when it
+    Returns (z, lam) of the last exact solve, on the final active bounds:
+    the minimizer and the multiplier of Ez = d. Raises InfeasibleProblem when it
     proves the constraints infeasible, and OracleFailed when the proof fails
     its check or after ORACLE_STEP_CAP * (size of z + 1) steps.
     """
@@ -260,8 +260,8 @@ def _dual_active_set(G, a, E, d, lo, hi, warm):
             i = int(np.argmax(violation))
             if not violation[i] > 0.0:
                 if lam is None:   # a step has moved z since the last solve
-                    lam = _pinned_solve(G, a, E, d, lo, hi, side)[1]
-                return side, lam
+                    z, lam = _pinned_solve(G, a, E, d, lo, hi, side)
+                return z, lam
             normal = 1.0 if z[i] < lo[i] else -1.0   # the bound holds where normal * (z_i - bound) >= 0
             bound, added = (lo[i] if normal > 0 else hi[i]), 0.0
             e = np.where(np.arange(a.size) == i, normal, 0.0)
@@ -290,62 +290,29 @@ def _dual_active_set(G, a, E, d, lo, hi, warm):
     raise OracleFailed(f"the dual active-set method took more than {cap} steps")
 
 
-def _pattern_solve(P: Problem, atoms, xs, ya):
-    """Exact KKT solve on a pattern: x_i at lo (xs_i -1), free (0) or at hi (1), y_j on atom ya_j.
-
-    Pins the bound x and the y at points, and solves the square stationarity
-    and feasibility system on the free x, the free y (each on its interval's
-    piece) and lam by least squares. Returns (x, y, lam).
-    """
-    p = P.p
-    left, right, c2, q, _, _ = (col[ya] for col in atoms.columns)
-    free_x = np.flatnonzero(xs == 0)
-    free_y = np.flatnonzero(left < right)
-    nf, mf = free_x.size, free_y.size
-    x_full = np.where(xs < 0, P.X.lo, np.where(xs > 0, P.X.hi, 0.0))
-    y_full = np.where(left < right, 0.0, left)
-
-    K = np.zeros((nf + mf + p, nf + mf + p))
-    rhs = np.zeros(nf + mf + p)
-    K[:nf, :nf] = P.f.H[np.ix_(free_x, free_x)]
-    K[:nf, nf + mf:] = P.A[:, free_x].T
-    rhs[:nf] = -P.f.c[free_x] - (P.f.H @ x_full)[free_x]
-    K[nf:nf + mf, nf:nf + mf] = np.diag(c2[free_y])
-    K[nf:nf + mf, nf + mf:] = P.B[:, free_y].T
-    rhs[nf:nf + mf] = -q[free_y]
-    K[nf + mf:, :nf] = P.A[:, free_x]
-    K[nf + mf:, nf:nf + mf] = P.B[:, free_y]
-    rhs[nf + mf:] = P.C - P.A @ x_full - P.B @ y_full
-
-    sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    x_full[free_x] = sol[:nf]
-    y_full[free_y] = sol[nf:nf + mf]
-    return x_full, y_full, sol[nf + mf:]
-
-
 def equilibrium_oracle(P: Problem) -> Equilibrium:
     """Solve min f(x) + h(y) s.t. Ax + By = C, x in X, y in Omega independently
     of the dynamics, and certify the result by its KKT residual.
 
     The dual active-set method (_dual_active_set) solves the problem's segment
-    QP (_segment_qp) and gives the active bounds of x and lam. Each y_j then
-    takes the atom of argmin over Omega_j of h_j(s) + (B'lam)_j s, and the
-    exact solve on that pattern (_pattern_solve), clipped into X and into the
-    closure of each y_j's atom, is the equilibrium.
+    QP (_segment_qp), and its last exact solve is the equilibrium: x is that
+    solve's x clipped into X, and with t = -(B'lam) each y_j is argmin over
+    Omega_j of h_j(s) - t_j s, (t_j - q) / c2 on the piece of the atom that
+    t_j points to, clipped into the atom's closure.
 
     Raises InfeasibleProblem on a proof that Ax + By = C has no solution over
     X x Omega, and OracleFailed on data that it cannot decide or solve: past
-    the step cap or on a proof that fails its check, on a pattern solve that
+    the step cap or on a proof that fails its check, on a final solve that
     is not finite, and on a KKT total above KKT_TARGET.
     """
     atoms = P.hpack.atoms(P.Omega.lo, P.Omega.hi)
-    side, lam = _dual_active_set(*_segment_qp(P, atoms))
-    ya = atoms.index(-(P.Bt @ lam))
-    x, y, lam = _pattern_solve(P, atoms, side[:P.n], ya)
+    z, lam = _dual_active_set(*_segment_qp(P, atoms))
+    t = -(P.Bt @ lam)
+    left, right, c2, q, _, _ = atoms.rows(t)
+    # roundoff may leave X; a point atom has c2 = 1, q = 0 and left == right
+    x, y = np.clip(z[:P.n], P.X.lo, P.X.hi), np.clip((t - q) / c2, left, right)
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(lam).all()):
-        raise OracleFailed("the pattern solve is not finite")
-    left, right = atoms.columns[0][ya], atoms.columns[1][ya]
-    x, y = np.clip(x, P.X.lo, P.X.hi), np.clip(y, left, right)   # roundoff may leave an atom
+        raise OracleFailed("the final solve is not finite")
     total = kkt_residual(P, x, y, lam).total
     if total > KKT_TARGET:
         raise OracleFailed(f"the equilibrium's KKT total {total:.3e} exceeds {KKT_TARGET:g}")

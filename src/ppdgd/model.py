@@ -295,8 +295,7 @@ class SeparablePiecewise:
     columns c2, q - S and q, so piece k of coordinate j covers (lower, upper].
     It serves the vectorized Clarke intervals and subgradient selection (the
     field rhs), the piece rows of the forward-backward step (integrate) and,
-    through atoms, the segments and the final pattern solve of the
-    equilibrium oracle.
+    through atoms, the segments and the y of the equilibrium oracle.
     Padding breakpoints are +inf, so they never count below a finite y, and
     padding pieces carry an empty interval (+inf, +inf] that holds no finite y.
     """

@@ -16,14 +16,14 @@ residual ||((y+ - y)/dtau, dlam)||.
 
 The step is piecewise affine in (y, lam). integrate writes the step of each
 mode (the pieces of h and regions of the jump prox it reads, the clip into
-Omega and the piece of x*(lam)) as one affine map and advances it in blocks
-of up to BLOCK_STEPS steps, then in runs of several such blocks, a few
-numpy calls per block or run. It reads a mode once per state, takes the
-first step as read and reads again only at a step that leaves the mode; a
-read keeps the piece of x* while that piece's rows hold (see integrate).
-That pays where modes last long, as in the benchmark's solves, which change
-mode a few times in thousands of steps; where the mode changes every few
-steps, each read costs more than the steps it batches.
+Omega and the piece of x*(lam)) as one affine map M and advances it in
+blocks of BLOCK_STEPS steps and more, a few numpy calls per block that
+double on the states with the squares of M. It reads a mode once per
+state, takes the first step as read and reads again only at a step that
+leaves the mode; a read keeps the piece of x* while its rows hold (see
+integrate). That pays where modes last long, as in the benchmark's solves,
+which change mode a few times in thousands of steps; where the mode changes
+every few steps, each read costs more than the steps it batches.
 
 integrate writes each recorded sample (the start, every record_every-th step
 and the last step) into preallocated t, y, lam and drift arrays. They start
@@ -48,10 +48,9 @@ from .inner import _grad_phi, x_star_piece
 from .model import DATA_RANGE, Problem
 
 RECORD_BLOCK = 4096   # rows of the first sample buffer
-BLOCK_STEPS = 128     # steps per block of integrate, a power of two: it keeps M^0 .. M^BLOCK_STEPS
-FIRST_BLOCK = 8       # steps of a mode's first block, doubled per block up to BLOCK_STEPS
-RUN_STEPS = 1024      # steps of a mode's longest run of BLOCK_STEPS-blocks
-RUN_PRODUCT = 2 ** 18   # bound on steps * N_z * rows of a run: OpenBLAS threads larger products
+BLOCK_STEPS = 128     # steps of a mode's first block, doubled per block up to the longest
+RUN_STEPS = 1024      # steps of a mode's longest block
+RUN_PRODUCT = 2 ** 18   # bound on steps * N_z * rows of a block: OpenBLAS threads larger products
 
 
 class TerminationReason(enum.Enum):
@@ -199,12 +198,20 @@ def _piece_rows(P: Problem, dtau: float, lam: np.ndarray):
     return L, D, T, lower, upper
 
 
-def _double(pw: np.ndarray, s: int, size: int) -> int:
-    """Extend pw[:s + 1] = M^0 .. M^s to M^0 .. M^size by doubling; s and size powers of two."""
-    while s < size:
-        np.matmul(pw[1:s + 1], pw[s], out=pw[s + 1:2 * s + 1])
-        s *= 2
-    return s
+def _states(squares: list, z: np.ndarray, size: int) -> np.ndarray:
+    """z_0 .. z_(size - 1) of z_(j+1) = M z_j from z_0 = z: S[j:2j] = S[:j] (M^j)', j = 1, 2, 4, ...
+
+    squares holds (M^(2^i))' for i = 0, 1, ...; it gets the ones it lacks appended.
+    """
+    S = np.empty((size, z.size))
+    S[0] = z
+    for i in range((size - 1).bit_length()):
+        if i == len(squares):
+            squares.append(squares[-1].dot(squares[-1]))
+        j = 1 << i
+        c = min(j, size - j)
+        np.dot(S[:c], squares[i], out=S[j:j + c])
+    return S
 
 
 def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
@@ -242,31 +249,28 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     (inner.x_star_piece). In one mode the step is z+ = M z, and y, v, u, the
     rows T of the piece of x*, y+ - y and dlam are rows F z. integrate reads
     the mode at z in one call, _step_map. The mode's first block takes
-    FIRST_BLOCK steps, and each block after it twice as many, up to
-    K = BLOCK_STEPS; the powers M^0 .. M^s a block needs are formed by
-    doubling, on top of those the block before it formed, so a mode that
-    ends within a few steps costs its read, a few small products and one
-    short block. After that the mode goes on in runs of 2, 4, ... blocks of
-    K steps, up to RUN_STEPS steps and no more than keeps the run's
-    products below RUN_PRODUCT, so the powers stop at M^K. A run chains
-    its block starts, z_(b+1)K = M^K z_bK, and takes the states M^j z_bK of
-    all its blocks from one product with the stacked M^0 .. M^(K-1), and
-    their rows F z_j from one more, one column per step. Vectorized tests,
-    each a reduction over the rows of a column, then find the first step
-    that leaves the mode (a bracket lower < [y, v, u, T] <= upper fails),
-    whose residual meets stop_tol or is not finite, or that is the last,
-    and the kept rows go straight into the sample buffers. The mode is
-    read again at the step that left it. The mode read at z is the mode of
-    the step from z, so that step is taken without testing its brackets;
-    every later step is tested, the first of a block or run that continues
-    a mode too. Where rounding puts a value on one side of an edge for the
-    read and on the other for the block, the step is taken in the mode
-    read: a tie that rounding breaks either way. So every read advances at
-    least one step, and the steps are those of a step-by-step loop up to
-    the order of rounding. The new read keeps the piece of x* where its
-    rows T pass at the step that left the mode, as they pass at every step
-    inside it; x_star_piece runs again only where one of them failed, so a
-    free X, which has none, reads its piece once.
+    K = BLOCK_STEPS steps and each block after it twice as many, up to
+    RUN_STEPS steps and no more than keeps the block's products below
+    RUN_PRODUCT (a multiple of K). A block of s steps gets its states
+    z_0 .. z_(s-1) by doubling on them (_states), in ceil(log2 s)
+    products with the squares M^(2^i), which are kept for the mode; the
+    next block starts at M z_(s-1). The rows F z_j of a block come from one
+    more product, one column per step. Vectorized tests, each a reduction
+    over the rows of a column, then find the first step that leaves the
+    mode (a bracket lower < [y, v, u, T] <= upper fails), whose residual
+    meets stop_tol or is not finite, or that is the last, and the kept rows
+    go straight into the sample buffers. The mode is read again at the step
+    that left it. The mode read at z is the mode of the step from z, so
+    that step is taken without testing its brackets; every later step is
+    tested, the first of a block that continues a mode too. Where rounding
+    puts a value on one side of an edge for the read and on the other for
+    the block, the step is taken in the mode read: a tie that rounding
+    breaks either way. So every read advances at least one step, and the
+    steps are those of a step-by-step loop up to the order of rounding. The
+    new read keeps the piece of x* where its rows T pass at the step that
+    left the mode, as they pass at every step inside it; x_star_piece runs
+    again only where one of them failed, so a free X, which has none, reads
+    its piece once.
 
     Records the initial condition, every record_every-th accepted step and
     the final state, each with the residual of the step taken from it.
@@ -330,8 +334,6 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
         n = end
 
     z = np.concatenate([y, lam, [1.0]])
-    pw = np.empty((K + 1, z.size, z.size))   # M^0 .. M^K of the mode, filled as blocks need them
-    pw[0] = np.eye(z.size)
     k = 0          # step index of z
     piece = None   # the rows of the piece of x*(lam) that holds at z, once read
     read = True    # read the mode at z
@@ -343,17 +345,10 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                 M, F, lower, upper = _step_map(P, dtau, z, pieces, regions, piece)
                 nb = lower.size
                 lower, upper = lower[:, None], upper[:, None]
-                pw[1] = M
-                filled, size = 1, FIRST_BLOCK
-                run = K * max(1, min(RUN_STEPS, RUN_PRODUCT // F.size) // K)   # longest run
-            block = min(size, K)   # a run is size // K blocks of K steps
-            filled = _double(pw, filled, block)
-            starts = np.empty((size // block + 1, z.size))   # z_0, z_block, ..., z_size
-            starts[0] = z
-            for b in range(size // block):
-                starts[b + 1] = pw[block].dot(starts[b])
-            # z_0 .. z_(size - 1), each block's M^j z_bK in one product
-            S = starts[:-1].dot(pw[:block].reshape(-1, z.size).T).reshape(size, -1)
+                squares = [M.T]   # (M^(2^i))' of the mode, squared as blocks need them
+                size = K
+                cap = K * max(1, min(RUN_STEPS, RUN_PRODUCT // F.size) // K)   # longest block
+            S = _states(squares, z, size)
             G = F.dot(S.T)   # the rows F z_j, one column per step
             inside = (lower < G[:nb]) & (G[:nb] <= upper)
             ok = inside.all(axis=0)
@@ -362,15 +357,15 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             drift = np.sqrt(weights.dot(np.square(G[nb:])))
             go = ok & (drift > stop_tol)
             go &= drift < np.inf
-            final = n_steps - k < size   # the block or run holds step n_steps, the last
+            final = n_steps - k < size   # the block holds step n_steps, the last
             span = n_steps - k + 1 if final else size
             e = int(np.argmin(go[:span]))
-            if go[e]:   # no step of the block or run halts
+            if go[e]:   # no step of the block halts
                 e = span
             if e == span and not final:
                 keep(S, drift, size, False)
-                z, k = starts[-1], k + size
-                size = min(2 * size, run)
+                z, k = S[-1].dot(squares[0]), k + size
+                size = min(2 * size, cap)
                 continue
             if e == span or ok[e]:   # the last step, or the residual meets stop_tol
                 e = min(e, span - 1)

@@ -306,7 +306,7 @@ def _assert_close_rows(P, traj, want, tol):
 
 @pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("steps", [1, 5000])
-def test_euler_steps_match_public_field_ops(steps, every):
+def test_euler_steps_match_public_field_ops(steps, every, case_problem, monkeypatch):
     # every recorded row of integrate against a plain loop of the forward-backward
     # step over per-coordinate PiecewiseScalarFn data and the public dual field,
     # up to the order of rounding;
@@ -327,7 +327,12 @@ def test_euler_steps_match_public_field_ops(steps, every):
     y0 = y0.copy()
     y0[j] = P.h[j].breakpoints[0]
     starts.append((P, y0, lam0))
+    # last, the case study from 0: RUN_PRODUCT caps its blocks at 384 steps,
+    # whose last doubling level is partial
+    starts.append((case_problem, np.zeros(case_problem.m), np.zeros(case_problem.p)))
+    blocks = _spy_blocks(monkeypatch)
     for P, y0, lam0 in starts:
+        blocks.clear()
         traj = integrate(P, State(y0, lam0), cfg)
         reference_step, edges = _reference_stepper(P, dt), _edges(P)
         rows = []
@@ -343,6 +348,7 @@ def test_euler_steps_match_public_field_ops(steps, every):
             y, lam = y_next, lam + dt * dlam
         assert traj.terminated_by is TerminationReason.TIME_LIMIT
         _assert_close_rows(P, traj, tuple(np.array(c) for c in zip(*rows)), 1e-12)
+    assert steps == 1 or 384 in blocks
 
 
 def test_kink_free_steps_match_projected_euler():
@@ -758,67 +764,83 @@ def _long_run_problem(mode):
     return _mode_problem(mode, h, [0.3, -0.2])
 
 
+def _spy_blocks(monkeypatch):
+    """List that gets the size of every block (_states call) of integrate."""
+    sizes, states = [], dynamics._states
+
+    def spy(squares, z, size):
+        sizes.append(size)
+        return states(squares, z, size)
+
+    monkeypatch.setattr(dynamics, "_states", spy)
+    return sizes
+
+
 def test_block_edges_match_reference(monkeypatch):
-    # integrate takes the steps of one mode in blocks of FIRST_BLOCK, twice
-    # that, and so on up to BLOCK_STEPS steps, then in runs of 2, 4, ...
-    # blocks up to RUN_STEPS steps. Against the reference loop: a mode that
-    # changes on the first step of a block and on the last, at the end of the
-    # first block and at the start of the first full one, on the first step
-    # of a run and on its last, and on a block edge inside a run; stop_tol
-    # met on either end of a block, on either end of a run and inside one; a
-    # t_end in mid-block and in mid-run; a single step that leaves the mode;
-    # with every step recorded and every 3rd and 7th, which do not divide
-    # the block sizes
-    K, F, dt = dynamics.BLOCK_STEPS, dynamics.FIRST_BLOCK, 2.0 ** -7
+    # integrate takes the steps of one mode in blocks of BLOCK_STEPS steps,
+    # twice that, and so on up to RUN_STEPS steps. Against the reference
+    # loop: a mode that changes on the first step of a block and on the
+    # last, at the end of the first block, of each doubled one and of the
+    # first at the cap, and on the edge between two blocks at the cap;
+    # stop_tol met on either end of a block and inside one; a t_end in
+    # mid-block; a single step that leaves the mode; with every step
+    # recorded and every 3rd and 7th, which do not divide the block sizes
+    K, cap = dynamics.BLOCK_STEPS, dynamics.RUN_STEPS
     P = _long_run_problem("free")
-    # N_z = 5 and 10 rows: every run up to RUN_STEPS steps stays below RUN_PRODUCT
-    assert 5 * 10 * dynamics.RUN_STEPS <= dynamics.RUN_PRODUCT
-    # the blocks and runs of a mode read at step 0 end at F, 3F, 7F, ...:
-    # ends[4] and ends[5] end the first run, of 2K steps, and the second, of 4K
-    sizes = [min(F << i, dynamics.RUN_STEPS) for i in range(12)]
+    # N_z = 5 and 10 rows: every block up to RUN_STEPS steps stays below RUN_PRODUCT
+    assert 5 * 10 * cap <= dynamics.RUN_PRODUCT
+    # the blocks of a mode read at step 0 end at K, 3K, 7K, then the cap of
+    # 8K steps is reached: ends[3] ends the first block at the cap and
+    # ends[4] the second
+    sizes = [min(K << i, cap) for i in range(8)]
     ends = np.cumsum(sizes).tolist()
-    assert sizes[4] == K and ends[5] - ends[4] == 2 * K and ends[6] - ends[5] == 4 * K
-    _, y, lam, drift, lands = _reference_rows(P, np.array([-0.95, 0.95]), np.array([3.0, -3.0]),
-                                              dt, 4800, 1)
-    change = np.flatnonzero(np.logical_or(*_mode_changes(P, dt, y, lam))) + 1
-    # a step that ends more than ends[5] + 2K steps in one mode, and a
-    # stretch with no more mode changes and a falling residual
+    assert ends[:5] == [K, 3 * K, 7 * K, 15 * K, 23 * K] and sizes[3] == sizes[4] == cap
+
+    def reference(dt, steps):
+        """The reference rows from a corner of Omega and the steps that change the mode."""
+        rows = _reference_rows(P, np.array([-0.95, 0.95]), np.array([3.0, -3.0]), dt, steps, 1)
+        return rows[1:], np.flatnonzero(np.logical_or(*_mode_changes(P, dt, *rows[1:3]))) + 1
+
+    # at dt = 2^-9 a step ends more than ends[4] + 37 steps in one mode
+    long_dt = 2.0 ** -9
+    long_run, change = reference(long_dt, 6700)
     gaps = np.diff(change)
     c = change[np.argmax(gaps) + 1]
-    assert gaps.max() > ends[5] + 2 * K
+    assert gaps.max() > ends[4] + 37 and c + 37 <= 6700
+    # at dt = 2^-7, a stretch with no more mode changes and a falling
+    # residual (at dt = 2^-9 the residual there is so small that ulp(y) / dt
+    # passes 1e-12 of its largest value: rows would miss by rounding alone)
+    quiet_dt = 2.0 ** -7
+    quiet_run, change = reference(quiet_dt, 4800)
     quiet = change[-1] + 1
-    assert quiet + ends[6] + K <= 4800 and np.all(np.diff(drift[quiet:]) < 0)
+    y, drift = quiet_run[0], quiet_run[2]
+    assert quiet + ends[3] + 300 <= 4800 and np.all(np.diff(drift[quiet:]) < 0)
     assert np.all((P.Omega.lo < y[quiet:]) & (y[quiet:] < P.Omega.hi))
 
-    reads, doubled = _spy_reads(monkeypatch), []
-    double = dynamics._double
-
-    def spy_double(pw, s, size):
-        doubled.append(size)
-        return double(pw, s, size)
-
-    monkeypatch.setattr(dynamics, "_double", spy_double)
-    # (start row, steps to t_end, stop_tol, the last step, the first steps that read the mode)
-    cases = [(c - 1, 1, 0.0, 1, [0, 1])]   # one step, and it leaves the mode
-    for E in (ends[0], ends[3], ends[4], ends[5]):   # blocks, then the first and second run
-        cases += [(c - E, E + 3 * F, 0.0, E + 3 * F, [0, E]),  # the first step of a block or run
-                  (c - E + 1, E + 3 * F, 0.0, E + 3 * F, [0, E - 1]),  # the last step of one
-                  (c - E, E + 37, 0.0, E + 37, [0, E])]  # t_end in mid-block or mid-run
-    for E in (ends[4] + K, ends[5] + 2 * K):   # a block edge inside the first run and the second
-        cases.append((c - E, E + 3 * F, 0.0, E + 3 * F, [0, E]))
-    # stop_tol met on the first step of a block or run and on the last, then
-    # on a block edge inside a run and off the block edges inside one
-    for j in (ends[0], ends[0] - 1, ends[3], ends[3] - 1, ends[4], ends[5] - 1,
-              ends[5] + K, ends[5] + K + 37):
-        cases.append((quiet, ends[6] + K, 0.5 * (drift[quiet + j - 1] + drift[quiet + j]), j, [0]))
-    cases.append((quiet, ends[5] + 300, 0.0, ends[5] + 300, [0]))   # t_end in mid-run, one mode
-    for start, steps, stop_tol, last, read_at in cases:
-        y0, lam0 = y[start], lam[start]
-        want = (np.arange(last + 1) * dt,
-                *(a[start:start + last + 1] for a in (y, lam, drift, lands)))
+    reads, blocks = _spy_reads(monkeypatch), _spy_blocks(monkeypatch)
+    # (reference run, start row, steps to t_end, stop_tol, the last step,
+    # the first steps that read the mode)
+    long_ref, quiet_ref = (long_run, long_dt), (quiet_run, quiet_dt)
+    cases = [(long_ref, c - 1, 1, 0.0, 1, [0, 1])]   # one step, and it leaves the mode
+    for E in ends[:4]:   # the first block, the doubled ones, the first at the cap
+        cases += [(long_ref, c - E, E + 24, 0.0, E + 24, [0, E]),  # the first step of a block
+                  (long_ref, c - E + 1, E + 24, 0.0, E + 24, [0, E - 1]),  # the last step of one
+                  (long_ref, c - E, E + 37, 0.0, E + 37, [0, E])]  # t_end in mid-block
+    # the edge between the first two blocks at the cap
+    cases.append((long_ref, c - ends[4], ends[4] + 24, 0.0, ends[4] + 24, [0, ends[4]]))
+    # stop_tol met on the first step of a block and on the last, on the
+    # edge between the first two blocks at the cap and off the edges inside one
+    for j in (ends[0], ends[0] - 1, ends[1], ends[1] - 1, ends[2], ends[3] - 1,
+              ends[3], ends[3] + 37):
+        stop_tol = 0.5 * (drift[quiet + j - 1] + drift[quiet + j])
+        cases.append((quiet_ref, quiet, ends[4], stop_tol, j, [0]))
+    cases.append((quiet_ref, quiet, ends[3] + 300, 0.0, ends[3] + 300, [0]))   # t_end mid-block
+    for (run, dt), start, steps, stop_tol, last, read_at in cases:
+        y0, lam0 = run[0][start], run[1][start]
+        want = (np.arange(last + 1) * dt, *(a[start:start + last + 1] for a in run))
         for every in (1, 3, 7):
             reads.clear()
-            doubled.clear()
+            blocks.clear()
             cfg = IntegratorConfig(dt=dt, t_end=steps * dt, stop_tol=stop_tol, record_every=every)
             traj = integrate(P, State(y0, lam0), cfg)
             assert traj.terminated_by is (TerminationReason.STOP_TOL if stop_tol
@@ -829,9 +851,8 @@ def test_block_edges_match_reference(monkeypatch):
                 states = np.hstack([traj.y, traj.lam])
                 at = [int(np.flatnonzero((states == r).all(axis=1))[0]) for r in reads]
                 assert at[:len(read_at)] == read_at, (start, steps, at)
-            if start == quiet:   # one mode: its blocks double up to K steps, its runs up to
-                # RUN_STEPS, and the powers stop at M^K
-                assert doubled == [min(s, K) for s in sizes[:sum(e <= last for e in ends) + 1]]
+            if run is quiet_run:   # one mode: its blocks double from K steps up to the cap
+                assert blocks == sizes[:sum(e <= last for e in ends) + 1]
 
 
 def _box_dense_draws():
@@ -960,22 +981,34 @@ def test_early_stop_allocates_nothing_in_proportion_to_t_end():
     assert len(traj) == 1
 
 
+def _draw_with_n_z_60():
+    """The first random_problem(default_rng(5), max_dim=40) draw with N_z = m + p + 1 >= 60."""
+    rng = np.random.default_rng(5)
+    P = random_problem(rng, max_dim=40)
+    while P.m + P.p + 1 < 60:
+        P = random_problem(rng, max_dim=40)
+    return P
+
+
 def test_integrate_memory_stays_near_its_samples(case_problem):
-    # the case-study feeder at the CLI defaults runs 50,000 steps to t_end: the
-    # sample buffers grow by doubling and the Trajectory gets trimmed copies,
-    # so the peak stays within three times the returned samples, plus what one
-    # mode's tables and one block take
-    cfg = IntegratorConfig(dt=1e-3, t_end=50.0, stop_tol=1e-8)
-    s0 = State(np.zeros(case_problem.m), np.zeros(case_problem.p))
-    tracemalloc.start()
-    try:
-        traj = integrate(case_problem, s0, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(traj) == 50_001
-    samples = sum(a.nbytes for a in (traj.t, traj.y, traj.lam, traj.drift_norm))
-    assert peak <= 3 * samples + 2 ** 20, (peak, samples)
+    # the sample buffers grow by doubling and the Trajectory gets trimmed
+    # copies, so the peak stays within three times the returned samples, plus
+    # what one mode's tables and one block take: the case-study feeder
+    # (N_z = 15) at the CLI defaults runs 50,000 steps to t_end, and the
+    # draw of _draw_with_n_z_60 (n 40, m 33, p 26) 1000 steps
+    runs = [(case_problem, IntegratorConfig(dt=1e-3, t_end=50.0, stop_tol=1e-8), 50_001),
+            (_draw_with_n_z_60(), IntegratorConfig(dt=2e-3, t_end=2.0), 1001)]
+    for P, cfg, rows in runs:
+        s0 = State(np.zeros(P.m), np.zeros(P.p))
+        tracemalloc.start()
+        try:
+            traj = integrate(P, s0, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == rows
+        samples = sum(a.nbytes for a in (traj.t, traj.y, traj.lam, traj.drift_norm))
+        assert peak <= 3 * samples + 2 ** 20, (P.m + P.p + 1, peak, samples)
 
 
 def test_trajectory_csv_format(tmp_path, one_dim_problem):

@@ -251,8 +251,9 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     the mode at z in one call, _step_map. The mode's first block takes
     K = BLOCK_STEPS steps and each block after it twice as many, up to
     RUN_STEPS steps and no more than keeps the block's products below
-    RUN_PRODUCT (a multiple of K). A block of s steps gets its states
-    z_0 .. z_(s-1) by doubling on them (_states), in ceil(log2 s)
+    RUN_PRODUCT (a multiple of K), and none holds a state past
+    z_(n_steps), the last of a run to t_end. A block of s steps gets its
+    states z_0 .. z_(s-1) by doubling on them (_states), in ceil(log2 s)
     products with the squares M^(2^i), which are kept for the mode; the
     next block starts at M z_(s-1). The rows F z_j of a block come from one
     more product, one column per step. Vectorized tests, each a reduction
@@ -348,6 +349,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                 squares = [M.T]   # (M^(2^i))' of the mode, squared as blocks need them
                 size = K
                 cap = K * max(1, min(RUN_STEPS, RUN_PRODUCT // F.size) // K)   # longest block
+            size = min(size, n_steps - k + 1)   # no state past step n_steps
             S = _states(squares, z, size)
             G = F.dot(S.T)   # the rows F z_j, one column per step
             inside = (lower < G[:nb]) & (G[:nb] <= upper)
@@ -358,17 +360,16 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             go = ok & (drift > stop_tol)
             go &= drift < np.inf
             final = n_steps - k < size   # the block holds step n_steps, the last
-            span = n_steps - k + 1 if final else size
-            e = int(np.argmin(go[:span]))
+            e = int(np.argmin(go))
             if go[e]:   # no step of the block halts
-                e = span
-            if e == span and not final:
+                e = size
+            if e == size and not final:
                 keep(S, drift, size, False)
                 z, k = S[-1].dot(squares[0]), k + size
                 size = min(2 * size, cap)
                 continue
-            if e == span or ok[e]:   # the last step, or the residual meets stop_tol
-                e = min(e, span - 1)
+            if e == size or ok[e]:   # the last step, or the residual meets stop_tol
+                e = min(e, size - 1)
                 if not drift[e] < np.inf:
                     raise NonFiniteState(f"non-finite state at t = {(k + e) * dt}; {advice}")
                 stop = drift[e] <= stop_tol

@@ -15,6 +15,8 @@ from ppdgd import (
     PointOutsideSet,
     QuadraticSmoothFn,
     State,
+    TerminationReason,
+    Trajectory,
     build_problem,
     certify_envelope,
     equilibrium_oracle,
@@ -517,6 +519,62 @@ def test_certify_envelope_at_equilibrium_fitted_rate_not_applicable(one_dim_prob
     rep = certify_envelope(one_dim_problem, traj, eq)
     assert rep.envelope_ok
     assert rep.fitted_rate is None
+
+
+def _envelope_reference(P, traj, eq):
+    """(distance, bound, envelope_ok, fitted_rate) the way certify_envelope took them with np.polyfit."""
+    dy, dl = traj.y - eq.y_star, traj.lam - eq.lambda_star
+    dist = np.linalg.norm(np.hstack([dy, dl]), axis=1)
+    old = np.sqrt(np.sum(dy * dy, axis=1) + np.sum(dl * dl, axis=1))
+    bound = old[0] * np.exp(-0.5 * P.gamma * traj.config.tau * (traj.t - traj.t[0])) \
+        * (1.0 + analysis.ENVELOPE_SLACK)
+    mask = old > analysis.FIT_FLOOR
+    rate = -np.polyfit(traj.t[mask], np.log(old[mask]), 1)[0]
+    return dist, bound, bool(np.all(old <= bound)), rate
+
+
+def _certify_runs(damped_problem):
+    """(P, trajectory, equilibrium) of damped_problem, the case study at tau 1, 2, 5 and random draws."""
+    P = damped_problem
+    yield P, integrate(P, State(np.array([0.7]), np.zeros(1)),
+                       IntegratorConfig(dt=1e-3, t_end=10.0, record_every=10)), equilibrium_oracle(P)
+    P = casestudy.build_case()
+    eq = equilibrium_oracle(P)
+    for tau in (1.0, 2.0, 5.0):   # as ppdgd casestudy runs it
+        cfg = IntegratorConfig(tau=tau, t_end=50.0, record_every=100)
+        yield P, integrate(P, State(np.zeros(P.m), np.zeros(P.p)), cfg), eq
+    rng = np.random.default_rng(47)
+    for _ in range(4):
+        P = random_problem(rng, max_dim=8)
+        y0 = rng.uniform(P.Omega.lo, P.Omega.hi)
+        yield P, integrate(P, State(y0, np.zeros(P.p)), IntegratorConfig(dt=2e-3, t_end=20.0)), \
+            equilibrium_oracle(P)
+
+
+def test_certify_envelope_matches_its_polyfit_reference(damped_problem):
+    # the closed-form fit and the einsum distances against np.polyfit and
+    # np.linalg.norm: the same figures up to rounding, the same verdict
+    for P, traj, eq in _certify_runs(damped_problem):
+        dist, bound, envelope_ok, rate = _envelope_reference(P, traj, eq)
+        t, env_bound, env_dist = analysis.envelope_series(P, traj, eq)
+        assert np.array_equal(t, traj.t)
+        assert np.all(np.abs(env_dist - dist) <= 1e-15 * dist)
+        assert np.all(np.abs(env_bound - bound) <= 1e-15 * bound)
+        rep = certify_envelope(P, traj, eq)
+        assert rep.envelope_ok is envelope_ok
+        assert abs(rep.fitted_rate - rate) <= 1e-12 * abs(rate)
+
+
+def test_fitted_rate_does_not_overflow_at_huge_t(one_dim_problem):
+    # np.polyfit squares t and overflowed past t of about 1e154; the closed
+    # form scales t by its span first. Distances halve at each sample
+    eq = equilibrium_oracle(one_dim_problem)
+    k = np.arange(10.0)
+    y = 0.5 * 0.5 ** k
+    traj = Trajectory(t=k * 1e299, y=y[:, None], lam=y[:, None], drift_norm=np.ones(10),
+                      config=IntegratorConfig(), terminated_by=TerminationReason.TIME_LIMIT)
+    rep = certify_envelope(one_dim_problem, traj, eq)   # a RuntimeWarning fails the test
+    assert abs(rep.fitted_rate - np.log(2.0) / 1e299) <= 1e-12 * np.log(2.0) / 1e299
 
 
 def test_tau_scaling_of_certified_exponent(one_dim_problem):

@@ -348,7 +348,11 @@ def test_euler_steps_match_public_field_ops(steps, every, case_problem, monkeypa
             y, lam = y_next, lam + dt * dlam
         assert traj.terminated_by is TerminationReason.TIME_LIMIT
         _assert_close_rows(P, traj, tuple(np.array(c) for c in zip(*rows)), 1e-12)
-    assert steps == 1 or 384 in blocks
+        if every == 1:   # every state is recorded: no block computes one past step `steps`
+            states = np.hstack([traj.y, traj.lam])
+            for z, size in blocks:
+                assert int(np.flatnonzero((states == z).all(axis=1))[0]) + size - 1 <= steps
+    assert steps == 1 or 384 in [size for _, size in blocks]
 
 
 def test_kink_free_steps_match_projected_euler():
@@ -765,15 +769,15 @@ def _long_run_problem(mode):
 
 
 def _spy_blocks(monkeypatch):
-    """List that gets the size of every block (_states call) of integrate."""
-    sizes, states = [], dynamics._states
+    """List that gets the first state [y, lam] and the size of every block (_states call) of integrate."""
+    blocks, states = [], dynamics._states
 
     def spy(squares, z, size):
-        sizes.append(size)
+        blocks.append((z[:-1].copy(), size))
         return states(squares, z, size)
 
     monkeypatch.setattr(dynamics, "_states", spy)
-    return sizes
+    return blocks
 
 
 def test_block_edges_match_reference(monkeypatch):
@@ -851,8 +855,10 @@ def test_block_edges_match_reference(monkeypatch):
                 states = np.hstack([traj.y, traj.lam])
                 at = [int(np.flatnonzero((states == r).all(axis=1))[0]) for r in reads]
                 assert at[:len(read_at)] == read_at, (start, steps, at)
-            if run is quiet_run:   # one mode: its blocks double from K steps up to the cap
-                assert blocks == sizes[:sum(e <= last for e in ends) + 1]
+            if run is quiet_run:   # one mode: its blocks double from K steps up to the cap,
+                # and the last takes only the steps left to t_end
+                want_sizes = [min(size, steps - k + 1) for size, k in zip(sizes, [0] + ends)]
+                assert [size for _, size in blocks] == want_sizes[:sum(e <= last for e in ends) + 1]
 
 
 def _box_dense_draws():

@@ -351,7 +351,8 @@ def omega_invariant(P: Problem, traj: Trajectory) -> bool:
     return P.Omega.violation(traj.y) <= MEMBER_TOL
 
 
-def certify_envelope(P: Problem, traj: Trajectory, eq: Equilibrium) -> ConvergenceReport:
+def certify_envelope(P: Problem, traj: Trajectory, eq: Equilibrium, *,
+                     _series=None) -> ConvergenceReport:
     """Check every recorded sample against the exponential-decay envelope.
 
     envelope_ok holds iff every distance of envelope_series is at most its
@@ -361,14 +362,16 @@ def certify_envelope(P: Problem, traj: Trajectory, eq: Equilibrium) -> Convergen
     fewer than two at distinct times. It is taken in closed form: with t
     scaled by its span and centred to u, the slope is u'log(dist) / (u'u)
     over the span, so no t is squared and no finite t overflows.
-    Raises EquilibriumUnverified when eq fails the 1e-6 KKT gate.
+    Raises EquilibriumUnverified when eq fails the 1e-6 KKT gate. A caller
+    that has already taken envelope_series(P, traj, eq), as the CLI does
+    for its envelope CSV, passes it as _series, so it is taken once.
     """
     kkt = kkt_residual(P, eq.x_star, eq.y_star, eq.lambda_star)
     if kkt.total > KKT_TARGET:
         raise EquilibriumUnverified(
             f"equilibrium KKT residual {kkt.total:.3e} exceeds {KKT_TARGET:g}"
         )
-    _, bound, dist = envelope_series(P, traj, eq)
+    _, bound, dist = envelope_series(P, traj, eq) if _series is None else _series
     tau = traj.config.tau
     envelope_ok = bool(np.all(dist <= bound))
     envelope_margin = float(np.min(bound - dist))

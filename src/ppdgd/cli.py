@@ -75,10 +75,11 @@ def _certify(P: Problem, cfg: IntegratorConfig, seed, out: Path, eq=None, tag: s
     if eq is None:
         eq = equilibrium_oracle(P)
     traj = integrate(P, _initial_state(P, seed), cfg)
-    report = certify_envelope(P, traj, eq)
+    series = envelope_series(P, traj, eq)   # one pass serves the check and the CSV
+    report = certify_envelope(P, traj, eq, _series=series)
     out.mkdir(parents=True, exist_ok=True)
     traj.write_csv(out / f"trajectory{tag}.csv")
-    write_envelope_csv(out / f"envelope{tag}.csv", *envelope_series(P, traj, eq))
+    write_envelope_csv(out / f"envelope{tag}.csv", *series)
     report.write_json(out / f"report{tag}.json")
     return traj, report, omega_invariant(P, traj)
 

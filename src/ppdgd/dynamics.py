@@ -21,7 +21,11 @@ blocks of BLOCK_STEPS steps and more, a few numpy calls per block that
 double on the states with the squares of M. It reads a mode once per
 state, takes the first step as read and reads again only at a step that
 leaves the mode; a read keeps the piece of x* while its rows hold (see
-integrate). That pays where modes last long, as in the benchmark's solves,
+integrate). Each piece read (_piece_rows) allocates one set of mode
+buffers (M, F, lower, upper) and writes the rows the piece owns and the
+rows no mode changes; each mode read (_step_map) overwrites in place the
+rows that depend on y, v and u, so a read assembles no fresh matrix. That
+pays where modes last long, as in the benchmark's solves,
 which change mode a few times in thousands of steps; where the mode changes
 every few steps, each read costs more than the steps it batches.
 
@@ -153,49 +157,74 @@ def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]
     return tau * dy, tau * dlam
 
 
-def _step_map(P: Problem, dtau: float, z: np.ndarray, pieces, regions, piece):
-    """The mode of the step from z = [y, lam, 1]: z+ = M z, and the rows F of its tests.
+def _step_map(P: Problem, dtau: float, z: np.ndarray, pieces, regions, rows):
+    """Write the mode of the step from z = [y, lam, 1] into the buffers rows; return them.
 
-    Looks up the pieces of h at y (pieces) and so the forward rows V of
-    v = y + dtau * (-B'lam - c2 y - qd), the prox regions at v = V z
-    (regions) and the clip into Omega at u = U z. piece is _piece_rows of
-    a piece of x*(lam) valid at lam. F z stacks y, v, u, the piece's rows
-    T, then y+ - y and dlam. Returns M, F and the brackets (lower, upper)
-    of [y, v, u, T].
+    rows = (M, F, lower, upper) are the buffers of _piece_rows for a piece
+    of x*(lam) valid at lam: z+ = M z, and F z stacks y, v, u, the piece's
+    rows T, then y+ - y and dlam, with brackets (lower, upper) on
+    [y, v, u, T]. Looks up the pieces of h at y (pieces) and so the forward
+    rows V of v = y + dtau * (-B'lam - c2 y - qd), the prox regions at
+    v = V z (regions) and the clip into Omega at u = U z, and overwrites
+    in place the rows that depend on them: the diagonal and last column of
+    V, all of U, Y (the y rows of M) and Y - I_y, and the brackets of y, v
+    and u. The rows the piece owns, and those no mode changes, are not
+    touched. The buffers hold this mode until the next call overwrites it.
     """
-    m, p = P.m, P.p
-    lo, hi = P.Omega.lo, P.Omega.hi
-    c2, qd, _, ylo, yhi = pieces.rows(z[:m])
-    V = np.empty((m, m + p + 1))
-    V[:, :m] = np.diag(1.0 - dtau * c2)
-    V[:, m:-1] = -dtau * P.Bt
-    V[:, -1] = -dtau * qd
-    slope, icpt, vlo, vhi = regions.rows(V.dot(z))
-    U = slope[:, None] * V
+    m = P.m
+    M, F, lower, upper = rows
+    nb = lower.size
+    c2, qd, _, lower[:m], upper[:m] = pieces.rows(z[:m])
+    V, U, Y = F[m:2 * m], F[2 * m:3 * m], M[:m]
+    V.ravel()[:m * (z.size + 1):z.size + 1] = 1.0 - c2 * dtau   # the diagonal of V's y columns
+    V[:, -1] = qd * -dtau
+    slope, icpt, lower[m:2 * m], upper[m:2 * m] = regions.rows(V.dot(z))
+    np.multiply(slope[:, None], V, out=U)
     U[:, -1] += icpt
-    at_lo, at_hi, ulo, uhi = clip_pattern(U.dot(z), lo, hi)
-    Y = np.where((at_lo | at_hi)[:, None], 0.0, U)
-    Y[:, -1] = np.where(at_lo, lo, np.where(at_hi, hi, U[:, -1]))
-    L, D, T, tlo, thi = piece
-    M = np.vstack([Y, L, np.eye(1, m + p + 1, m + p)])
-    I_y = np.eye(m, m + p + 1)
-    F = np.vstack([I_y, V, U, T, Y - I_y, D])
-    return M, F, np.concatenate([ylo, vlo, ulo, tlo]), np.concatenate([yhi, vhi, uhi, thi])
+    lo, hi = P.Omega.lo, P.Omega.hi
+    at_lo, at_hi, lower[2 * m:3 * m], upper[2 * m:3 * m] = clip_pattern(U.dot(z), lo, hi)
+    np.copyto(Y, U)
+    clipped = at_lo | at_hi
+    if np.count_nonzero(clipped):   # cheaper than clipped.any() on short vectors
+        Y[clipped] = 0.0
+        Y[:, -1] = np.where(at_lo, lo, np.where(at_hi, hi, U[:, -1]))
+    np.subtract(Y, F[:m], out=F[nb:nb + m])
+    return rows
 
 
 def _piece_rows(P: Problem, dtau: float, lam: np.ndarray):
-    """The piece of x*(lam) at lam (x_star_piece) as rows on z = [y, lam, 1].
+    """The mode buffers (M, F, lower, upper) of the piece of x*(lam) at lam (x_star_piece).
 
-    Returns L, D, T and the brackets (lower, upper) of T: in the piece,
-    lam+ = L z and dlam = D z, and the piece holds while lower < T z <= upper.
+    Allocates the buffers of _step_map on z = [y, lam, 1] and writes the
+    rows that hold while the piece does: the piece's own rows, L (the lam
+    rows of M), T and D (rows of F: in the piece, lam+ = L z, dlam = D z and
+    the piece holds while lower < T z <= upper) and T's brackets, and the
+    rows no mode changes, the identity rows I_y of F, the -dtau B' columns
+    of V and M's last row. Every mode read in the piece overwrites the rest.
     """
-    m = P.m
-    x0, X1, T0, T1, lower, upper = x_star_piece(P, lam)
-    D = np.hstack([P.B, P.A @ X1, (P.A @ x0 - P.C)[:, None]])
-    L = dtau * D
-    L[:, m:-1] += np.eye(P.p)
-    T = np.hstack([np.zeros((T0.size, m)), T1, T0[:, None]])
-    return L, D, T, lower, upper
+    m, p = P.m, P.p
+    N = m + p + 1
+    x0, X1, T0, T1, tlo, thi = x_star_piece(P, lam)
+    nb = 3 * m + T0.size
+    M, F = np.zeros((N, N)), np.zeros((nb + m + p, N))
+    lower, upper = np.empty(nb), np.empty(nb)
+    lower[3 * m:] = tlo
+    upper[3 * m:] = thi
+    F.ravel()[:m * (N + 1):N + 1] = 1.0   # I_y
+    F[m:2 * m, m:-1] = P.Bt * -dtau
+    T, D, L = F[3 * m:nb], F[nb + m:], M[m:-1]
+    T[:, m:-1] = T1
+    T[:, -1] = T0
+    D[:, :m] = P.B
+    D[:, m:-1] = P.A @ X1
+    D[:, -1] = P.A @ x0 - P.C
+    # L = dtau D + [0, I_p, 0]: the zeros of I_p are added too, as they turn -0.0 into +0.0
+    np.multiply(D, dtau, out=L)
+    lam_cols = L[:, m:-1]
+    lam_cols += 0.0
+    ones = M.ravel()[m * (N + 1)::N + 1]   # the diagonal of I_p and M's last row
+    ones += 1.0
+    return M, F, lower, upper
 
 
 def _states(squares: list, z: np.ndarray, size: int) -> np.ndarray:
@@ -248,7 +277,16 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     u_j = prox(v)_j or takes lo_j or hi_j, and the affine piece of x*(lam)
     (inner.x_star_piece). In one mode the step is z+ = M z, and y, v, u, the
     rows T of the piece of x*, y+ - y and dlam are rows F z. integrate reads
-    the mode at z in one call, _step_map. The mode's first block takes
+    the mode at z in one call, _step_map, which writes it into the buffers
+    (M, F, lower, upper) of the piece of x* in use. _piece_rows allocates
+    them when a piece is read and writes the rows it owns (L, the lam rows
+    of M; T and D, the dlam rows, in F; T's brackets) and the rows no mode
+    changes (F's identity rows for y, the -dtau B' columns of V, M's last
+    row); they stay until the next piece read. Every mode read overwrites
+    the rest: the y rows Y of M, the diagonal and last column of V, U and
+    Y - I_y in F, and the brackets of y, v and u. M, F and the brackets are
+    read only while their mode lasts (the squares of M restart at each
+    read), so no step sees a row of another mode. The mode's first block takes
     K = BLOCK_STEPS steps and each block after it twice as many, up to
     RUN_STEPS steps and no more than keeps the block's products below
     RUN_PRODUCT (a multiple of K), and none holds a state past
@@ -336,14 +374,14 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
 
     z = np.concatenate([y, lam, [1.0]])
     k = 0          # step index of z
-    piece = None   # the rows of the piece of x*(lam) that holds at z, once read
+    rows = None    # the mode buffers of the piece of x*(lam) that holds at z, once read
     read = True    # read the mode at z
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up raises NonFiniteState
         while True:
             if read:
-                if piece is None:
-                    piece = _piece_rows(P, dtau, z[m:-1])
-                M, F, lower, upper = _step_map(P, dtau, z, pieces, regions, piece)
+                if rows is None:
+                    rows = _piece_rows(P, dtau, z[m:-1])
+                M, F, lower, upper = _step_map(P, dtau, z, pieces, regions, rows)
                 nb = lower.size
                 lower, upper = lower[:, None], upper[:, None]
                 squares = [M.T]   # (M^(2^i))' of the mode, squared as blocks need them
@@ -383,7 +421,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                 keep(S, drift, e, False)
                 z, k = S[e].copy(), k + e
             if not inside[3 * m:, e].all():   # the rows T of the piece of x* fail at z_e
-                piece = None
+                rows = None
             read = True
 
     return Trajectory(

@@ -40,10 +40,13 @@ def clip_pattern(v: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
     Returns (at_lo, at_hi, lower, upper). clip(w, lo, hi) takes the same
     bound, or w itself, for every w with lower < w <= upper: the bracket is
-    (-inf, lo] at lo, (hi, inf] at hi and (lo, hi] in between.
+    (-inf, lo] at lo, (hi, inf] at hi and (lo, hi] in between. Where no
+    entry is clipped, lower and upper are lo and hi themselves.
     """
     at_lo = v <= lo
     at_hi = ~at_lo & (v > hi)
+    if not np.count_nonzero(at_lo | at_hi):   # most mode reads of integrate
+        return at_lo, at_hi, lo, hi
     lower = np.where(at_lo, -np.inf, np.where(at_hi, hi, lo))
     upper = np.where(at_lo, lo, np.where(at_hi, np.inf, hi))
     return at_lo, at_hi, lower, upper

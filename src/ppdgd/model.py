@@ -409,13 +409,18 @@ class AtomTable(PieceTable):
         last = np.isfinite(pts).sum(axis=1) - 1
         pts = pts[:, :last.max() + 1]
         npts = pts.shape[1]
-        dl, dr = np.empty((m, npts)), np.empty((m, npts))
+        # padding points are never reached
+        s = np.where(np.arange(npts) <= last[:, None], pts, lo[:, None])
+        # hpack.clarke and pieces.rows at every point at once: the piece holding
+        # each point (at a breakpoint, the left one) and the one right of it
+        flat = (hpack.bp[:, None, :] < s[:, :, None]).sum(axis=2) + hpack.pieces.offsets[:, None]
+        c2_col, _, q_col, _, upper = hpack.pieces.columns
+        dl = c2_col[flat] * s + q_col[flat]
+        right = flat + (upper[flat] == s)
+        dr = c2_col[right] * s + q_col[right]
         c2, q = np.ones((m, 2 * npts - 1)), np.zeros((m, 2 * npts - 1))
-        for k in range(npts):
-            s = np.where(k <= last, pts[:, k], lo)   # padding points are never reached
-            dl[:, k], dr[:, k] = hpack.clarke(s)
-            if k:   # the interval before point k lies on the piece left of it
-                c2[:, 2 * k - 1], _, q[:, 2 * k - 1], _, _ = hpack.pieces.rows(s)
+        # the interval before point k lies on the piece left of it
+        c2[:, 1::2], q[:, 1::2] = c2_col[flat[:, 1:]], q_col[flat[:, 1:]]
         dr[np.arange(m), last] = np.inf   # every later edge accumulates to +inf
         edges = np.empty((m, 2 * npts - 2))
         edges[:, 0::2] = dr[:, :-1]

@@ -455,6 +455,25 @@ def test_casestudy_runs_the_oracle_once_per_sweep(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_envelope_series_runs_once_per_certified_run(case_file, tmp_path, monkeypatch):
+    # the series certify_envelope checks is the one envelope.csv gets: one pass per tau
+    calls = []
+    series = analysis.envelope_series
+
+    def spy(P, traj, eq):
+        calls.append(traj.config.tau)
+        return series(P, traj, eq)
+
+    for owner in (analysis, cli):
+        monkeypatch.setattr(owner, "envelope_series", spy)
+    assert main(["casestudy", "--tau", "1", "--tau", "2", "--t-end", "5", "--record-every", "500",
+                 "--out", str(tmp_path / "cs")]) == 0
+    assert calls == [1.0, 2.0]
+    calls.clear()
+    assert main(["certify", case_file, "--t-end", "5", "--out", str(tmp_path / "cert")]) == 0
+    assert calls == [1.0]
+
+
 def test_casestudy_seed_matches_certify_on_its_problem(tmp_path):
     flags = ["--seed", "7", "--t-end", "5", "--record-every", "100"]
     cs_out, cert_out = tmp_path / "cs", tmp_path / "cert"

@@ -30,7 +30,7 @@ from ppdgd import (
 )
 from ppdgd import dynamics, export
 from ppdgd.analysis import write_envelope_csv
-from ppdgd.inner import KKT_TOL
+from ppdgd.inner import KKT_TOL, x_star_piece
 from ppdgd.model import SeparablePiecewise
 from ppdgd.random_problems import random_piecewise, random_problem
 
@@ -922,14 +922,21 @@ def test_box_dense_mode_at_a_weakly_active_bound_is_read_once(monkeypatch, weakl
             _assert_close_rows(P, traj, tuple(a[rows] for a in want), 1e-9)
 
 
+def _piece_owned(P, rows):
+    """Copies of the rows of the mode buffers rows that the piece of x* owns: L, T, D and T's brackets."""
+    M, F, lower, upper = rows
+    m, nb = P.m, lower.size
+    return tuple(a.copy() for a in (M[m:-1], F[3 * m:nb], F[nb + m:], lower[3 * m:], upper[3 * m:]))
+
+
 def _spy_pieces(monkeypatch):
-    """Lists that get (z, piece) of each mode read of integrate, and lam of each x_star_piece."""
+    """Lists that get (z, piece-owned rows) of each mode read of integrate, and lam of each x_star_piece."""
     taken, fresh = [], []
     step_map, piece_of = dynamics._step_map, dynamics.x_star_piece
 
-    def spy_step_map(P, dtau, z, pieces, regions, piece):
-        taken.append((z.copy(), piece))
-        return step_map(P, dtau, z, pieces, regions, piece)
+    def spy_step_map(P, dtau, z, pieces, regions, rows):
+        taken.append((z.copy(), _piece_owned(P, rows)))
+        return step_map(P, dtau, z, pieces, regions, rows)
 
     def spy_piece(P, lam):
         fresh.append(lam.copy())
@@ -943,10 +950,11 @@ def _spy_pieces(monkeypatch):
 def test_a_mode_read_keeps_the_piece_of_x_star_while_its_rows_hold(monkeypatch,
                                                                     weakly_active_box_dense):
     # a read takes the piece of x* of the mode before it where that piece's
-    # rows pass at the step that left the mode. It must be the piece a fresh
-    # x_star_piece finds there, bit for bit; where a fresh solve picks another
-    # pattern at a weakly active bound, the piece taken must still pass its
-    # own rows within KKT_TOL
+    # rows pass at the step that left the mode. The rows the piece owns in
+    # the mode buffers (L, T, D and T's brackets, copied at the read) must be
+    # those a fresh _piece_rows writes there, bit for bit; where a fresh
+    # solve picks another pattern at a weakly active bound, the piece taken
+    # must still pass its own rows within KKT_TOL
     taken, fresh = _spy_pieces(monkeypatch)
     # a free X has no rows to fail: one piece serves every read
     P = _long_run_problem("free")
@@ -970,12 +978,124 @@ def test_a_mode_read_keeps_the_piece_of_x_star_while_its_rows_hold(monkeypatch,
         integrate(P, State(y0, lam0), cfg)
         reused += len(taken) - len(fresh)
         for z, piece in taken:
-            want = dynamics._piece_rows(P, cfg.dt * cfg.tau, z[P.m:-1])
+            want = _piece_owned(P, dynamics._piece_rows(P, cfg.dt * cfg.tau, z[P.m:-1]))
             if not all(np.array_equal(a, b) for a, b in zip(piece, want)):
-                _, _, T, lower, upper = piece
+                _, T, _, lower, upper = piece
                 rows = T @ z
                 assert np.all((lower - KKT_TOL < rows) & (rows <= upper + KKT_TOL)), z
     assert reused >= 30
+
+
+def _vstack_piece_rows(P, dtau, lam):
+    """The piece of x*(lam) as rows (L, D, T, lower, upper), each assembled afresh.
+
+    The reference for the mode buffers of _piece_rows: lam+ = L z and
+    dlam = D z in the piece, which holds while lower < T z <= upper.
+    """
+    m = P.m
+    x0, X1, T0, T1, lower, upper = x_star_piece(P, lam)
+    D = np.hstack([P.B, P.A @ X1, (P.A @ x0 - P.C)[:, None]])
+    L = dtau * D
+    L[:, m:-1] += np.eye(P.p)
+    T = np.hstack([np.zeros((T0.size, m)), T1, T0[:, None]])
+    return L, D, T, lower, upper
+
+
+def _vstack_step_map(P, dtau, z, pieces, regions, piece):
+    """The mode of the step from z as fresh (M, F, lower, upper), stacked from its blocks.
+
+    The reference for _step_map, which writes the same values into the
+    buffers of its piece, with the brackets of geometry.clip_pattern
+    written out; piece is _vstack_piece_rows of that piece.
+    """
+    m, p = P.m, P.p
+    lo, hi = P.Omega.lo, P.Omega.hi
+    c2, qd, _, ylo, yhi = pieces.rows(z[:m])
+    V = np.empty((m, m + p + 1))
+    V[:, :m] = np.diag(1.0 - dtau * c2)
+    V[:, m:-1] = -dtau * P.Bt
+    V[:, -1] = -dtau * qd
+    slope, icpt, vlo, vhi = regions.rows(V.dot(z))
+    U = slope[:, None] * V
+    U[:, -1] += icpt
+    u = U.dot(z)
+    at_lo = u <= lo
+    at_hi = ~at_lo & (u > hi)
+    ulo = np.where(at_lo, -np.inf, np.where(at_hi, hi, lo))
+    uhi = np.where(at_lo, lo, np.where(at_hi, np.inf, hi))
+    Y = np.where((at_lo | at_hi)[:, None], 0.0, U)
+    Y[:, -1] = np.where(at_lo, lo, np.where(at_hi, hi, U[:, -1]))
+    L, D, T, tlo, thi = piece
+    M = np.vstack([Y, L, np.eye(1, m + p + 1, m + p)])
+    I_y = np.eye(m, m + p + 1)
+    F = np.vstack([I_y, V, U, T, Y - I_y, D])
+    return M, F, np.concatenate([ylo, vlo, ulo, tlo]), np.concatenate([yhi, vhi, uhi, thi])
+
+
+def _short_mode_draw():
+    """(P, y0, lam0): random_problem data whose h_j are kinked 0.01 apart across Omega.
+
+    Jumps of 0.001 to 0.005 at every kink: at dt = 2e-3 a mode lasts a few
+    steps, as on the short-mode instances of ROADMAP item 11.
+    """
+    rng = np.random.default_rng(11)
+    R = random_problem(rng, max_dim=6)
+    h = []
+    for lo, hi in zip(R.Omega.lo, R.Omega.hi):
+        bps = np.arange(lo + 0.005, hi, 0.01)
+        h.append(_kinked(bps, rng.uniform(0.001, 0.005, bps.size), np.ones(bps.size + 1)))
+    P = build_problem(R.f, h, R.A, R.B, R.C, R.X, R.Omega)
+    return P, rng.uniform(P.Omega.lo, P.Omega.hi), rng.normal(size=P.p)
+
+
+def test_mode_buffers_match_stacked_assembly(monkeypatch, case_problem, weakly_active_box_dense):
+    # every mode read writes its mode into the buffers of its piece; a copy
+    # of M, F and the brackets taken at the read (the next one overwrites
+    # them) must equal the fresh stacked assembly of the same piece and
+    # state bit for bit
+    reads, piece_lams = [], []
+    step_map, piece_rows = dynamics._step_map, dynamics._piece_rows
+
+    def spy_piece_rows(P, dtau, lam):
+        piece_lams.append(lam.copy())
+        return piece_rows(P, dtau, lam)
+
+    def spy_step_map(P, dtau, z, pieces, regions, rows):
+        out = step_map(P, dtau, z, pieces, regions, rows)
+        reads.append((z.copy(), piece_lams[-1], pieces, regions, tuple(a.copy() for a in out)))
+        return out
+
+    monkeypatch.setattr(dynamics, "_piece_rows", spy_piece_rows)
+    monkeypatch.setattr(dynamics, "_step_map", spy_step_map)
+
+    def runs():
+        # the boxed_dense benchmark's draws and solves
+        rng = np.random.default_rng([20240811, 3])
+        cfg = IntegratorConfig(dt=2e-3, t_end=2.0)
+        for _ in range(9):
+            R = random_problem(rng, free_x=True)
+            X = BoxSet.box(-np.ones(R.n), np.ones(R.n))
+            yield build_problem(R.f, R.h, R.A, R.B, R.C, X, R.Omega), np.zeros(R.m), None, cfg
+        yield case_problem, np.zeros(case_problem.m), None, IntegratorConfig(dt=1e-3, t_end=50.0)
+        P, cfg = weakly_active_box_dense, IntegratorConfig(dt=2.0 ** -10, t_end=2.0, stop_tol=0.0)
+        for dy in (0.0, 1e-3, -1e-3):
+            yield P, np.array([-0.2 + dy]), np.array([0.2]), cfg
+        yield *_short_mode_draw(), IntegratorConfig(dt=2e-3, t_end=0.6, stop_tol=0.0)
+
+    counts = np.zeros(3, dtype=int)   # reads, piece reads, reads with a clipped y+_j
+    for P, y0, lam0, cfg in runs():
+        reads.clear()
+        piece_lams.clear()
+        integrate(P, State(y0, np.zeros(P.p) if lam0 is None else lam0), cfg)
+        dtau = cfg.dt * cfg.tau
+        for z, lam, pieces, regions, got in reads:
+            want = _vstack_step_map(P, dtau, z, pieces, regions, _vstack_piece_rows(P, dtau, lam))
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (P.m, P.p, z)
+            Y = got[0][:P.m]   # a clipped y+_j has a row of zeros but for its nonzero bound
+            counts[2] += np.any((Y[:, :-1] == 0.0).all(axis=1) & (Y[:, -1] != 0.0))
+        counts[:2] += len(reads), len(piece_lams)
+    assert counts[0] >= 300 and counts[1] >= 25 and counts[2] >= 5, counts
 
 
 def test_early_stop_allocates_nothing_in_proportion_to_t_end():

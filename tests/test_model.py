@@ -288,6 +288,60 @@ def test_atom_table_matches_scalar_clarke_intervals():
                 assert (c2[flat[j]], q[flat[j]]) == (2.0 * pc, qc)
 
 
+def _looped_atom_table(hpack, lo, hi):
+    """PieceTable of the atoms of hpack over [lo, hi], built point by point.
+
+    The reference for AtomTable: one hpack.clarke and one pieces.rows call
+    per column of points, where AtomTable looks up every point at once.
+    """
+    m = lo.size
+    inside = (hpack.bp > lo[:, None]) & (hpack.bp < hi[:, None])
+    pts = np.sort(np.column_stack([lo, np.where(inside, hpack.bp, np.inf),
+                                   np.where(hi > lo, hi, np.inf)]), axis=1)
+    last = np.isfinite(pts).sum(axis=1) - 1
+    pts = pts[:, :last.max() + 1]
+    npts = pts.shape[1]
+    dl, dr = np.empty((m, npts)), np.empty((m, npts))
+    c2, q = np.ones((m, 2 * npts - 1)), np.zeros((m, 2 * npts - 1))
+    for k in range(npts):
+        s = np.where(k <= last, pts[:, k], lo)
+        dl[:, k], dr[:, k] = hpack.clarke(s)
+        if k:
+            c2[:, 2 * k - 1], _, q[:, 2 * k - 1], _, _ = hpack.pieces.rows(s)
+    dr[np.arange(m), last] = np.inf
+    edges = np.empty((m, 2 * npts - 2))
+    edges[:, 0::2] = dr[:, :-1]
+    edges[:, 1::2] = np.nextafter(dl[:, 1:], -np.inf)
+    ends = np.repeat(pts, 2, axis=1)
+    return PieceTable(np.maximum.accumulate(edges, axis=1), ends[:, :-1], ends[:, 1:], c2, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6))
+def test_atom_table_matches_point_by_point_lookups(seed, m):
+    # rows with no kink, kinks cut off by the box, lo or hi on a kink and
+    # single-point rows (lo == hi, on a kink or not); the tables must agree bit for bit
+    rng = np.random.default_rng(seed)
+    fns = [random_piecewise(rng, -1.0, 1.0, int(k)) for k in rng.integers(0, 5, m)]
+    lo, hi = np.sort(rng.uniform(-1.0, 1.0, (2, m)), axis=0)
+    for j, fn in enumerate(fns):
+        bp = fn.breakpoints
+        kind = rng.integers(4)
+        if kind == 1:   # a single point
+            hi[j] = lo[j] = rng.choice(bp) if bp.size and rng.random() < 0.5 else lo[j]
+        elif kind == 2 and bp.size:   # lo on a kink
+            lo[j] = bp[0]
+            hi[j] = max(hi[j], lo[j])
+        elif kind == 3 and bp.size:   # hi on a kink
+            hi[j] = bp[-1]
+            lo[j] = min(lo[j], hi[j])
+    pack = SeparablePiecewise(fns)
+    got, want = pack.atoms(lo, hi), _looped_atom_table(pack, lo, hi)
+    for a, b in zip((got.edgesT, got.offsets, *got.columns),
+                    (want.edgesT, want.offsets, *want.columns)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _lookups(table, probes, m):
     """(index, lower, upper), each (probes, m), of v = probe in every coordinate."""
     found = [(table.index(v) - table.offsets, *table.rows(v)[-2:])

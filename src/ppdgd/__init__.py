@@ -10,7 +10,6 @@ from .analysis import (
     envelope_series,
     equilibrium_oracle,
     kkt_residual,
-    lyapunov_value,
 )
 from .casestudy import build_case
 from .dynamics import (
@@ -20,7 +19,6 @@ from .dynamics import (
     Trajectory,
     integrate,
     rhs,
-    select_subgradient,
 )
 from .errors import (
     AssumptionError,
@@ -43,13 +41,7 @@ from .errors import (
     ProblemFormatError,
     RankDeficient,
 )
-from .geometry import (
-    normal_cone_contains,
-    project_box,
-    tangent_project,
-    tangent_project_limit,
-)
-from .inner import InnerSolution, solve_inner, strong_concavity_check
+from .inner import InnerSolution, solve_inner
 from .model import (
     BoxSet,
     PiecewiseScalarFn,

@@ -139,13 +139,6 @@ def kkt_residual(P: Problem, x, y, lam) -> KktResidual:
     return KktResidual(r_x=r_x, r_y=r_y, r_eq=r_eq, total=max(r_x, r_y, r_eq))
 
 
-def lyapunov_value(eq: Equilibrium, y, lam) -> float:
-    """Quadratic distance measure 0.5||y - y*||^2 + 0.5||lam - lam*||^2."""
-    dy = np.asarray(y, dtype=float) - eq.y_star
-    dl = np.asarray(lam, dtype=float) - eq.lambda_star
-    return float(0.5 * (dy @ dy) + 0.5 * (dl @ dl))
-
-
 # ---------------------------------------------------------------------------
 # Equilibrium oracle
 # ---------------------------------------------------------------------------

@@ -127,19 +127,6 @@ class Trajectory:
         write_csv(path, cols, (self.t, self.y, self.lam, self.drift_norm))
 
 
-def select_subgradient(P: Problem, y, lam) -> np.ndarray:
-    """Minimal-norm selection from the generalized gradient of h at y.
-
-    Componentwise clamp of the target -(B'lam)_j into the interval; at smooth
-    points this reduces to the unique derivative, and when the target lies
-    strictly inside a kink interval the corresponding drift component is
-    exactly zero (sliding mode).
-    """
-    y = np.asarray(y, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    return P.hpack.select(y, -(P.Bt @ lam))
-
-
 def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Field of the tau-scaled dynamics at state s.
 

@@ -24,16 +24,19 @@ from ppdgd import (
     integrate,
     kkt_residual,
     rhs,
-    select_subgradient,
     solve_inner,
-    strong_concavity_check,
-    tangent_project,
-    tangent_project_limit,
 )
 from ppdgd.analysis import omega_invariant
 from ppdgd.casestudy import build_case, regulation_cost
 from ppdgd.model import QuadraticSmoothFn, build_problem
 from ppdgd.random_problems import random_problem
+
+from oracles import (
+    select_subgradient,
+    strong_concavity_check,
+    tangent_project,
+    tangent_project_limit,
+)
 
 N_INSTANCES = 100
 CAMPAIGN_SEED = 20240811

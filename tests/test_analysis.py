@@ -22,11 +22,12 @@ from ppdgd import (
     equilibrium_oracle,
     integrate,
     kkt_residual,
-    lyapunov_value,
     solve_inner,
 )
 from ppdgd import analysis, casestudy
 from ppdgd.random_problems import random_piecewise, random_problem
+
+from oracles import lyapunov_value
 
 FEASIBILITY_TOL = 1e-6   # residual of Ax + By = C, relative to max(1, |C|_inf)
 

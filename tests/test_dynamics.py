@@ -23,9 +23,7 @@ from ppdgd import (
     equilibrium_oracle,
     integrate,
     kkt_residual,
-    project_box,
     rhs,
-    select_subgradient,
     solve_inner,
 )
 from ppdgd import dynamics, export
@@ -33,6 +31,8 @@ from ppdgd.analysis import write_envelope_csv
 from ppdgd.inner import KKT_TOL, x_star_piece
 from ppdgd.model import SeparablePiecewise
 from ppdgd.random_problems import random_piecewise, random_problem
+
+from oracles import project_box, select_subgradient
 
 
 @pytest.fixture

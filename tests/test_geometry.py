@@ -16,13 +16,11 @@ from ppdgd import (
     TerminationReason,
     Trajectory,
     build_problem,
-    normal_cone_contains,
-    project_box,
     rhs,
-    tangent_project,
-    tangent_project_limit,
 )
 from ppdgd.analysis import omega_invariant
+
+from oracles import normal_cone_contains, project_box, tangent_project, tangent_project_limit
 
 boxes = st.integers(1, 5).flatmap(
     lambda d: st.tuples(

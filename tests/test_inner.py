@@ -18,11 +18,12 @@ from ppdgd import (
     integrate,
     rhs,
     solve_inner,
-    strong_concavity_check,
 )
 from ppdgd.geometry import clip_pattern
 from ppdgd.inner import _grad_phi, _x_star, x_star_piece
 from ppdgd.random_problems import random_problem
+
+from oracles import strong_concavity_check
 
 
 def quad(p):
@@ -69,7 +70,7 @@ def test_free_x_piece_is_the_unconstrained_map():
         assert T0.shape == (0,) and T1.shape == (0, P.p) and lower.size == upper.size == 0
         want = P.x_base - P.dual_map @ lam
         assert np.linalg.norm(x0 + X1 @ lam - want) <= 1e-14 * np.linalg.norm(want)
-        x, steps = _x_star(P, lam)
+        x, steps, *_ = _x_star(P, lam)
         assert np.array_equal(x, want) and steps == 0
         want = solve_inner(P, lam).grad_phi
         assert np.linalg.norm(_grad_phi(P, lam) - want) <= 1e-14 * np.linalg.norm(want)
@@ -143,7 +144,7 @@ def test_box_clamped_minimizer_diagonal():
         assert np.linalg.norm(x0 + X1 @ lam - clamp) <= 1e-14 * np.linalg.norm(clamp)
         t = T0 + T1 @ lam
         assert np.all((lower < t) & (t <= upper))
-        x, steps = _x_star(P, lam)
+        x, steps, *_ = _x_star(P, lam)
         assert np.array_equal(x, clamp) and steps == 0
         binding += bool((at_lo | at_hi).any())
     assert binding >= 30
@@ -243,6 +244,11 @@ def test_box_dense_matches_enumerated_oracle(n, seed, log_cond, lam_scale, degen
     expected = enumerated_box_qp(P.f.H, P.f.c + P.A.T @ lam, P.X.lo, P.X.hi)
     assert sol.residual <= 1e-10
     assert np.max(np.abs(sol.x_star - expected)) <= 1e-9
+    # the piece of x* at lam holds there and gives the same minimizer
+    x0, X1, T0, T1, lower, upper = x_star_piece(P, lam)
+    t = T0 + T1 @ lam
+    assert np.all((lower < t) & (t <= upper))
+    assert np.max(np.abs(x0 + X1 @ lam - expected)) <= 1e-9
 
 
 def test_box_dense_ill_conditioned_solves_to_roundoff():
@@ -295,6 +301,39 @@ def test_box_dense_steps_along_trajectory():
                      IntegratorConfig(dt=2e-3, t_end=2.0))
     steps = [solve_inner(P, lam).iterations for lam in traj.lam]
     assert np.mean(steps) <= 2
+
+
+def test_a_piece_read_solves_each_active_pattern_once(monkeypatch):
+    # each active-set step of _x_star solves its new pattern's affine piece
+    # and x_star_piece returns the last one: a read that took k >= 1 steps
+    # makes k reduced solves, and one whose clamped start was exact makes one
+    from ppdgd import dynamics
+
+    solve, piece_of = np.linalg.solve, dynamics.x_star_piece
+    solves, reads = [0], []
+
+    def counting_solve(*args):
+        solves[0] += 1
+        return solve(*args)
+
+    def spy_piece(P, lam):
+        before = solves[0]
+        out = piece_of(P, lam)
+        reads.append((solves[0] - before, _x_star(P, lam)[1]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(dynamics, "x_star_piece", spy_piece)
+    rng = np.random.default_rng([20240811, 3])   # the boxed_dense benchmark's draws
+    for _ in range(9):
+        R = random_problem(rng, free_x=True)
+        P = build_problem(R.f, R.h, R.A, R.B, R.C,
+                          BoxSet.box(-np.ones(R.n), np.ones(R.n)), R.Omega)
+        assert P.inner_mode == "box_dense"
+        integrate(P, State(y=np.zeros(P.m), lam=np.zeros(P.p)),
+                  IntegratorConfig(dt=2e-3, t_end=2.0))
+    assert all(made == max(steps, 1) for made, steps in reads), reads
+    assert sum(steps > 0 for _, steps in reads) >= 10, reads   # 14 of 20 reads
 
 
 def test_solve_inner_deterministic(case_problem):

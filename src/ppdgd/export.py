@@ -15,12 +15,15 @@ Python's '%' once per row. For each value v the pass finds
 - its text as %g lays it out: trailing zeros stripped, fixed notation for
   -4 <= E < 17, else d.ddde+XX with at least two exponent digits.
 
-Each value's text is one row of a 48-byte template with a slot for every
-character any layout can use, filled as six uint64 words from tables (the
-sign and "0.000" prefix with the first digit, four 4-digit groups, the
-exponent with the separator). A table row per layout class (sign, E, digits
-kept) zeroes the slots the class does not use, and deleting the zero bytes
-leaves the text of the block. Zero is the one-digit "0". Values the pass
+Each value's text is one row of a 32-byte template, four uint64 words filled
+from tables: the sign and "0.000" prefix with the first digit and its '.',
+the 16 tail digits written as 4-digit ASCII groups, and the exponent with the
+separator. Only fixed notation with 1 <= E <= 15 puts its '.' among the tail
+digits: for those values alone the tail moves one byte right past digit E,
+its last byte into the exponent's first slot, which fixed notation leaves
+free, and the '.' fills the gap. A table row per layout class (sign, E,
+digits kept) zeroes the slots the class does not use, and deleting the zero
+bytes leaves the text of the block. Zero is the one-digit "0". Values the pass
 cannot decide (inf, nan, |v| outside [1e-280, 1e280) such as subnormals, and
 near-ties at the 17th digit) keep Python's '%.17g' and are spliced in.
 """
@@ -31,20 +34,18 @@ import numpy as np
 
 # values per numpy pass: larger blocks cost more in page faults on their
 # temporaries than they save in numpy calls
-BLOCK_VALUES = 4096
+BLOCK_VALUES = 16384
 
 _LIMIT = 1e280     # range [1 / _LIMIT, _LIMIT): 16 - E stays in the table, the split finite
 _K_MIN = -300      # table of 10^k for k in [_K_MIN, -_K_MIN]
 _TIE = 1e-6        # a fraction this close to 1/2 is left to Python
 _LO, _HI = 10 ** 16, 10 ** 17
 
-# Template slots: the sign, "0.000" of -4 <= E < 0, then each of the 17 digits
-# followed by a '.' slot, "e", the exponent's sign and three digits, the
+# Template slots: the sign, "0.000" of -4 <= E < 0, the first digit and its
+# '.', the 16 tail digits, then "e", the exponent's sign and three digits, the
 # separator and two pad bytes
-_WIDTH = 48
-_DOTS = np.arange(7, 40, 2)
-_DIGITS = _DOTS - 1
-_EXP = 40
+_WIDTH = 32
+_EXP = 24
 _X_CLASSES = 23    # E = -4 .. 16 in fixed notation, then scientific below and from 100
 _E_SPAN = 400      # the exponent tables cover E in [-_E_SPAN, _E_SPAN)
 
@@ -57,8 +58,8 @@ def _split(x):
 
 
 def _powers_of_ten():
-    """10^k = hi + lo for k in [_K_MIN, -_K_MIN], each part correctly rounded,
-    and the split of hi.
+    """Rows (hi, lo, hi's split) with 10^k = hi + lo for k in [_K_MIN, -_K_MIN],
+    each part correctly rounded.
 
     Python's int-to-float conversion and int / int division round correctly,
     so exact integer remainders give lo without a rational type.
@@ -76,22 +77,29 @@ def _powers_of_ten():
             lo.append((den - num * d) / (den * d))
         hi.append(h)
     hi = np.array(hi)
-    return (hi, np.array(lo)) + _split(hi)
+    return np.column_stack((hi, lo) + _split(hi))
 
 
 def _layout_masks():
     """Slots kept by each layout class (sign, class of E, digits kept after the
-    first), and an empty last class for the values spliced in."""
+    first), and an empty last class for the values spliced in.
+
+    Fixed notation with 1 <= E <= 15 has its tail shifted one byte right past
+    its E-th digit, where the '.' goes (see _format), so a class with digits
+    after that '.' keeps up to byte 8 + digits kept.
+    """
     sign, xc, k, j = np.ix_(range(2), range(_X_CLASSES), range(17), range(_WIDTH))
     e = xc - 4    # in fixed notation
-    digit, dot = (j - 6) // 2, (j - 7) // 2
     fixed = (xc >= 4) & (xc < 21)
     sci = xc >= 21
+    dotted = (e >= 1) & (e <= 15) & (k > e)
+    last = 7 + np.where(fixed, np.maximum(k, e), k) + dotted
     masks = (
         (j == 0) & (sign == 1)
         | (j >= 1) & (j < 6 - xc) & (xc < 4)    # "0." and -E - 1 zeros
-        | np.isin(j, _DIGITS) & ((digit <= k) | fixed & (digit <= e))
-        | np.isin(j, _DOTS) & (fixed & (dot == e) | sci & (dot == 0)) & (k > dot)
+        | (j == 6)    # first digit
+        | (j == 7) & ((xc == 4) | sci) & (k > 0)    # its '.'
+        | (j >= 8) & (j <= last)    # tail digits
         | sci & np.isin(j, (_EXP, _EXP + 1, _EXP + 3, _EXP + 4))   # e+XX
         | (xc == 22) & (j == _EXP + 2)    # a third exponent digit from 100
         | (j == _EXP + 5)    # separator
@@ -99,15 +107,21 @@ def _layout_masks():
     return np.vstack([masks.reshape(-1, _WIDTH), np.zeros(_WIDTH, bool)])
 
 
-def _digit_groups():
-    """Each 4-digit group's ASCII digits with a '.' after each, as a uint64, and
-    the digits up to its last nonzero one (-12 for 0000, so 12 more stays <= 0)."""
+def _digit_quads():
+    """Each 4-digit group's ASCII digits as a uint32, and the digits up to its
+    last nonzero one (-12 for 0000, so 12 more stays <= 0)."""
     digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    text = np.full((10000, 8), ord("."), np.uint8)
-    text[:, ::2] = digits + ord("0")
+    text = (digits + ord("0")).astype(np.uint8)
     nonzero = digits[:, ::-1] != 0
     last = np.where(nonzero.any(axis=1), 4 - np.argmax(nonzero, axis=1), -12)
-    return text.view(np.uint64).ravel(), last
+    return text.view(np.uint32).ravel(), last
+
+
+def _dot_shifts():
+    """For 1 <= E <= 15, which template byte each of bytes 8 .. 24 takes: the
+    tail up to digit E stays, the '.' of byte 7 follows, the rest moves one on."""
+    e, p = np.ix_(range(16), range(8, _EXP + 1))
+    return np.where(p < 8 + e, p, np.where(p == 8 + e, 7, p - 1))
 
 
 def _words(texts):
@@ -121,7 +135,8 @@ _KEEP = np.where(_MASKS, 0xFF, 0).astype(np.uint8).view(np.uint64)
 _LENGTHS = _MASKS.sum(axis=1)
 _EMPTY = len(_MASKS) - 1
 _PREFIX = _words(b"-0.000%d." % d for d in range(10))
-_OCTS, _LAST = _digit_groups()
+_QUADS, _LAST = _digit_quads()
+_SHIFTS = _dot_shifts()
 _EXPONENTS = np.arange(-_E_SPAN, _E_SPAN)
 _SUFFIX = _words(b"e%+04d%s\0\0" % (e, sep) for e in _EXPONENTS for sep in (b",", b"\n"))
 _CLASS = 17 * np.where((_EXPONENTS >= -4) & (_EXPONENTS < 17), _EXPONENTS + 4,
@@ -130,7 +145,7 @@ _CLASS = 17 * np.where((_EXPONENTS >= -4) & (_EXPONENTS < 17), _EXPONENTS + 4,
 
 def _scaled(a, E):
     """Integer part and fraction of a * 10^(16 - E), exact to about 4e-15."""
-    p_hi, p_lo, p_hh, p_hl = (np.take(x, 16 - _K_MIN - E) for x in _POWERS)
+    p_hi, p_lo, p_hh, p_hl = np.take(_POWERS, 16 - _K_MIN - E, axis=0).T
     p = a * p_hi
     ah, al = _split(a)
     t = (((ah * p_hh - p) + ah * p_hl + al * p_hh) + al * p_hl) + a * p_lo
@@ -182,11 +197,15 @@ def _format(v, ncols) -> bytes:
 
     words = np.empty((n, _WIDTH // 8), np.uint64)
     words[:, 0] = np.take(_PREFIX, lead)
-    words[:, 1:5] = np.take(_OCTS, groups)
+    words.view(np.uint32)[:, 2:6] = np.take(_QUADS, groups)
+    shift = np.flatnonzero((E >= 1) & (E <= 15))
     E += _E_SPAN
     suffix = 2 * E
     suffix[ncols - 1::ncols] += 1
-    words[:, 5] = np.take(_SUFFIX, suffix)
+    words[:, 3] = np.take(_SUFFIX, suffix)
+    if shift.size:   # a '.' may go among the tail digits: shift them past it
+        chars = words.view(np.uint8)
+        chars[shift, 8:_EXP + 1] = chars[shift[:, None], _SHIFTS[E[shift] - _E_SPAN]]
     code = np.take(_CLASS, E) + kept
     code[np.signbit(v)] += _X_CLASSES * 17
     code[slow] = _EMPTY

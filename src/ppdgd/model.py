@@ -106,11 +106,17 @@ class BoxSet:
         """Largest distance by which an entry of v (a point, or rows of points) leaves the box.
 
         NaN when v holds a NaN, also for a free set, or an infinity at an
-        infinite bound (inf - inf).
+        infinite bound (inf - inf). Rows are first reduced to each
+        coordinate's least and greatest entry, which gives the same bits:
+        rounding is monotone, so max_i fl(lo - v_i) = fl(lo - min_i v_i).
         """
         v = np.asarray(v, dtype=float)
+        low = high = v
+        if v.ndim == 2:   # a contiguous row per coordinate reduces fastest
+            cols = np.ascontiguousarray(v.T)
+            low, high = np.min(cols, axis=1, initial=np.inf), np.max(cols, axis=1, initial=-np.inf)
         with np.errstate(invalid="ignore"):
-            return float(np.max(np.maximum(self.lo - v, v - self.hi), initial=0.0))
+            return float(np.max(np.maximum(self.lo - low, high - self.hi), initial=0.0))
 
     def contains(self, v) -> bool:
         """True iff v lies in the box within MEMBER_TOL."""

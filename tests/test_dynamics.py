@@ -27,7 +27,7 @@ from ppdgd import (
     solve_inner,
 )
 from ppdgd import dynamics, export
-from ppdgd.analysis import write_envelope_csv
+from ppdgd.analysis import envelope_series, write_envelope_csv
 from ppdgd.inner import KKT_TOL, x_star_piece
 from ppdgd.model import SeparablePiecewise
 from ppdgd.random_problems import random_piecewise, random_problem
@@ -1168,7 +1168,8 @@ def _per_value_csv(header, columns) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("rows", [1, export.BLOCK_VALUES // 6 + 1, 4096, 4097])
+@pytest.mark.parametrize("rows", [1, export.BLOCK_VALUES // 6 + 1,
+                                  export.BLOCK_VALUES, export.BLOCK_VALUES + 1])
 def test_csv_writers_match_per_value_formatting(tmp_path, rows):
     rng = np.random.default_rng(rows)
     data = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-300, 300, size=(rows, 6))
@@ -1215,6 +1216,40 @@ def test_csv_writer_hard_cases(tmp_path, ncols):
     assert (tmp_path / "hard.csv").read_bytes() == _per_value_csv(header, [data])
 
 
+def _layout_value(rng, exponents, kept):
+    """A double whose '%.17g' text has one of the decimal exponents given and
+    kept digits after the first one up to its last nonzero digit, and which
+    is no near-tie at the 17th digit (the writer leaves those to Python)."""
+    for _ in range(10_000):
+        E = rng.choice(exponents)
+        tail = rng.integers(0, 10, size=kept)
+        tail[-1:] = rng.integers(1, 10)   # the last digit kept is nonzero
+        digits = f"{rng.integers(1, 10)}." + "".join(map(str, tail))
+        x = float(f"{digits}e{E}")
+        if "%.16e" % x == f"{digits}{'0' * (16 - kept)}e{E:+03d}" \
+                and not export._digits(np.array([x]))[2][0]:
+            return x
+    raise AssertionError(f"no value with {kept} digits kept at an exponent in {exponents}")
+
+
+def test_csv_writer_matches_python_on_every_layout(tmp_path):
+    # one value per layout class of the writer: each sign, each exponent of
+    # fixed notation (-4 .. 16) and both scientific classes (two or three
+    # exponent digits), each count of digits kept after the first (0 .. 16);
+    # fixed 1 <= E <= 15 puts the '.' among the digits at every position
+    rng = np.random.default_rng(11)
+    classes = [[E] for E in range(-4, 17)]
+    classes += [[*range(-99, -4), *range(17, 100)], [*range(-280, -99), *range(100, 280)]]
+    values = np.array([_layout_value(rng, exponents, kept)
+                       for exponents in classes for kept in range(17)])
+    values = np.concatenate([values, -values])
+    for ncols in (1, 3):
+        data = np.resize(values, (-(-values.size // ncols), ncols))
+        header = [f"c{j}" for j in range(ncols)]
+        export.write_csv(tmp_path / "layouts.csv", header, (data,))
+        assert (tmp_path / "layouts.csv").read_bytes() == _per_value_csv(header, [data])
+
+
 @settings(max_examples=200, deadline=None)
 @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200),
        ncols=st.integers(1, 4))
@@ -1240,6 +1275,19 @@ def test_csv_writer_formats_nearly_every_case_study_value_itself(case_trajectory
     values = np.column_stack([traj.t, traj.y, traj.lam, traj.drift_norm]).ravel()
     _, _, slow = export._digits(values)
     assert np.mean(slow) <= 1e-3
+
+
+def test_case_study_csvs_match_per_value_formatting(tmp_path, case_problem, case_trajectory):
+    traj = case_trajectory
+    traj.write_csv(tmp_path / "trajectory.csv")
+    assert (tmp_path / "trajectory.csv").read_bytes() == _per_value_csv(
+        ["t"] + [f"y_{i + 1}" for i in range(case_problem.m)]
+        + [f"lambda_{j + 1}" for j in range(case_problem.p)] + ["drift_norm"],
+        [traj.t, traj.y, traj.lam, traj.drift_norm])
+    series = envelope_series(case_problem, traj, equilibrium_oracle(case_problem))
+    write_envelope_csv(tmp_path / "envelope.csv", *series)
+    assert (tmp_path / "envelope.csv").read_bytes() == _per_value_csv(
+        ["t", "bound", "distance"], list(series))
 
 
 def test_csv_writer_streams(tmp_path, case_trajectory):

@@ -216,6 +216,43 @@ def test_box_validation():
     assert not S.contains(np.array([0.0, 0.5]))
 
 
+def _violation_per_entry(S, v):
+    """Reference: the largest excess over every entry of v, one entry at a time."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.maximum(S.lo - v, v - S.hi), initial=0.0))
+
+
+def test_violation_reduces_columns_to_the_same_bits():
+    rng = np.random.default_rng(7)
+    m = 5
+    lo = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4, size=m)
+    boxes = [BoxSet.box(lo, lo + rng.uniform(0.0, 3.0, size=m)), BoxSet.free(m),
+             BoxSet(np.array([-np.inf, -1.0, 0.0, -np.inf, 2.0]),
+                    np.array([np.inf, 1.0, 0.0, 3.0, np.inf]))]
+    specials = [np.nan, np.inf, -np.inf]
+    cases = [np.zeros((0, m))]
+    for rows in (1, 2, 37, 400):
+        v = rng.normal(size=(rows, m)) * 10.0 ** rng.integers(-8, 9, size=(rows, m))
+        cases.append(v)
+        for x in specials:
+            w = v.copy()
+            w[rng.integers(rows), rng.integers(m)] = x
+            cases.append(w)
+        w = v.copy()
+        w[0, :] = np.inf
+        w[-1, :] = -np.inf
+        cases.append(w)
+    for S in boxes:
+        for v in cases:
+            for point in [v] + list(v[:3]):   # rows, and single vectors
+                got, want = S.violation(point), _violation_per_entry(S, point)
+                if np.isnan(want):   # the sign of a NaN carries nothing
+                    assert np.isnan(got), (S, point)
+                else:
+                    assert np.array(got).tobytes() == np.array(want).tobytes(), (S, point)
+
+
 def test_packed_clarke_and_selection_match_scalar_clarke():
     # rows with 0, 1 and 3 kinks, so the 0- and 1-kink rows carry padding
     rng = np.random.default_rng(2024)

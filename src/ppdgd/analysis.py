@@ -321,7 +321,10 @@ def envelope_series(P: Problem, traj: Trajectory, eq: Equilibrium):
 
     distance is ||(y - y*, lam - lam*)|| per sample, its square summed row by
     row with einsum (no BLAS call, so the bytes do not depend on its
-    threads). bound is sqrt(2 V(0)) exp(-gamma tau (t - t0) / 2) times the
+    threads). On integrate's column-major samples the subtraction and the
+    sums run one numpy loop over the samples per coordinate; einsum then
+    adds a row's terms in another order than on row-major samples, which
+    moves a distance by rounding alone. bound is sqrt(2 V(0)) exp(-gamma tau (t - t0) / 2) times the
     (1 + 1e-6) discretization slack, with V(0) taken at the first sample.
     """
     dy = traj.y - eq.y_star

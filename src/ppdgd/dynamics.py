@@ -17,8 +17,10 @@ residual ||((y+ - y)/dtau, dlam)||.
 The step is piecewise affine in (y, lam). integrate writes the step of each
 mode (the pieces of h and regions of the jump prox it reads, the clip into
 Omega and the piece of x*(lam)) as one affine map M and advances it in
-blocks of BLOCK_STEPS steps and more, a few numpy calls per block that
-double on the states with the squares of M. It reads a mode once per
+blocks of BLOCK_STEPS steps and more, a few numpy calls per block. The
+first block after a read doubles on its states with the squares of M; a
+block that continues the mode takes its states from the last block's in
+one product by (M^s)', s that block's size. It reads a mode once per
 state, takes the first step as read and reads again only at a step that
 leaves the mode; a read keeps the piece of x* while its rows hold (see
 integrate). Each piece read (_piece_rows) allocates one set of mode
@@ -29,12 +31,17 @@ pays where modes last long, as in the benchmark's solves,
 which change mode a few times in thousands of steps; where the mode changes
 every few steps, each read costs more than the steps it batches.
 
-integrate writes each recorded sample (the start, every record_every-th step
-and the last step) into preallocated t, y, lam and drift arrays. They start
-with room for the whole run, capped at RECORD_BLOCK rows, and double when
-full, so a long t_end costs no memory up front; the Trajectory gets trimmed
-copies. Trajectory.write_csv hands them to export.write_csv, which formats
-a block of rows per numpy pass.
+integrate copies each recorded sample (the start, every record_every-th step
+and the last step) once, [y, lam] into one preallocated buffer of m + p
+columns and its residual into another. They start with room for the whole
+run, capped at RECORD_BLOCK rows, and double when full, so a long t_end
+costs no memory up front. t is the recorded step index times dt, built at
+return. The Trajectory gets y and lam column-major (Fortran order), one
+contiguous run of samples per coordinate, so the passes over samples that
+follow (envelope_series, BoxSet.violation) run one long numpy loop per
+coordinate rather than one short one per sample. Trajectory.write_csv
+hands them to export.write_csv, which formats a block of rows per numpy
+pass.
 """
 
 from __future__ import annotations
@@ -54,7 +61,10 @@ from .model import DATA_RANGE, Problem
 RECORD_BLOCK = 4096   # rows of the first sample buffer
 BLOCK_STEPS = 128     # steps of a mode's first block, doubled per block up to the longest
 RUN_STEPS = 1024      # steps of a mode's longest block
-RUN_PRODUCT = 2 ** 18   # bound on steps * N_z * rows of a block: OpenBLAS threads larger products
+# bound on steps * N_z * rows of a block's product F S': OpenBLAS threads larger products.
+# It bounds the products S (M^s)' of a continued block too: those take at most as many
+# rows of S as the block has steps, times N_z * N_z, and F has at least N_z rows
+RUN_PRODUCT = 2 ** 18
 
 
 class TerminationReason(enum.Enum):
@@ -103,8 +113,10 @@ class IntegratorConfig:
 class Trajectory:
     """Recorded samples (t, y, lam, drift_norm).
 
-    drift_norm is the tau-normalized residual ||((y+ - y)/dtau, dlam)|| of the
-    step taken from the sample.
+    y and lam hold a sample per row; integrate returns them column-major
+    (Fortran order), so each coordinate's samples are contiguous. drift_norm
+    is the tau-normalized residual ||((y+ - y)/dtau, dlam)|| of the step
+    taken from the sample.
     """
 
     t: np.ndarray
@@ -230,6 +242,31 @@ def _states(squares: list, z: np.ndarray, size: int) -> np.ndarray:
     return S
 
 
+def _power(squares: list, s: int) -> np.ndarray:
+    """(M^s)' as the product of the squares (M^(2^i))' over the bits of s; appends the ones it lacks."""
+    bits = [i for i in range(s.bit_length()) if s >> i & 1]
+    while len(squares) <= bits[-1]:
+        squares.append(squares[-1].dot(squares[-1]))
+    power = squares[bits[0]]
+    for i in bits[1:]:
+        power = power.dot(squares[i])
+    return power
+
+
+def _next_states(S: np.ndarray, power: np.ndarray, size: int) -> np.ndarray:
+    """z_s .. z_(s + size - 1) from the block S = z_0 .. z_(s-1), s >= size / 2, and power = (M^s)'.
+
+    Its first min(s, size) states are S (M^s)', the rest the first ones (M^s)'.
+    """
+    s = len(S)
+    out = np.empty((size, S.shape[1]))
+    c = min(s, size)
+    np.dot(S[:c], power, out=out[:c])
+    if size > s:
+        np.dot(out[:size - s], power, out=out[s:])
+    return out
+
+
 def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the dynamics from s0 with fixed forward-backward steps.
 
@@ -277,21 +314,27 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     K = BLOCK_STEPS steps and each block after it twice as many, up to
     RUN_STEPS steps and no more than keeps the block's products below
     RUN_PRODUCT (a multiple of K), and none holds a state past
-    z_(n_steps), the last of a run to t_end. A block of s steps gets its
-    states z_0 .. z_(s-1) by doubling on them (_states), in ceil(log2 s)
-    products with the squares M^(2^i), which are kept for the mode; the
-    next block starts at M z_(s-1). The rows F z_j of a block come from one
-    more product, one column per step. Vectorized tests, each a reduction
+    z_(n_steps), the last of a run to t_end. The first block after a read,
+    of s steps, gets its states z_0 .. z_(s-1) by doubling on them
+    (_states), in ceil(log2 s) products with the squares M^(2^i), which are
+    kept for the mode. A block that continues the mode after a block of s
+    steps gets its states from that block's in one product by (M^s)', and
+    its second half, when it is twice as long, from its first half in one
+    more (_next_states). M^s is a kept square, or at a cap that is no power
+    of two the product of the squares over the bits of s (_power), formed
+    once per mode and size. The rows F z_j of a block come from one more
+    product, one column per step. Vectorized tests, each a reduction
     over the rows of a column, then find the first step that leaves the
     mode (a bracket lower < [y, v, u, T] <= upper fails), whose residual
     meets stop_tol or is not finite, or that is the last, and the kept rows
-    go straight into the sample buffers. The mode is read again at the step
-    that left it. The mode read at z is the mode of the step from z, so
+    are copied once into the sample buffer. The mode is read again at the
+    step that left it. The mode read at z is the mode of the step from z, so
     that step is taken without testing its brackets; every later step is
-    tested, the first of a block that continues a mode too. Where rounding
-    puts a value on one side of an edge for the read and on the other for
-    the block, the step is taken in the mode read: a tie that rounding
-    breaks either way. So every read advances at least one step, and the
+    tested, the first of a block that continues a mode too; where that one
+    leaves the mode, the mode is read at the block's first state. Where
+    rounding puts a value on one side of an edge for the read and on the
+    other for the block, the step is taken in the mode read: a tie that
+    rounding breaks either way. So every read advances at least one step, and the
     steps are those of a step-by-step loop up to the order of rounding. The
     new read keeps the piece of x* where its rows T pass at the step that
     left the mode, as they pass at every step inside it; x_star_piece runs
@@ -299,7 +342,8 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     its piece once.
 
     Records the initial condition, every record_every-th accepted step and
-    the final state, each with the residual of the step taken from it.
+    the final state, each with the residual of the step taken from it; the
+    Trajectory's y and lam are column-major.
     Terminates at cfg.t_end or as soon as the tau-normalized step residual
     ||((y+ - y)/dtau, dlam)|| drops to cfg.stop_tol; that last step is not
     taken. Raises InitialPointOutsideOmega, or NonFiniteState (step size too
@@ -329,8 +373,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
 
     # never sized by t_end alone: integration may stop at stop_tol long before it
     rows = min(n_steps // every + 2, RECORD_BLOCK)
-    ts, drifts = np.empty(rows), np.empty(rows)
-    ys, lams = np.empty((rows, m)), np.empty((rows, p))
+    zs, drifts = np.empty((rows, m + p)), np.empty(rows)
     n = 0
 
     def keep(S, drift, count, final):
@@ -338,29 +381,27 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
 
         Raises NonFiniteState at the first recorded lam outside DATA_RANGE.
         """
-        nonlocal ts, drifts, ys, lams, n
+        nonlocal zs, drifts, n
         grid = slice((-k) % every, count, every)
         kept = len(range(count)[grid])
         last = final and (k + count - 1) % every != 0
-        while n + kept + last > ts.size:
-            ts, drifts, ys, lams = (np.concatenate((b, np.empty_like(b)))
-                                    for b in (ts, drifts, ys, lams))
+        while n + kept + last > drifts.size:
+            zs, drifts = (np.concatenate((b, np.empty_like(b))) for b in (zs, drifts))
         end = n + kept
-        ts[n:end] = np.arange(k + grid.start, k + count, every) * dt
-        ys[n:end], lams[n:end], drifts[n:end] = S[grid, :m], S[grid, m:-1], drift[grid]
+        zs[n:end], drifts[n:end] = S[grid, :-1], drift[grid]
         if last:
-            ts[end], ys[end], lams[end], drifts[end] = (k + count - 1) * dt, S[count - 1, :m], \
-                S[count - 1, m:-1], drift[count - 1]
+            zs[end], drifts[end] = S[count - 1, :-1], drift[count - 1]
             end += 1
-        recorded = np.abs(lams[n:end])
+        recorded = np.abs(zs[n:end, m:])
         if recorded.max(initial=0.0) > DATA_RANGE:   # |lam - lam*|^2 would overflow
-            t = ts[n + np.argmax((recorded > DATA_RANGE).any(axis=1))]
-            raise NonFiniteState(f"recorded lam left [-{DATA_RANGE:g}, {DATA_RANGE:g}] at t = {t}; "
-                                 f"{advice}")
+            i = int(np.argmax((recorded > DATA_RANGE).any(axis=1)))
+            step = k + count - 1 if i == kept else k + grid.start + i * every
+            raise NonFiniteState(f"recorded lam left [-{DATA_RANGE:g}, {DATA_RANGE:g}] at "
+                                 f"t = {step * dt}; {advice}")
         n = end
 
     z = np.concatenate([y, lam, [1.0]])
-    k = 0          # step index of z
+    k = 0          # step index of the block's first state
     rows = None    # the mode buffers of the piece of x*(lam) that holds at z, once read
     read = True    # read the mode at z
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up raises NonFiniteState
@@ -372,10 +413,16 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                 nb = lower.size
                 lower, upper = lower[:, None], upper[:, None]
                 squares = [M.T]   # (M^(2^i))' of the mode, squared as blocks need them
-                size = K
                 cap = K * max(1, min(RUN_STEPS, RUN_PRODUCT // F.size) // K)   # longest block
-            size = min(size, n_steps - k + 1)   # no state past step n_steps
-            S = _states(squares, z, size)
+                size = min(K, n_steps - k + 1)   # no state past step n_steps
+                S = _states(squares, z, size)
+                s = 0   # the block size whose power (M^s)' is at hand
+            else:   # the block continues the last one, S of s steps
+                if len(S) != s:
+                    s = len(S)
+                    power = _power(squares, s)
+                size = min(2 * s, cap, n_steps - k + 1)
+                S = _next_states(S, power, size)
             G = F.dot(S.T)   # the rows F z_j, one column per step
             inside = (lower < G[:nb]) & (G[:nb] <= upper)
             ok = inside.all(axis=0)
@@ -390,8 +437,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                 e = size
             if e == size and not final:
                 keep(S, drift, size, False)
-                z, k = S[-1].dot(squares[0]), k + size
-                size = min(2 * size, cap)
+                k += size
                 continue
             if e == size or ok[e]:   # the last step, or the residual meets stop_tol
                 e = min(e, size - 1)
@@ -399,6 +445,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                     raise NonFiniteState(f"non-finite state at t = {(k + e) * dt}; {advice}")
                 stop = drift[e] <= stop_tol
                 keep(S, drift, e + 1, True)
+                k += e
                 break
             # z_e leaves the mode; the residual of z_(e-1) was finite, so an
             # overflow in z_e is lam + dtau * dlam
@@ -406,15 +453,17 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                 raise NonFiniteState(f"non-finite state at t = {(k + e) * dt}; {advice}")
             if e > 0:
                 keep(S, drift, e, False)
-                z, k = S[e].copy(), k + e
+            z, k = S[e].copy(), k + e
             if not inside[3 * m:, e].all():   # the rows T of the piece of x* fail at z_e
                 rows = None
             read = True
 
+    steps = np.arange(n) * every   # the recorded step indices; the last is step k
+    steps[-1] = k
     return Trajectory(
-        t=ts[:n].copy(),
-        y=ys[:n].copy(),
-        lam=lams[:n].copy(),
+        t=steps * dt,
+        y=np.asfortranarray(zs[:n, :m]),
+        lam=np.asfortranarray(zs[:n, m:]),
         drift_norm=drifts[:n].copy(),
         config=cfg,
         terminated_by=TerminationReason.STOP_TOL if stop else TerminationReason.TIME_LIMIT,

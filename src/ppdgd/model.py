@@ -109,6 +109,9 @@ class BoxSet:
         infinite bound (inf - inf). Rows are first reduced to each
         coordinate's least and greatest entry, which gives the same bits:
         rounding is monotone, so max_i fl(lo - v_i) = fl(lo - min_i v_i).
+        The reductions loop over the samples of one coordinate at a time, on
+        v's transpose; integrate's column-major samples need no copy for it,
+        and min and max give the same bits in either layout.
         """
         v = np.asarray(v, dtype=float)
         low = high = v

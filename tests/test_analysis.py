@@ -566,6 +566,31 @@ def test_certify_envelope_matches_its_polyfit_reference(damped_problem):
         assert abs(rep.fitted_rate - rate) <= 1e-12 * abs(rate)
 
 
+@pytest.mark.parametrize("every", [1, 3])
+def test_samples_are_column_major(every):
+    # integrate returns y and lam column-major; envelope_series sums each
+    # distance in another order than on row-major samples, BoxSet.violation
+    # reduces to the same bits
+    rng = np.random.default_rng(31)
+    cfg = IntegratorConfig(dt=2e-3, t_end=4.0, record_every=every)
+    dims, moved = set(), False
+    for _ in range(6):
+        P = random_problem(rng, max_dim=10)
+        eq = equilibrium_oracle(P)
+        traj = integrate(P, State(rng.uniform(P.Omega.lo, P.Omega.hi), np.zeros(P.p)), cfg)
+        assert traj.y.flags.f_contiguous and traj.lam.flags.f_contiguous
+        y, lam = np.ascontiguousarray(traj.y), np.ascontiguousarray(traj.lam)
+        dy, dl = y - eq.y_star, lam - eq.lambda_star
+        row_major = np.sqrt(np.einsum("ij,ij->i", dy, dy) + np.einsum("ij,ij->i", dl, dl))
+        dist = analysis.envelope_series(P, traj, eq)[2]
+        assert np.all(np.abs(dist - row_major) <= 4 * np.spacing(row_major))
+        for box in (P.Omega, BoxSet.box(eq.y_star, eq.y_star)):   # the second one the samples leave
+            assert repr(box.violation(traj.y)) == repr(box.violation(y))
+        dims.add(P.m)
+        moved |= not np.array_equal(dist, row_major)
+    assert max(dims) >= 3 and moved   # einsum's order differs from three terms on
+
+
 def test_fitted_rate_does_not_overflow_at_huge_t(one_dim_problem):
     # np.polyfit squares t and overflowed past t of about 1e154; the closed
     # form scales t by its span first. Distances halve at each sample

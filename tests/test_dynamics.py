@@ -328,7 +328,7 @@ def test_euler_steps_match_public_field_ops(steps, every, case_problem, monkeypa
     y0[j] = P.h[j].breakpoints[0]
     starts.append((P, y0, lam0))
     # last, the case study from 0: RUN_PRODUCT caps its blocks at 384 steps,
-    # whose last doubling level is partial
+    # whose last doubling level is partial and whose M^384 is a product of two squares
     starts.append((case_problem, np.zeros(case_problem.m), np.zeros(case_problem.p)))
     blocks = _spy_blocks(monkeypatch)
     for P, y0, lam0 in starts:
@@ -769,14 +769,24 @@ def _long_run_problem(mode):
 
 
 def _spy_blocks(monkeypatch):
-    """List that gets the first state [y, lam] and the size of every block (_states call) of integrate."""
-    blocks, states = [], dynamics._states
+    """List that gets the first state [y, lam] and the size of every block of integrate.
 
-    def spy(squares, z, size):
+    A block is a _states call, the first after a mode read, or a _next_states
+    call, one that continues the block before it.
+    """
+    blocks, states, next_states = [], dynamics._states, dynamics._next_states
+
+    def spy_states(squares, z, size):
         blocks.append((z[:-1].copy(), size))
         return states(squares, z, size)
 
-    monkeypatch.setattr(dynamics, "_states", spy)
+    def spy_next_states(S, power, size):
+        out = next_states(S, power, size)
+        blocks.append((out[0, :-1].copy(), size))
+        return out
+
+    monkeypatch.setattr(dynamics, "_states", spy_states)
+    monkeypatch.setattr(dynamics, "_next_states", spy_next_states)
     return blocks
 
 

@@ -115,13 +115,20 @@ def _cmd_certify(args) -> int:
 def _cmd_casestudy(args) -> int:
     # every flag is checked before a file is written
     configs = [_config_from(args, tau) for tau in args.tau or [1.0]]
+    tags = [f"_tau{cfg.tau:g}" for cfg in configs]   # each tau's files are named by its tag
+    first = {}
+    for cfg, tag in zip(configs, tags):
+        if tag in first:
+            raise InvalidConfig(f"--tau {first[tag]!r} and --tau {cfg.tau!r} would both write "
+                                f"the files tagged {tag}")
+        first[tag] = cfg.tau
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     P = cs.build_case()
     dump_problem(P, out / "problem.json")
     results, eq = [], None
-    for cfg in configs:   # one oracle solve serves every tau
-        traj, report, invariant = _certify(P, cfg, args.seed, out, eq, f"_tau{cfg.tau:g}")
+    for cfg, tag in zip(configs, tags):   # one oracle solve serves every tau
+        traj, report, invariant = _certify(P, cfg, args.seed, out, eq, tag)
         eq = report.equilibrium
         results.append((traj, report, invariant))
     # lines print once every tau has run: a tau that raises leaves stdout empty

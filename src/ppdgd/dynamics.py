@@ -22,14 +22,16 @@ first block after a read doubles on its states with the squares of M; a
 block that continues the mode takes its states from the last block's in
 one product by (M^s)', s that block's size. It reads a mode once per
 state, takes the first step as read and reads again only at a step that
-leaves the mode; a read keeps the piece of x* while its rows hold (see
-integrate). Each piece read (_piece_rows) allocates one set of mode
-buffers (M, F, lower, upper) and writes the rows the piece owns and the
-rows no mode changes; each mode read (_step_map) overwrites in place the
-rows that depend on y, v and u, so a read assembles no fresh matrix. That
-pays where modes last long, as in the benchmark's solves,
-which change mode a few times in thousands of steps; where the mode changes
-every few steps, each read costs more than the steps it batches.
+leaves the mode. One set of mode buffers (M, F, lower, upper) serves a
+whole run, and every read (_reread) rewrites in place only the rows that
+failed: the first, after _piece_rows allocates the buffers, every row of
+every coordinate; each later one, at the step that left the mode, the
+rows of each coordinate whose piece, prox region or clip changed and,
+where a row of the piece of x* failed, that piece's rows, solved from
+the old piece's active pattern (see integrate). That pays where modes
+last long, as in the benchmark's solves, which change mode a few times
+in thousands of steps; where the mode changes every few steps, each read
+costs more than the steps it batches.
 
 integrate copies each recorded sample (the start, every record_every-th step
 and the last step) once, [y, lam] into one preallocated buffer of m + p
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InitialPointOutsideOmega, InvalidConfig, NonFiniteState
-from .geometry import _check_dim, _check_member, active_faces, clip_pattern, tangent_rule
+from .geometry import _check_dim, _check_member, active_faces, tangent_rule
 from .inner import _grad_phi, x_star_piece
 from .model import DATA_RANGE, Problem
 
@@ -156,74 +158,112 @@ def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]
     return tau * dy, tau * dlam
 
 
-def _step_map(P: Problem, dtau: float, z: np.ndarray, pieces, regions, rows):
-    """Write the mode of the step from z = [y, lam, 1] into the buffers rows; return them.
+def _piece_rows(P: Problem, dtau: float, lam: np.ndarray, rows=None, start=None):
+    """Write the piece of x*(lam) at lam (x_star_piece) into the mode buffers rows.
 
-    rows = (M, F, lower, upper) are the buffers of _piece_rows for a piece
-    of x*(lam) valid at lam: z+ = M z, and F z stacks y, v, u, the piece's
-    rows T, then y+ - y and dlam, with brackets (lower, upper) on
-    [y, v, u, T]. Looks up the pieces of h at y (pieces) and so the forward
-    rows V of v = y + dtau * (-B'lam - c2 y - qd), the prox regions at
-    v = V z (regions) and the clip into Omega at u = U z, and overwrites
-    in place the rows that depend on them: the diagonal and last column of
-    V, all of U, Y (the y rows of M) and Y - I_y, and the brackets of y, v
-    and u. The rows the piece owns, and those no mode changes, are not
-    touched. The buffers hold this mode until the next call overwrites it.
-    """
-    m = P.m
-    M, F, lower, upper = rows
-    nb = lower.size
-    c2, qd, _, lower[:m], upper[:m] = pieces.rows(z[:m])
-    V, U, Y = F[m:2 * m], F[2 * m:3 * m], M[:m]
-    V.ravel()[:m * (z.size + 1):z.size + 1] = 1.0 - c2 * dtau   # the diagonal of V's y columns
-    V[:, -1] = qd * -dtau
-    slope, icpt, lower[m:2 * m], upper[m:2 * m] = regions.rows(V.dot(z))
-    np.multiply(slope[:, None], V, out=U)
-    U[:, -1] += icpt
-    lo, hi = P.Omega.lo, P.Omega.hi
-    at_lo, at_hi, lower[2 * m:3 * m], upper[2 * m:3 * m] = clip_pattern(U.dot(z), lo, hi)
-    np.copyto(Y, U)
-    clipped = at_lo | at_hi
-    if np.count_nonzero(clipped):   # cheaper than clipped.any() on short vectors
-        Y[clipped] = 0.0
-        Y[:, -1] = np.where(at_lo, lo, np.where(at_hi, hi, U[:, -1]))
-    np.subtract(Y, F[:m], out=F[nb:nb + m])
-    return rows
-
-
-def _piece_rows(P: Problem, dtau: float, lam: np.ndarray):
-    """The mode buffers (M, F, lower, upper) of the piece of x*(lam) at lam (x_star_piece).
-
-    Allocates the buffers of _step_map on z = [y, lam, 1] and writes the
-    rows that hold while the piece does: the piece's own rows, L (the lam
-    rows of M), T and D (rows of F: in the piece, lam+ = L z, dlam = D z and
-    the piece holds while lower < T z <= upper) and T's brackets, and the
-    rows no mode changes, the identity rows I_y of F, the -dtau B' columns
-    of V and M's last row. Every mode read in the piece overwrites the rest.
+    Returns (rows, piece). The rows the piece owns hold while it does: L
+    (the lam rows of M), T and D (rows of F: in the piece, lam+ = L z,
+    dlam = D z and the piece holds while lower < T z <= upper) and T's
+    brackets. With rows None, first allocates the buffers (M, F, lower,
+    upper, at) of the step from z = [y, lam, 1] (see _reread), whose shapes
+    depend only on P, as T has a row per coordinate of X with a finite
+    bound and lo < hi, and writes the rows no mode changes: the identity
+    rows I_y of F, the -dtau B' columns of V, the B columns of D and M's
+    last row. at, the flat table indices of each y_j's piece and v_j's
+    region, is left for the first read to set. start, the piece read
+    before, starts x_star_piece's solve at its pattern.
     """
     m, p = P.m, P.p
     N = m + p + 1
-    x0, X1, T0, T1, tlo, thi = x_star_piece(P, lam)
-    nb = 3 * m + T0.size
-    M, F = np.zeros((N, N)), np.zeros((nb + m + p, N))
-    lower, upper = np.empty(nb), np.empty(nb)
+    piece = x_star_piece(P, lam, start)
+    x0, X1, T0, T1, tlo, thi, _ = piece
+    if rows is None:
+        nb = 3 * m + T0.size
+        M, F = np.zeros((N, N)), np.zeros((nb + m + p, N))
+        F.ravel()[:m * (N + 1):N + 1] = 1.0   # I_y
+        F[m:2 * m, m:-1] = P.Bt * -dtau
+        F[nb + m:, :m] = P.B
+        M[-1, -1] = 1.0
+        rows = M, F, np.empty(nb), np.empty(nb), [0] * (2 * m)
+    M, F, lower, upper, _ = rows
+    nb = lower.size
     lower[3 * m:] = tlo
     upper[3 * m:] = thi
-    F.ravel()[:m * (N + 1):N + 1] = 1.0   # I_y
-    F[m:2 * m, m:-1] = P.Bt * -dtau
     T, D, L = F[3 * m:nb], F[nb + m:], M[m:-1]
     T[:, m:-1] = T1
     T[:, -1] = T0
-    D[:, :m] = P.B
     D[:, m:-1] = P.A @ X1
     D[:, -1] = P.A @ x0 - P.C
     # L = dtau D + [0, I_p, 0]: the zeros of I_p are added too, as they turn -0.0 into +0.0
     np.multiply(D, dtau, out=L)
     lam_cols = L[:, m:-1]
     lam_cols += 0.0
-    ones = M.ravel()[m * (N + 1)::N + 1]   # the diagonal of I_p and M's last row
+    ones = L.ravel()[m::N + 1]   # the diagonal of I_p
     ones += 1.0
-    return M, F, lower, upper
+    return rows, piece
+
+
+def _reread(P: Problem, dtau: float, z: np.ndarray, pieces, regions, rows, piece, failed):
+    """Rewrite the mode buffers rows of the step from z where the rows failed; return (rows, piece).
+
+    rows = (M, F, lower, upper, at) are the buffers of _piece_rows for a
+    piece of x*(lam): z+ = M z, and F z stacks y, v, u, the piece's rows T,
+    then y+ - y and dlam, with brackets (lower, upper) on [y, v, u, T]; at
+    holds the flat indices of each y_j's piece of h in pieces and v_j's
+    prox region in regions. failed flags the bracket rows [y, v, u, T] that
+    fail at z. Where a row of T fails, _piece_rows writes the piece of x*
+    at z's lam over the old one, its solve started at the old piece's
+    pattern. For each coordinate j whose y, v or u row fails, j's piece
+    index steps to y_j (PieceTable.step), which rewrites the diagonal entry
+    and last column of row j of V, from v = y + dtau (-B'lam - c2 y - qd);
+    its region index then steps to v_j of v = V z, which rewrites row j of
+    U, and the clip into Omega of u_j of u = U z rewrites row j of Y (the y
+    rows of M) and of Y - I_y; each with its bracket. A row no failed row
+    depends on is not touched, so the rows of coordinates whose brackets
+    pass keep what the read that wrote them found, which is what a read of
+    every row at z finds, save where a value that passed its bracket in the
+    block's product would fail it in the read's: a tie that rounding breaks
+    either way.
+    """
+    m = P.m
+    flat = np.flatnonzero(failed).tolist()
+    if flat[-1] >= 3 * m:   # a row of T
+        rows, piece = _piece_rows(P, dtau, z[m:-1], rows, piece)
+    coords = sorted({i % m for i in flat if i < 3 * m})
+    if not coords:
+        return rows, piece
+    M, F, lower, upper, at = rows
+    nb = lower.size
+    V, U = F[m:2 * m], F[2 * m:3 * m]
+    c2, qd, _, ylo, yhi = pieces.columns
+    for j in coords:
+        i = at[j] = pieces.step(at[j], z[j])
+        V[j, j] = 1.0 - c2[i] * dtau
+        V[j, -1] = qd[i] * -dtau
+        lower[j], upper[j] = ylo[i], yhi[i]
+    v = V.dot(z)
+    slope, icpt, vlo, vhi = regions.columns
+    for j in coords:
+        i = at[m + j] = regions.step(at[m + j], v[j])
+        Uj = U[j]
+        np.multiply(V[j], slope[i], out=Uj)
+        Uj[-1] += icpt[i]
+        lower[m + j], upper[m + j] = vlo[i], vhi[i]
+    u = U.dot(z)
+    lo, hi = P.Omega.lo, P.Omega.hi
+    for j in coords:
+        k, Yj = 2 * m + j, M[j]
+        if u[j] <= lo[j]:
+            Yj[:] = 0.0
+            Yj[-1], lower[k], upper[k] = lo[j], -np.inf, lo[j]
+        elif u[j] > hi[j]:
+            Yj[:] = 0.0
+            Yj[-1], lower[k], upper[k] = hi[j], hi[j], np.inf
+        else:
+            Yj[:] = U[j]
+            lower[k], upper[k] = lo[j], hi[j]
+        np.subtract(Yj, F[j], out=F[nb + j])
+    return rows, piece
 
 
 def _states(squares: list, z: np.ndarray, size: int) -> np.ndarray:
@@ -300,20 +340,32 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     PieceTables, with their brackets), whether the clip into Omega keeps
     u_j = prox(v)_j or takes lo_j or hi_j, and the affine piece of x*(lam)
     (inner.x_star_piece). In one mode the step is z+ = M z, and y, v, u, the
-    rows T of the piece of x*, y+ - y and dlam are rows F z. integrate reads
-    the mode at z in one call, _step_map, which writes it into the buffers
-    (M, F, lower, upper) of the piece of x* in use. _piece_rows allocates
-    them when a piece is read and writes the rows it owns (L, the lam rows
-    of M; T and D, the dlam rows, in F; T's brackets) and the rows no mode
-    changes (F's identity rows for y, the -dtau B' columns of V, M's last
-    row); they stay until the next piece read. Every mode read overwrites
-    the rest: the y rows Y of M, the diagonal and last column of V, U and
-    Y - I_y in F, and the brackets of y, v and u. M, F and the brackets are
-    read only while their mode lasts (the squares of M restart at each
-    read), so no step sees a row of another mode. The mode's first block takes
-    K = BLOCK_STEPS steps and each block after it twice as many, up to
-    RUN_STEPS steps and no more than keeps the block's products below
-    RUN_PRODUCT (a multiple of K), and none holds a state past
+    rows T of the piece of x*, y+ - y and dlam are rows F z. The mode lives
+    in one set of buffers (M, F, lower, upper) per run, whose shapes depend
+    only on P. The first read, at z_0, allocates them in _piece_rows, which
+    writes the rows the piece of x* owns (L, the lam rows of M; T and D, the
+    dlam rows, in F; T's brackets) and the rows no mode changes (F's
+    identity rows for y, the -dtau B' columns of V, the B columns of D, M's
+    last row). Every read (_reread) then rewrites only the rows that fail:
+    the first, at z_0, the rows of every coordinate, the y rows Y of M, the
+    diagonal and last column of V, U and Y - I_y in F, and the brackets of
+    y, v and u, its table indices stepped from y_0's intervals (found by
+    PieceTable.index); every later one, at the step z_e that left the mode,
+    what failed there (inside[:, e]): the rows of each coordinate whose y,
+    v or u bracket failed, its table indices stepped from the old ones
+    (PieceTable.step), and, where a row of T failed, the piece's own rows,
+    solved from the old piece's active pattern with no table lookup. The
+    rows whose brackets passed are those a read of every row at z_e writes,
+    save a tie where the block's product and the read's put a value on
+    either side of an edge, so M, F and the brackets equal that read's bit
+    for bit. The piece of x* is kept while its rows T pass, as they pass at
+    every step inside the mode, so a free X, whose T has no rows, reads its
+    piece once. M, F and the
+    brackets are read only while their mode lasts (the squares of M restart
+    at each read), so no step sees a row of another mode. The mode's first
+    block takes K = BLOCK_STEPS steps and each block after it twice as
+    many, up to RUN_STEPS steps and no more than keeps the block's products
+    below RUN_PRODUCT (a multiple of K), and none holds a state past
     z_(n_steps), the last of a run to t_end. The first block after a read,
     of s steps, gets its states z_0 .. z_(s-1) by doubling on them
     (_states), in ceil(log2 s) products with the squares M^(2^i), which are
@@ -335,11 +387,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     rounding puts a value on one side of an edge for the read and on the
     other for the block, the step is taken in the mode read: a tie that
     rounding breaks either way. So every read advances at least one step, and the
-    steps are those of a step-by-step loop up to the order of rounding. The
-    new read keeps the piece of x* where its rows T pass at the step that
-    left the mode, as they pass at every step inside it; x_star_piece runs
-    again only where one of them failed, so a free X, which has none, reads
-    its piece once.
+    steps are those of a step-by-step loop up to the order of rounding.
 
     Records the initial condition, every record_every-th accepted step and
     the final state, each with the residual of the step taken from it; the
@@ -402,18 +450,21 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
 
     z = np.concatenate([y, lam, [1.0]])
     k = 0          # step index of the block's first state
-    rows = None    # the mode buffers of the piece of x*(lam) that holds at z, once read
-    read = True    # read the mode at z
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up raises NonFiniteState
+        # the first read allocates the mode buffers and rewrites every y, v and u row at z,
+        # each table index stepped from y's interval: v is y moved by a step of dtau
+        rows, piece = _piece_rows(P, dtau, z[m:-1])
+        M, F, lower, upper, at = rows
+        at[:] = pieces.index(z[:m]).tolist() + regions.index(z[:m]).tolist()
+        nb = lower.size
+        failed = np.arange(nb) < 3 * m
+        rows, piece = _reread(P, dtau, z, pieces, regions, rows, piece, failed)
+        lower, upper = lower[:, None], upper[:, None]
+        cap = K * max(1, min(RUN_STEPS, RUN_PRODUCT // F.size) // K)   # longest block
+        read = True    # the mode was read at z
         while True:
             if read:
-                if rows is None:
-                    rows = _piece_rows(P, dtau, z[m:-1])
-                M, F, lower, upper = _step_map(P, dtau, z, pieces, regions, rows)
-                nb = lower.size
-                lower, upper = lower[:, None], upper[:, None]
                 squares = [M.T]   # (M^(2^i))' of the mode, squared as blocks need them
-                cap = K * max(1, min(RUN_STEPS, RUN_PRODUCT // F.size) // K)   # longest block
                 size = min(K, n_steps - k + 1)   # no state past step n_steps
                 S = _states(squares, z, size)
                 s = 0   # the block size whose power (M^s)' is at hand
@@ -454,8 +505,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             if e > 0:
                 keep(S, drift, e, False)
             z, k = S[e].copy(), k + e
-            if not inside[3 * m:, e].all():   # the rows T of the piece of x* fail at z_e
-                rows = None
+            rows, piece = _reread(P, dtau, z, pieces, regions, rows, piece, ~inside[:, e])
             read = True
 
     steps = np.arange(n) * every   # the recorded step indices; the last is step k

@@ -28,23 +28,6 @@ def _check_member(y: np.ndarray, S: BoxSet):
         raise PointOutsideSet(f"point violates the box by {viol:.3e}")
 
 
-def clip_pattern(v: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Which bound clip(v, lo, hi) takes per entry, and the bracket of that choice.
-
-    Returns (at_lo, at_hi, lower, upper). clip(w, lo, hi) takes the same
-    bound, or w itself, for every w with lower < w <= upper: the bracket is
-    (-inf, lo] at lo, (hi, inf] at hi and (lo, hi] in between. Where no
-    entry is clipped, lower and upper are lo and hi themselves.
-    """
-    at_lo = v <= lo
-    at_hi = ~at_lo & (v > hi)
-    if not np.count_nonzero(at_lo | at_hi):   # most mode reads of integrate
-        return at_lo, at_hi, lo, hi
-    lower = np.where(at_lo, -np.inf, np.where(at_hi, hi, lo))
-    upper = np.where(at_lo, lo, np.where(at_hi, np.inf, hi))
-    return at_lo, at_hi, lower, upper
-
-
 def active_faces(y, S: BoxSet):
     """Masks of the lower and upper faces of the box S that are active at y."""
     return y <= S.lo + ACTIVITY_TOL, y >= S.hi - ACTIVITY_TOL

@@ -276,13 +276,14 @@ class PieceTable:
     edge v_j falls in the interval to its left, and lower < v <= upper holds
     exactly for the v that map to the same interval (an empty interval gets
     lower == upper). A search costs one compare-and-count and one gather per
-    column.
+    column; step finds one row's interval from a nearby one instead.
     """
 
     def __init__(self, edges: np.ndarray, *columns: np.ndarray):
         m, k = edges.shape
         self.edgesT = np.ascontiguousarray(edges.T)
-        self.offsets = np.arange(m) * (k + 1)
+        self.width = k + 1   # intervals per row
+        self.offsets = np.arange(m) * self.width
         self.lower = np.hstack([np.full((m, 1), -np.inf), edges]).ravel()
         self.upper = np.hstack([edges, np.full((m, 1), np.inf)]).ravel()
         self.columns = tuple(np.ravel(c) for c in columns) + (self.lower, self.upper)
@@ -295,6 +296,25 @@ class PieceTable:
         """The columns, then lower and upper, at the interval holding each v_j."""
         flat = self.index(v)
         return tuple(c[flat] for c in self.columns)
+
+    def step(self, flat: int, v: float) -> int:
+        """Flat index of the interval holding a scalar v in the row of flat index flat.
+
+        Steps from flat one interval at a time toward v, down while v is not
+        above the interval's lower end, then up while it is above its upper
+        end, and stops at the row's first and last interval. The edges are
+        nondecreasing, so it ends where index does for every v: at the count
+        of edges strictly below v, the first interval for -inf and NaN, the
+        last real one for +inf. It costs one compare per interval passed.
+        """
+        lower, upper = self.lower, self.upper
+        first = flat - flat % self.width
+        last = first + self.width - 1
+        while flat > first and not lower[flat] < v:
+            flat -= 1
+        while flat < last and upper[flat] < v:
+            flat += 1
+        return flat
 
 
 class SeparablePiecewise:

@@ -567,6 +567,26 @@ def test_rejected_integrator_flag_exits_2_before_any_output(argv, case_file, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("taus, clash", [
+    (["1", "1"], ("1", "1")),
+    (["1", "1.0000001"], ("1", "1.0000001")),   # both print as 1 under :g
+    (["2", "5", "2.0"], ("2", "2.0")),
+])
+def test_casestudy_rejects_taus_that_share_a_file_tag(taus, clash, tmp_path, capsys):
+    # each tau writes trajectory, envelope and report files tagged _tau{tau:g}: a
+    # second tau with the same tag would overwrite the first one's files
+    out = tmp_path / "out"
+    argv = ["casestudy", *(a for tau in taus for a in ("--tau", tau)), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not out.exists()
+    first, second = (repr(float(tau)) for tau in clash)
+    assert captured.err.splitlines() == [
+        f"parse error: InvalidConfig: --tau {first} and --tau {second} would both write "
+        f"the files tagged _tau{float(second):g}"]
+
+
 def test_case_study_step_sizes_report_dt_tau_l_only_on_failure(case_file, tmp_path, capsys):
     # the step-size warning used to add two stderr lines to both runs
     assert main(["certify", case_file, "--dt", "0.5", "--t-end", "3",

@@ -29,9 +29,10 @@ from ppdgd import (
 from ppdgd import dynamics, export
 from ppdgd.analysis import envelope_series, write_envelope_csv
 from ppdgd.inner import KKT_TOL, x_star_piece
-from ppdgd.model import SeparablePiecewise
+from ppdgd.model import PieceTable, SeparablePiecewise
 from ppdgd.random_problems import random_piecewise, random_problem
 
+from conftest import kinked
 from oracles import project_box, select_subgradient
 
 
@@ -420,25 +421,15 @@ def _jump_prox_exact(fn, v, t, lo, hi):
     return min(cands, key=obj)
 
 
-def _kinked(bps, jumps, curvs):
-    """Convex piecewise quadratic with derivative jumps `jumps` at `bps` and curvatures `curvs`."""
-    pieces = [(0.5 * curvs[0], 0.0, 0.0)]
-    for b, jump, c in zip(bps, jumps, curvs[1:]):
-        pl, ql, rl = pieces[-1]
-        q = 2.0 * pl * b + ql + jump - c * b
-        pieces.append((0.5 * c, q, pl * b * b + ql * b + rl - 0.5 * c * b * b - q * b))
-    return PiecewiseScalarFn(np.array(bps, dtype=float), np.array(pieces))
-
-
 @pytest.mark.parametrize("t", [1e-6, 1.0, 1e6])
 def test_jump_prox_table_matches_brute_force_scalar_prox(t):
     fns = [
         PiecewiseScalarFn.quadratic(0.5, 0.25),
-        _kinked([-0.5, 0.25], [0.125, 0.375], [1.0, 1.0, 2.0]),
+        kinked([-0.5, 0.25], [0.125, 0.375], [1.0, 1.0, 2.0]),
         # a zero-jump breakpoint (only the curvature changes), then a kink
-        _kinked([-0.5, 0.5], [0.0, 0.25], [1.0, 2.0, 2.0]),
+        kinked([-0.5, 0.5], [0.0, 0.25], [1.0, 2.0, 2.0]),
         # kinks 1e-12 apart: at t = 1e6 their rounded thresholds coincide
-        _kinked([0.3, 0.3 + 1e-12], [0.125, 0.25], [1.0, 1.0, 1.0]),
+        kinked([0.3, 0.3 + 1e-12], [0.125, 0.25], [1.0, 1.0, 1.0]),
     ]
     fns.append(fns[1])
     lo = np.array([-1.0, -1.0, -2.0, -1.0, 0.25])
@@ -626,7 +617,7 @@ def _edge_runs(mode, dt):
     # kinks at -0.5 (jump 0.25) and 0.35 (jump 97, where the curvature changes
     # from 1 to 1.1); at 0.35 the left and right pieces give d values that
     # differ by rounding, by several ulp(0.35) / dt
-    P = _mode_problem(mode, [_kinked([-0.5, 0.35], [0.25, 97.0], [1.0, 1.0, 1.1])], [0.0])
+    P = _mode_problem(mode, [kinked([-0.5, 0.35], [0.25, 97.0], [1.0, 1.0, 1.1])], [0.0])
     b_low, b_kink = P.h[0].breakpoints
     thr = _thresholds(P, dt)[:, 0]
     runs = [(np.array([y]), np.array([0.1])) for b in (b_low, b_kink) for y in _ulps(b)]
@@ -689,14 +680,14 @@ def test_cached_step_matches_reference_at_bracket_edges(mode):
 
 
 def _spy_reads(monkeypatch):
-    """List that gets the state [y, lam] of every mode read (_step_map call) of integrate."""
-    reads, step_map = [], dynamics._step_map
+    """List that gets the state [y, lam] of every mode read of integrate, each a _reread call."""
+    reads, reread = [], dynamics._reread
 
-    def spy(P, dtau, z, *tables):
+    def spy_reread(P, dtau, z, *args):
         reads.append(z[:-1].copy())
-        return step_map(P, dtau, z, *tables)
+        return reread(P, dtau, z, *args)
 
-    monkeypatch.setattr(dynamics, "_step_map", spy)
+    monkeypatch.setattr(dynamics, "_reread", spy_reread)
     return reads
 
 
@@ -762,9 +753,9 @@ def test_a_mode_read_always_advances_a_step(monkeypatch):
 
 def _long_run_problem(mode):
     """The long run of test_cached_step_matches_reference_at_bracket_edges: five and four kinks."""
-    h = [_kinked([-0.6, -0.3, 0.0, 0.3, 0.6], [0.05, 0.1, 0.05, 0.1, 0.05],
-                 [1.0, 1.5, 0.8, 1.2, 1.0, 1.4]),
-         _kinked([-0.45, -0.15, 0.15, 0.45], [0.1, 0.05, 0.1, 0.05], [1.2, 0.8, 1.0, 1.5, 1.0])]
+    h = [kinked([-0.6, -0.3, 0.0, 0.3, 0.6], [0.05, 0.1, 0.05, 0.1, 0.05],
+                [1.0, 1.5, 0.8, 1.2, 1.0, 1.4]),
+         kinked([-0.45, -0.15, 0.15, 0.45], [0.1, 0.05, 0.1, 0.05], [1.2, 0.8, 1.0, 1.5, 1.0])]
     return _mode_problem(mode, h, [0.3, -0.2])
 
 
@@ -885,9 +876,9 @@ def _box_dense_draws():
         assert P.inner_mode == "box_dense"
         lam0 = rng.normal(size=P.p)
         y0 = _on_a_face(P, rng.uniform(P.Omega.lo, P.Omega.hi), lam0)
-        kinked = [j for j, fn in enumerate(P.h[1:], 1) if fn.breakpoints.size]
-        if kinked:
-            y0[kinked[0]] = P.h[kinked[0]].breakpoints[0]
+        with_kinks = [j for j, fn in enumerate(P.h[1:], 1) if fn.breakpoints.size]
+        if with_kinks:
+            y0[with_kinks[0]] = P.h[with_kinks[0]].breakpoints[0]
         yield P, y0, lam0
 
 
@@ -934,25 +925,26 @@ def test_box_dense_mode_at_a_weakly_active_bound_is_read_once(monkeypatch, weakl
 
 def _piece_owned(P, rows):
     """Copies of the rows of the mode buffers rows that the piece of x* owns: L, T, D and T's brackets."""
-    M, F, lower, upper = rows
+    M, F, lower, upper, _ = rows
     m, nb = P.m, lower.size
     return tuple(a.copy() for a in (M[m:-1], F[3 * m:nb], F[nb + m:], lower[3 * m:], upper[3 * m:]))
 
 
 def _spy_pieces(monkeypatch):
-    """Lists that get (z, piece-owned rows) of each mode read of integrate, and lam of each x_star_piece."""
+    """Lists that get (z, piece-owned rows) after each mode read of integrate, and lam of each x_star_piece."""
     taken, fresh = [], []
-    step_map, piece_of = dynamics._step_map, dynamics.x_star_piece
+    reread, piece_of = dynamics._reread, dynamics.x_star_piece
 
-    def spy_step_map(P, dtau, z, pieces, regions, rows):
+    def spy_reread(P, dtau, z, *args):
+        rows, piece = reread(P, dtau, z, *args)
         taken.append((z.copy(), _piece_owned(P, rows)))
-        return step_map(P, dtau, z, pieces, regions, rows)
+        return rows, piece
 
-    def spy_piece(P, lam):
+    def spy_piece(P, lam, start=None):
         fresh.append(lam.copy())
-        return piece_of(P, lam)
+        return piece_of(P, lam, start)
 
-    monkeypatch.setattr(dynamics, "_step_map", spy_step_map)
+    monkeypatch.setattr(dynamics, "_reread", spy_reread)
     monkeypatch.setattr(dynamics, "x_star_piece", spy_piece)
     return taken, fresh
 
@@ -961,10 +953,10 @@ def test_a_mode_read_keeps_the_piece_of_x_star_while_its_rows_hold(monkeypatch,
                                                                     weakly_active_box_dense):
     # a read takes the piece of x* of the mode before it where that piece's
     # rows pass at the step that left the mode. The rows the piece owns in
-    # the mode buffers (L, T, D and T's brackets, copied at the read) must be
-    # those a fresh _piece_rows writes there, bit for bit; where a fresh
-    # solve picks another pattern at a weakly active bound, the piece taken
-    # must still pass its own rows within KKT_TOL
+    # the mode buffers (L, T, D and T's brackets, copied after each read)
+    # must be those a fresh _piece_rows writes there, bit for bit; where a
+    # fresh solve picks another pattern at a weakly active bound, the piece
+    # taken must still pass its own rows within KKT_TOL
     taken, fresh = _spy_pieces(monkeypatch)
     # a free X has no rows to fail: one piece serves every read
     P = _long_run_problem("free")
@@ -988,7 +980,7 @@ def test_a_mode_read_keeps_the_piece_of_x_star_while_its_rows_hold(monkeypatch,
         integrate(P, State(y0, lam0), cfg)
         reused += len(taken) - len(fresh)
         for z, piece in taken:
-            want = _piece_owned(P, dynamics._piece_rows(P, cfg.dt * cfg.tau, z[P.m:-1]))
+            want = _piece_owned(P, dynamics._piece_rows(P, cfg.dt * cfg.tau, z[P.m:-1])[0])
             if not all(np.array_equal(a, b) for a, b in zip(piece, want)):
                 _, T, _, lower, upper = piece
                 rows = T @ z
@@ -1003,7 +995,7 @@ def _vstack_piece_rows(P, dtau, lam):
     dlam = D z in the piece, which holds while lower < T z <= upper.
     """
     m = P.m
-    x0, X1, T0, T1, lower, upper = x_star_piece(P, lam)
+    x0, X1, T0, T1, lower, upper, _ = x_star_piece(P, lam)
     D = np.hstack([P.B, P.A @ X1, (P.A @ x0 - P.C)[:, None]])
     L = dtau * D
     L[:, m:-1] += np.eye(P.p)
@@ -1014,9 +1006,8 @@ def _vstack_piece_rows(P, dtau, lam):
 def _vstack_step_map(P, dtau, z, pieces, regions, piece):
     """The mode of the step from z as fresh (M, F, lower, upper), stacked from its blocks.
 
-    The reference for _step_map, which writes the same values into the
-    buffers of its piece, with the brackets of geometry.clip_pattern
-    written out; piece is _vstack_piece_rows of that piece.
+    The reference for the mode buffers after a read, which hold the same
+    values; piece is _vstack_piece_rows of the piece in the buffers.
     """
     m, p = P.m, P.p
     lo, hi = P.Omega.lo, P.Omega.hi
@@ -1042,70 +1033,74 @@ def _vstack_step_map(P, dtau, z, pieces, regions, piece):
     return M, F, np.concatenate([ylo, vlo, ulo, tlo]), np.concatenate([yhi, vhi, uhi, thi])
 
 
-def _short_mode_draw():
-    """(P, y0, lam0): random_problem data whose h_j are kinked 0.01 apart across Omega.
+def test_mode_buffers_match_stacked_assembly(monkeypatch, benchmark_runs, weakly_active_box_dense,
+                                            short_mode_draw):
+    # the first read of a run writes its mode into buffers that every later
+    # read rewrites where the mode changed: the piece of x* where a row of T
+    # failed, the rows of each coordinate whose y, v or u row failed. A copy
+    # of M, F and the brackets taken after every read, full, coordinate or
+    # piece-only, must equal the fresh stacked assembly at the same state and
+    # at a fresh piece of x*, solved from the clamp at the lam of the piece
+    # read, bit for bit. A piece-only re-read looks nothing up in a table
+    reads, piece_lams, lookups = [], [], [0]
+    reread, piece_rows = dynamics._reread, dynamics._piece_rows
+    index, step = PieceTable.index, PieceTable.step
 
-    Jumps of 0.001 to 0.005 at every kink: at dt = 2e-3 a mode lasts a few
-    steps, as on the short-mode instances of ROADMAP item 11.
-    """
-    rng = np.random.default_rng(11)
-    R = random_problem(rng, max_dim=6)
-    h = []
-    for lo, hi in zip(R.Omega.lo, R.Omega.hi):
-        bps = np.arange(lo + 0.005, hi, 0.01)
-        h.append(_kinked(bps, rng.uniform(0.001, 0.005, bps.size), np.ones(bps.size + 1)))
-    P = build_problem(R.f, h, R.A, R.B, R.C, R.X, R.Omega)
-    return P, rng.uniform(P.Omega.lo, P.Omega.hi), rng.normal(size=P.p)
-
-
-def test_mode_buffers_match_stacked_assembly(monkeypatch, case_problem, weakly_active_box_dense):
-    # every mode read writes its mode into the buffers of its piece; a copy
-    # of M, F and the brackets taken at the read (the next one overwrites
-    # them) must equal the fresh stacked assembly of the same piece and
-    # state bit for bit
-    reads, piece_lams = [], []
-    step_map, piece_rows = dynamics._step_map, dynamics._piece_rows
-
-    def spy_piece_rows(P, dtau, lam):
+    def spy_piece_rows(P, dtau, lam, *args):
         piece_lams.append(lam.copy())
-        return piece_rows(P, dtau, lam)
+        return piece_rows(P, dtau, lam, *args)
 
-    def spy_step_map(P, dtau, z, pieces, regions, rows):
-        out = step_map(P, dtau, z, pieces, regions, rows)
-        reads.append((z.copy(), piece_lams[-1], pieces, regions, tuple(a.copy() for a in out)))
-        return out
+    def spy_reread(P, dtau, z, pieces, regions, rows, piece, failed):
+        before = lookups[0]
+        rows, piece = reread(P, dtau, z, pieces, regions, rows, piece, failed)
+        if not reads:   # the first read of a run rewrites every y, v and u row
+            assert failed[:3 * P.m].all() and not failed[3 * P.m:].any()
+        kind = "full" if not reads else "coordinate" if failed[:3 * P.m].any() else "piece"
+        assert kind != "piece" or lookups[0] == before
+        reads.append((kind, z.copy(), piece_lams[-1], pieces, regions, tuple(a.copy() for a in rows[:4])))
+        return rows, piece
+
+    def counted(lookup):
+        def spy(*args):
+            lookups[0] += 1
+            return lookup(*args)
+        return spy
 
     monkeypatch.setattr(dynamics, "_piece_rows", spy_piece_rows)
-    monkeypatch.setattr(dynamics, "_step_map", spy_step_map)
+    monkeypatch.setattr(dynamics, "_reread", spy_reread)
+    monkeypatch.setattr(PieceTable, "index", counted(index))
+    monkeypatch.setattr(PieceTable, "step", counted(step))
 
     def runs():
-        # the boxed_dense benchmark's draws and solves
-        rng = np.random.default_rng([20240811, 3])
-        cfg = IntegratorConfig(dt=2e-3, t_end=2.0)
-        for _ in range(9):
-            R = random_problem(rng, free_x=True)
-            X = BoxSet.box(-np.ones(R.n), np.ones(R.n))
-            yield build_problem(R.f, R.h, R.A, R.B, R.C, X, R.Omega), np.zeros(R.m), None, cfg
-        yield case_problem, np.zeros(case_problem.m), None, IntegratorConfig(dt=1e-3, t_end=50.0)
+        yield from benchmark_runs
         P, cfg = weakly_active_box_dense, IntegratorConfig(dt=2.0 ** -10, t_end=2.0, stop_tol=0.0)
         for dy in (0.0, 1e-3, -1e-3):
-            yield P, np.array([-0.2 + dy]), np.array([0.2]), cfg
-        yield *_short_mode_draw(), IntegratorConfig(dt=2e-3, t_end=0.6, stop_tol=0.0)
+            yield "weakly_active", P, np.array([-0.2 + dy]), np.array([0.2]), cfg
+        yield "short_mode", *short_mode_draw, IntegratorConfig(dt=2e-3, t_end=0.6, stop_tol=0.0)
 
-    counts = np.zeros(3, dtype=int)   # reads, piece reads, reads with a clipped y+_j
-    for P, y0, lam0, cfg in runs():
+    kinds = ("full", "coordinate", "piece")
+    counts = {}   # per run: reads of each kind, then reads with a clipped y+_j
+    piece_reads = 0
+    for run, P, y0, lam0, cfg in runs():
         reads.clear()
         piece_lams.clear()
-        integrate(P, State(y0, np.zeros(P.p) if lam0 is None else lam0), cfg)
+        integrate(P, State(y0, lam0), cfg)
+        piece_reads += len(piece_lams)
         dtau = cfg.dt * cfg.tau
-        for z, lam, pieces, regions, got in reads:
+        tally = counts.setdefault(run, np.zeros(4, dtype=int))
+        for kind, z, lam, pieces, regions, got in reads:
             want = _vstack_step_map(P, dtau, z, pieces, regions, _vstack_piece_rows(P, dtau, lam))
             for a, b in zip(got, want):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (P.m, P.p, z)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (run, kind, z)
+            tally[kinds.index(kind)] += 1
             Y = got[0][:P.m]   # a clipped y+_j has a row of zeros but for its nonzero bound
-            counts[2] += np.any((Y[:, :-1] == 0.0).all(axis=1) & (Y[:, -1] != 0.0))
-        counts[:2] += len(reads), len(piece_lams)
-    assert counts[0] >= 300 and counts[1] >= 25 and counts[2] >= 5, counts
+            tally[3] += np.any((Y[:, :-1] == 0.0).all(axis=1) & (Y[:, -1] != 0.0))
+    # one full read per run; 84 re-reads per boxed_dense job
+    assert counts["boxed_dense"][:3].tolist() == [9, 73, 11], counts
+    assert counts["random_campaign"][0] == 7 and counts["certify_files"][0] == 5, counts
+    assert sum(c[1] for c in counts.values()) >= 300, counts
+    assert counts["short_mode"][1] >= 200 and sum(c[3] for c in counts.values()) >= 5, counts
+    assert piece_reads >= 25, piece_reads   # 37
 
 
 def test_early_stop_allocates_nothing_in_proportion_to_t_end():

@@ -19,8 +19,7 @@ from ppdgd import (
     rhs,
     solve_inner,
 )
-from ppdgd.geometry import clip_pattern
-from ppdgd.inner import _grad_phi, _x_star, x_star_piece
+from ppdgd.inner import KKT_TOL, _grad_phi, _x_star, x_star_piece
 from ppdgd.random_problems import random_problem
 
 from oracles import strong_concavity_check
@@ -66,7 +65,7 @@ def test_free_x_piece_is_the_unconstrained_map():
         P = random_problem(rng)
         assert P.X.is_free and P.inner_mode == "free"
         lam = rng.normal(size=P.p) * 10.0 ** rng.integers(-3, 4)
-        x0, X1, T0, T1, lower, upper = x_star_piece(P, lam)
+        x0, X1, T0, T1, lower, upper, _ = x_star_piece(P, lam)
         assert T0.shape == (0,) and T1.shape == (0, P.p) and lower.size == upper.size == 0
         want = P.x_base - P.dual_map @ lam
         assert np.linalg.norm(x0 + X1 @ lam - want) <= 1e-14 * np.linalg.norm(want)
@@ -135,9 +134,10 @@ def test_box_clamped_minimizer_diagonal():
         assert P.inner_mode == "box_diag"
         lam = rng.normal(size=P.p)
         u = P.x_base - P.dual_map @ lam
-        at_lo, at_hi, _, _ = clip_pattern(u, P.X.lo, P.X.hi)
+        at_lo = u <= P.X.lo
+        at_hi = ~at_lo & (u > P.X.hi)
         clamp = np.clip(u, P.X.lo, P.X.hi)
-        x0, X1, T0, T1, lower, upper = x_star_piece(P, lam)
+        x0, X1, T0, T1, lower, upper, _ = x_star_piece(P, lam)
         pinned = ~X1.any(axis=1)
         assert np.array_equal(at_lo, pinned & (x0 == P.X.lo))
         assert np.array_equal(at_hi, pinned & (x0 == P.X.hi))
@@ -245,7 +245,7 @@ def test_box_dense_matches_enumerated_oracle(n, seed, log_cond, lam_scale, degen
     assert sol.residual <= 1e-10
     assert np.max(np.abs(sol.x_star - expected)) <= 1e-9
     # the piece of x* at lam holds there and gives the same minimizer
-    x0, X1, T0, T1, lower, upper = x_star_piece(P, lam)
+    x0, X1, T0, T1, lower, upper, _ = x_star_piece(P, lam)
     t = T0 + T1 @ lam
     assert np.all((lower < t) & (t <= upper))
     assert np.max(np.abs(x0 + X1 @ lam - expected)) <= 1e-9
@@ -316,10 +316,10 @@ def test_a_piece_read_solves_each_active_pattern_once(monkeypatch):
         solves[0] += 1
         return solve(*args)
 
-    def spy_piece(P, lam):
+    def spy_piece(P, lam, start=None):
         before = solves[0]
-        out = piece_of(P, lam)
-        reads.append((solves[0] - before, _x_star(P, lam)[1]))
+        out = piece_of(P, lam, start)
+        reads.append((solves[0] - before, _x_star(P, lam, start)[1], start is not None))
         return out
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
@@ -332,8 +332,70 @@ def test_a_piece_read_solves_each_active_pattern_once(monkeypatch):
         assert P.inner_mode == "box_dense"
         integrate(P, State(y=np.zeros(P.m), lam=np.zeros(P.p)),
                   IntegratorConfig(dt=2e-3, t_end=2.0))
-    assert all(made == max(steps, 1) for made, steps in reads), reads
-    assert sum(steps > 0 for _, steps in reads) >= 10, reads   # 14 of 20 reads
+    # a warm read starts at a pattern whose piece it holds: k steps, k solves
+    assert all(made == (steps if warm else max(steps, 1)) for made, steps, warm in reads), reads
+    assert sum(steps > 0 for _, steps, _ in reads) >= 10, reads   # 15 of 20 reads
+    assert sum(warm for *_, warm in reads) == 11, reads
+
+
+def test_warm_piece_reads_match_cold_ones(monkeypatch, benchmark_runs, weakly_active_box_dense):
+    # integrate starts each piece read after its first at the pattern of the
+    # piece before it. On the boxed_dense solves and at the weakly active
+    # bound, the warm start must end on the cold start's pattern, with the
+    # same piece bit for bit, in no more active-set steps in total
+    from ppdgd import dynamics
+
+    piece_of, warm = dynamics.x_star_piece, []
+
+    def spy_piece(P, lam, start=None):
+        if start is not None:
+            warm.append((P, lam.copy(), start))
+        return piece_of(P, lam, start)
+
+    monkeypatch.setattr(dynamics, "x_star_piece", spy_piece)
+    for workload, P, y0, lam0, cfg in benchmark_runs:
+        if workload == "boxed_dense":
+            integrate(P, State(y0, lam0), cfg)
+    boxed = len(warm)
+    cfg = IntegratorConfig(dt=2.0 ** -10, t_end=2.0, stop_tol=0.0)
+    for dy, dlam in [(0.0, 0.0), (0.0, 1e-12), (0.0, -1e-12), (1e-3, 0.0), (-1e-3, 0.0)]:
+        integrate(weakly_active_box_dense, State(np.array([-0.2 + dy]), np.array([0.2 + dlam])), cfg)
+    assert boxed == 11 and len(warm) > boxed
+    steps = np.zeros(2, dtype=int)   # cold, warm
+    for P, lam, start in warm:
+        cold_piece, warm_piece = x_star_piece(P, lam), x_star_piece(P, lam, start)
+        steps += _x_star(P, lam)[1], _x_star(P, lam, start)[1]
+        for a, b in zip(cold_piece[:-1] + cold_piece[-1], warm_piece[:-1] + warm_piece[-1]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), lam
+    assert steps[1] <= steps[0], steps   # 12 against 16
+    # the degenerate case: at lam* the bound of x_0 is weakly active, so both
+    # the pattern that pins x_0 (lam above lam*) and the one that frees it
+    # (below) solve it. Started from either, the solve keeps its pattern
+    # there and within 1e-13 of it, and the piece passes its own rows; the
+    # cold start frees x_0 at lam* itself
+    P, lam_star = weakly_active_box_dense, np.array([0.2])
+    for side in (1e-3, -1e-3):
+        start = x_star_piece(P, lam_star + side)
+        for lam in (lam_star, lam_star + 1e-13, lam_star - 1e-13):
+            piece = x_star_piece(P, lam, start)
+            assert np.array_equal(piece[-1][0], start[-1][0]), (side, lam)
+            t = piece[2] + piece[3] @ lam
+            assert np.all((piece[4] < t) & (t <= piece[5])), (side, lam)
+    assert x_star_piece(P, lam_star)[-1][0].all()
+    assert not x_star_piece(P, lam_star + 1e-3)[-1][0][0]
+    # a start whose pattern solves lam returns its own piece at step 0, with
+    # no solve, also where roundoff puts the residual above KKT_TOL: free-X
+    # draws at |lam| about 1e6, where the clamp takes one step
+    rng = np.random.default_rng(5)
+    above = 0
+    for _ in range(20):
+        P = random_problem(rng)
+        lam = rng.normal(size=P.p) * 1e6
+        start = x_star_piece(P, lam)
+        _, steps, residual, _, piece = _x_star(P, lam, start)
+        assert steps == 0 and piece[0] is start[0] and piece[1] is start[1]
+        above += residual > KKT_TOL
+    assert above >= 10, above
 
 
 def test_solve_inner_deterministic(case_problem):

@@ -449,6 +449,42 @@ def test_jump_prox_region_is_searchsorted_right_with_closed_sticking_intervals(s
     _check_brackets(probes, lower, upper, index)
 
 
+def test_piece_table_step_walks_to_index_from_every_interval(benchmark_runs, short_mode_draw):
+    # step walks from any interval of a row to the one index gives, and never
+    # leaves the row. On the pieces and jump-prox tables integrate reads on
+    # the benchmark's solves, from every interval of each row (padded ones
+    # included), for values on each edge, one ulp either side, beyond the
+    # first and last edge, at +-inf and NaN. A -inf value fails even the
+    # first interval's bracket (-inf, edge], so a walk that tested brackets
+    # alone would run off the row's start. On the short-mode draw's rows of
+    # about 100 and 200 intervals, the values sit at every 4th edge and the
+    # walks start at the row's ends, next to the answer and at every 32nd
+    # interval
+    tables = [(table, 1, 1) for _, P, _, _, cfg in benchmark_runs
+              for table in (P.hpack.pieces, P.hpack.jump_prox(cfg.dt * cfg.tau))]
+    P = short_mode_draw[0]
+    tables += [(P.hpack.pieces, 4, 32), (P.hpack.jump_prox(2e-3), 4, 32)]
+    walks = 0
+    for table, every_edge, every_start in tables:
+        m, width = table.offsets.size, table.width
+        assert table.edgesT.shape[0] == width - 1
+        for j, row in enumerate(table.edgesT.T):
+            real = row[np.isfinite(row)]
+            at = np.concatenate([real[::every_edge], real[-1:]])
+            with np.errstate(over="ignore"):   # jump-prox padding edges are the largest float
+                probes = np.concatenate([np.nextafter(at, -np.inf), at, np.nextafter(at, np.inf),
+                                         real[:1] - 1.0, real[-1:] + 1.0, [0.0, -np.inf, np.inf, np.nan]])
+            first = table.offsets[j]
+            for v in probes:
+                want = int(table.index(np.full(m, v))[j])
+                starts = {first, first + width - 1, *range(first, first + width, every_start),
+                          *range(max(first, want - 2), min(first + width, want + 3))}
+                for start in starts:
+                    assert table.step(start, v) == want, (j, v, start - first)
+                walks += len(starts)
+    assert walks >= 50_000, walks
+
+
 @pytest.mark.parametrize("H", [np.diag([1e308, 1e308]), np.array([[1e308, 1e307], [1e307, 1e308]])])
 def test_huge_hessian_entries_keep_finite_constants(H):
     # H + H.T would overflow to inf here

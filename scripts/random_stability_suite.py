@@ -65,8 +65,8 @@ def main() -> int:
         worst_kkt = max(worst_kkt, kkt_end)
         worst_oracle_kkt = max(worst_oracle_kkt, oracle_kkt)
         worst_violation = max(worst_violation, violation)
-        if report.fitted_rate is not None:
-            worst_ratio = min(worst_ratio, report.fitted_rate / (0.5 * P.gamma))
+        if report.sample_rate is not None:
+            worst_ratio = min(worst_ratio, report.sample_rate / (0.5 * P.gamma))
         failed = [name for name, bad in (
             ("envelope", not report.envelope_ok),
             ("Omega", not violation <= MEMBER_TOL),
@@ -83,7 +83,7 @@ def main() -> int:
     print(f"worst endpoint/oracle gap:    {worst_gap:.3e}")
     print(f"worst endpoint KKT residual:  {worst_kkt:.3e}")
     print(f"worst oracle KKT residual:    {worst_oracle_kkt:.3e}")
-    print(f"worst fitted-rate / bound:    {worst_ratio:.3f}")
+    print(f"worst sample-rate / bound:    {worst_ratio:.3f}")
     print(f"elapsed: {elapsed:.1f}s")
     if failures:
         print(f"random stability failure: {len(failures)} of {args.count} instances failed: "

@@ -1,5 +1,6 @@
 """Optimality verification: KKT residuals, an independent equilibrium oracle,
-and empirical certification of the exponential-decay envelope.
+and empirical certification of the exponential-decay envelope with the
+samples' own decay rate on the scale of gamma/2.
 
 The oracle never touches the dynamics or inner-solver code paths. It writes
 the problem as a strictly convex QP with bounds, splitting each y_j into the
@@ -31,7 +32,6 @@ from .dynamics import Trajectory
 
 KKT_TARGET = 1e-6
 ENVELOPE_SLACK = 1e-6
-FIT_FLOOR = 1e-10
 # dual active-set steps after the start per variable of the segment QP, plus
 # one share; the start needs none, as each of its solves after the second
 # frees a bound that it pinned
@@ -70,8 +70,7 @@ class ConvergenceReport:
     gamma_bound: float
     tau: float
     envelope_ok: bool
-    envelope_margin: float
-    fitted_rate: float | None
+    sample_rate: float | None
     kkt: KktResidual
 
     def as_dict(self) -> dict:
@@ -84,8 +83,7 @@ class ConvergenceReport:
             "gamma_bound": self.gamma_bound,
             "tau": self.tau,
             "envelope_ok": self.envelope_ok,
-            "envelope_margin": self.envelope_margin,
-            "fitted_rate": self.fitted_rate,
+            "sample_rate": self.sample_rate,
             "kkt": self.kkt.as_dict(),
         }
 
@@ -136,7 +134,8 @@ def kkt_residual(P: Problem, x, y, lam) -> KktResidual:
     r_y = float(np.max(_interval_distance(glo + bt + nlo, ghi + bt + nhi)))
 
     r_eq = float(np.max(np.abs(P.A @ x + P.B @ y - P.C)))
-    return KktResidual(r_x=r_x, r_y=r_y, r_eq=r_eq, total=max(r_x, r_y, r_eq))
+    # np.max keeps a NaN wherever it sits; Python's max drops one that is not first
+    return KktResidual(r_x=r_x, r_y=r_y, r_eq=r_eq, total=float(np.max([r_x, r_y, r_eq])))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +306,7 @@ def equilibrium_oracle(P: Problem) -> Equilibrium:
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(lam).all()):
         raise OracleFailed("the final solve is not finite")
     total = kkt_residual(P, x, y, lam).total
-    if total > KKT_TARGET:
+    if not total <= KKT_TARGET:   # a NaN total fails too
         raise OracleFailed(f"the equilibrium's KKT total {total:.3e} exceeds {KKT_TARGET:g}")
     return Equilibrium(x, y, lam)
 
@@ -352,43 +351,37 @@ def certify_envelope(P: Problem, traj: Trajectory, eq: Equilibrium, *,
     """Check every recorded sample against the exponential-decay envelope.
 
     envelope_ok holds iff every distance of envelope_series is at most its
-    bound, and envelope_margin is the smallest bound - distance. The fitted
-    rate is the negative least-squares slope of log distance on t over the
-    samples farther than FIT_FLOOR (1e-10) from the equilibrium, None if
-    fewer than two at distinct times. It is taken in closed form: with t
-    scaled by its span and centred to u, the slope is u'log(dist) / (u'u)
-    over the span, so no t is squared and no finite t overflows.
+    bound. sample_rate is the minimum over the samples with t > t0 of
+    -(log dist(t) - log dist(t0)) / (tau (t - t0)): the largest exponent r
+    whose envelope dist(t0) exp(-r tau (t - t0)) every sample meets, on the
+    scale of gamma/2, so sample_rate >= gamma/2 implies envelope_ok. A
+    sample at distance 0 counts as +inf; sample_rate is None with fewer
+    than two samples, at dist(t0) = 0 or with no finite value. The logs are
+    taken before the difference, so no ratio of distances overflows.
     Raises EquilibriumUnverified when eq fails the 1e-6 KKT gate. A caller
     that has already taken envelope_series(P, traj, eq), as the CLI does
     for its envelope CSV, passes it as _series, so it is taken once.
     """
     kkt = kkt_residual(P, eq.x_star, eq.y_star, eq.lambda_star)
-    if kkt.total > KKT_TARGET:
+    if not kkt.total <= KKT_TARGET:   # a NaN total fails too
         raise EquilibriumUnverified(
             f"equilibrium KKT residual {kkt.total:.3e} exceeds {KKT_TARGET:g}"
         )
-    _, bound, dist = envelope_series(P, traj, eq) if _series is None else _series
+    t, bound, dist = envelope_series(P, traj, eq) if _series is None else _series
     tau = traj.config.tau
-    envelope_ok = bool(np.all(dist <= bound))
-    envelope_margin = float(np.min(bound - dist))
-
-    mask = dist > FIT_FLOOR
-    t = traj.t[mask]
-    span = np.ptp(t) if t.size >= 2 else 0.0   # t >= 0, so finite for finite t
-    if span > 0:
-        u = t / span   # in [0, 1]: u'u cannot overflow
-        u -= u.mean()
-        slope = np.einsum("i,i", u, np.log(dist[mask])) / np.einsum("i,i", u, u) / span
-        fitted_rate = float(-slope)
-    else:
-        fitted_rate = None
+    later = t > t[0]
+    sample_rate = None
+    if dist[0] > 0.0 and later.any():
+        with np.errstate(divide="ignore"):   # log 0 = -inf: a rate of +inf
+            rates = (np.log(dist[0]) - np.log(dist[later])) / (tau * (t[later] - t[0]))
+        rate = float(rates.min())
+        sample_rate = rate if rate < np.inf else None
 
     return ConvergenceReport(
         equilibrium=eq,
         gamma_bound=P.gamma,
         tau=tau,
-        envelope_ok=envelope_ok,
-        envelope_margin=envelope_margin,
-        fitted_rate=fitted_rate,
+        envelope_ok=bool(np.all(dist <= bound)),
+        sample_rate=sample_rate,
         kkt=kkt,
     )

@@ -107,7 +107,7 @@ def _cmd_certify(args) -> int:
     print(f"envelope_ok = {report.envelope_ok}")
     print(f"invariance_ok = {invariant}")
     print(f"gamma_bound = {report.gamma_bound!r}")
-    print(f"fitted_rate = {report.fitted_rate!r}")
+    print(f"sample_rate = {report.sample_rate!r}")
     print(f"wrote {out / 'trajectory.csv'}, {out / 'envelope.csv'}, {out / 'report.json'}")
     return EXIT_OK if report.envelope_ok and invariant else EXIT_CERTIFICATION
 
@@ -135,8 +135,8 @@ def _cmd_casestudy(args) -> int:
     for traj, report, _ in results:
         print(
             f"tau = {report.tau:g}: envelope_ok = {report.envelope_ok}, "
-            f"exponent = {0.5 * report.gamma_bound * report.tau!r}, "
-            f"fitted_rate = {report.fitted_rate!r}, samples = {len(traj)}"
+            f"gamma/2 = {0.5 * report.gamma_bound!r}, "
+            f"sample_rate = {report.sample_rate!r}, samples = {len(traj)}"
         )
     print(f"wrote outputs under {out}")
     failed = [(report, invariant) for _, report, invariant in results

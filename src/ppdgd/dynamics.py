@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import InitialPointOutsideOmega, InvalidConfig, NonFiniteState
 from .geometry import _check_dim, _check_member, active_faces, tangent_rule
-from .inner import _grad_phi, x_star_piece
+from .inner import _check_lam, _grad_phi, x_star_piece
 from .model import DATA_RANGE, Problem
 
 RECORD_BLOCK = 4096   # rows of the first sample buffer
@@ -145,12 +145,13 @@ def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]
     """Field of the tau-scaled dynamics at state s.
 
     dy = tau * tangent-cone projection of (-g - B'lam) at y, and
-    dlam = tau * (grad phi(lam) + B y - C). Raises PointOutsideSet when
-    s.y is not in Omega and NonFiniteState when s.lam is not finite.
+    dlam = tau * (grad phi(lam) + B y - C). Raises DimensionMismatch when
+    s.y or s.lam has the wrong shape, PointOutsideSet when s.y is not in
+    Omega and NonFiniteState when s.lam is not finite.
     """
     y = _check_dim(s.y, P.Omega, "y")
     _check_member(y, P.Omega)
-    lam = np.asarray(s.lam, dtype=float)
+    lam = _check_lam(P, s.lam)
     dlam = _grad_phi(P, lam) + P.B @ y - P.C   # first, before any product with a non-finite lam
     target = -(P.Bt @ lam)
     raw = target - P.hpack.select(y, target)

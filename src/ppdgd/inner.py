@@ -168,6 +168,13 @@ def x_star_piece(P: Problem, lam: np.ndarray, start=None):
     return x0, X1, T0[tests], T1[tests], lower[tests], upper[tests], (free, pinned)
 
 
+def _check_lam(P: Problem, lam) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (P.p,):
+        raise DimensionMismatch(f"lambda has shape {lam.shape}, expected ({P.p},)")
+    return lam
+
+
 def _grad_phi(P: Problem, lam: np.ndarray) -> np.ndarray:
     """Dual gradient A x*(lam) without the full InnerSolution."""
     return P.A.dot(_x_star(P, lam)[0])
@@ -180,9 +187,7 @@ def solve_inner(P: Problem, lam) -> InnerSolution:
     _x_star's stop test computed. Raises DimensionMismatch on a lam of the
     wrong shape and NonFiniteState on one that is not finite.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (P.p,):
-        raise DimensionMismatch(f"lambda has shape {lam.shape}, expected ({P.p},)")
+    lam = _check_lam(P, lam)
     x, iterations, residual, _, _ = _x_star(P, lam)
     ax = P.A @ x
     phi = P.f.value(x) + float(lam @ ax)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -499,9 +500,8 @@ def test_certify_envelope_flags_good_equilibrium(damped_problem):
                      IntegratorConfig(dt=1e-3, t_end=10.0, record_every=10))
     rep = certify_envelope(damped_problem, traj, eq)
     assert rep.envelope_ok
-    assert rep.envelope_margin >= 0.0
     assert rep.gamma_bound == damped_problem.gamma
-    assert rep.fitted_rate >= 0.95 * 0.5 * damped_problem.gamma
+    assert rep.sample_rate >= 0.5 * damped_problem.gamma
     assert rep.kkt.total <= 1e-6
 
 
@@ -513,24 +513,44 @@ def test_certify_envelope_rejects_bad_equilibrium(one_dim_problem):
         certify_envelope(one_dim_problem, traj, fake)
 
 
-def test_certify_envelope_at_equilibrium_fitted_rate_not_applicable(one_dim_problem):
+def test_certify_envelope_rejects_nan_multiplier(case_problem):
+    # nan > KKT_TARGET is false: the gate must fail a NaN total, not pass it
+    P = case_problem
+    eq = equilibrium_oracle(P)
+    traj = integrate(P, State(np.zeros(P.m), np.zeros(P.p)), IntegratorConfig(t_end=1.0))
+    fake = Equilibrium(eq.x_star, eq.y_star, np.full(P.p, np.nan))
+    assert math.isnan(kkt_residual(P, *fake).total)
+    with pytest.raises(EquilibriumUnverified):
+        certify_envelope(P, traj, fake)
+
+
+def test_sample_rate_not_applicable_at_equilibrium_or_one_sample(one_dim_problem):
     eq = equilibrium_oracle(one_dim_problem)
     traj = integrate(one_dim_problem, State(eq.y_star, eq.lambda_star),
                      IntegratorConfig(dt=1e-3, t_end=1.0))
     rep = certify_envelope(one_dim_problem, traj, eq)
     assert rep.envelope_ok
-    assert rep.fitted_rate is None
+    assert rep.sample_rate is None   # dist(t0) = 0
+    one = Trajectory(t=np.zeros(1), y=np.full((1, 1), 0.5), lam=np.zeros((1, 1)),
+                     drift_norm=np.ones(1), config=IntegratorConfig(),
+                     terminated_by=TerminationReason.TIME_LIMIT)
+    rep = certify_envelope(one_dim_problem, one, eq)
+    assert rep.envelope_ok
+    assert rep.sample_rate is None
 
 
 def _envelope_reference(P, traj, eq):
-    """(distance, bound, envelope_ok, fitted_rate) the way certify_envelope took them with np.polyfit."""
+    """(distance, bound, envelope_ok, sample_rate) with np.linalg.norm and a math.log loop."""
     dy, dl = traj.y - eq.y_star, traj.lam - eq.lambda_star
     dist = np.linalg.norm(np.hstack([dy, dl]), axis=1)
     old = np.sqrt(np.sum(dy * dy, axis=1) + np.sum(dl * dl, axis=1))
-    bound = old[0] * np.exp(-0.5 * P.gamma * traj.config.tau * (traj.t - traj.t[0])) \
+    t, tau = traj.t.tolist(), traj.config.tau
+    bound = old[0] * np.exp(-0.5 * P.gamma * tau * (traj.t - traj.t[0])) \
         * (1.0 + analysis.ENVELOPE_SLACK)
-    mask = old > analysis.FIT_FLOOR
-    rate = -np.polyfit(traj.t[mask], np.log(old[mask]), 1)[0]
+    rate = math.inf
+    for tk, dk in zip(t[1:], old[1:].tolist()):
+        if dk > 0.0:
+            rate = min(rate, -(math.log(dk) - math.log(old[0])) / (tau * (tk - t[0])))
     return dist, bound, bool(np.all(old <= bound)), rate
 
 
@@ -552,9 +572,9 @@ def _certify_runs(damped_problem):
             equilibrium_oracle(P)
 
 
-def test_certify_envelope_matches_its_polyfit_reference(damped_problem):
-    # the closed-form fit and the einsum distances against np.polyfit and
-    # np.linalg.norm: the same figures up to rounding, the same verdict
+def test_certify_envelope_matches_its_reference(damped_problem):
+    # the vectorized sample rate and the einsum distances against a math.log
+    # loop and np.linalg.norm: the same figures up to rounding, the same verdict
     for P, traj, eq in _certify_runs(damped_problem):
         dist, bound, envelope_ok, rate = _envelope_reference(P, traj, eq)
         t, env_bound, env_dist = analysis.envelope_series(P, traj, eq)
@@ -563,7 +583,26 @@ def test_certify_envelope_matches_its_polyfit_reference(damped_problem):
         assert np.all(np.abs(env_bound - bound) <= 1e-15 * bound)
         rep = certify_envelope(P, traj, eq)
         assert rep.envelope_ok is envelope_ok
-        assert abs(rep.fitted_rate - rate) <= 1e-12 * abs(rate)
+        assert abs(rep.sample_rate - rate) <= 4 * np.spacing(rate)
+
+
+def test_sample_rate_at_gamma_half_implies_envelope_ok(damped_problem, benchmark_runs):
+    # sample_rate >= gamma/2 puts every sample under the envelope; the two
+    # boxed_dense solves that fail it read below gamma/2
+    runs = list(_certify_runs(damped_problem))
+    for workload, P, y0, lam0, cfg in benchmark_runs:
+        if workload != "certify_files":   # the CLI's solves: the case study and free-X draws
+            runs.append((P, integrate(P, State(y0, lam0), cfg), equilibrium_oracle(P)))
+    failing = []
+    for k, (P, traj, eq) in enumerate(runs):
+        rep = certify_envelope(P, traj, eq)
+        if rep.sample_rate >= 0.5 * P.gamma:
+            assert rep.envelope_ok
+        if not rep.envelope_ok:
+            assert rep.sample_rate < 0.5 * P.gamma
+            failing.append(k)
+    assert len(runs) == 8 + 16
+    assert failing == [8 + 7 + 3, 8 + 7 + 8]   # boxed_dense problem_03 and problem_08
 
 
 @pytest.mark.parametrize("every", [1, 3])
@@ -591,16 +630,16 @@ def test_samples_are_column_major(every):
     assert max(dims) >= 3 and moved   # einsum's order differs from three terms on
 
 
-def test_fitted_rate_does_not_overflow_at_huge_t(one_dim_problem):
-    # np.polyfit squares t and overflowed past t of about 1e154; the closed
-    # form scales t by its span first. Distances halve at each sample
+def test_sample_rate_does_not_overflow_at_huge_t(one_dim_problem):
+    # the logs are taken before the difference and t - t0 is not squared,
+    # so nothing overflows. Distances halve at each sample
     eq = equilibrium_oracle(one_dim_problem)
     k = np.arange(10.0)
     y = 0.5 * 0.5 ** k
     traj = Trajectory(t=k * 1e299, y=y[:, None], lam=y[:, None], drift_norm=np.ones(10),
                       config=IntegratorConfig(), terminated_by=TerminationReason.TIME_LIMIT)
     rep = certify_envelope(one_dim_problem, traj, eq)   # a RuntimeWarning fails the test
-    assert abs(rep.fitted_rate - np.log(2.0) / 1e299) <= 1e-12 * np.log(2.0) / 1e299
+    assert abs(rep.sample_rate - np.log(2.0) / 1e299) <= 1e-12 * np.log(2.0) / 1e299
 
 
 def test_tau_scaling_of_certified_exponent(one_dim_problem):
@@ -614,6 +653,18 @@ def test_tau_scaling_of_certified_exponent(one_dim_problem):
     exp1 = 0.5 * reports[0].gamma_bound * reports[0].tau
     exp2 = 0.5 * reports[1].gamma_bound * reports[1].tau
     assert exp2 == 2.0 * exp1
+    # tau regulates the decay: on the case study each sample rate meets
+    # gamma/2, and the decay rate in t, tau * sample_rate, grows with tau
+    P = casestudy.build_case()
+    eq = equilibrium_oracle(P)
+    decay = []
+    for tau in (1.0, 2.0, 5.0):
+        traj = integrate(P, State(np.zeros(P.m), np.zeros(P.p)),
+                         IntegratorConfig(tau=tau, t_end=50.0, record_every=100))
+        rep = certify_envelope(P, traj, eq)
+        assert rep.sample_rate >= 0.5 * rep.gamma_bound
+        decay.append(tau * rep.sample_rate)
+    assert decay[0] < decay[1] < decay[2]
 
 
 def test_oracle_dynamics_agreement_randomized():
@@ -653,10 +704,10 @@ def test_report_json_round_trip(tmp_path, damped_problem):
     rep.write_json(path)
     doc = json.loads(path.read_text())
     assert set(doc) == {
-        "equilibrium", "gamma_bound", "tau", "envelope_ok",
-        "envelope_margin", "fitted_rate", "kkt",
+        "equilibrium", "gamma_bound", "tau", "envelope_ok", "sample_rate", "kkt",
     }
     assert set(doc["equilibrium"]) == {"y_star", "lambda_star", "x_star"}
     assert doc["gamma_bound"] == rep.gamma_bound
     assert doc["kkt"]["total"] == rep.kkt.total
+    assert doc["sample_rate"] == rep.sample_rate
     assert doc["envelope_ok"] is True

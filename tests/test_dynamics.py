@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ppdgd import (
     BoxSet,
+    DimensionMismatch,
     InitialPointOutsideOmega,
     IntegratorConfig,
     NonFiniteState,
@@ -85,6 +86,13 @@ def test_rhs_tau_scaling_is_exact(one_dim_problem):
     dy2, dl2 = rhs(one_dim_problem, s, 2.6)
     assert np.array_equal(dy2, 2.0 * dy1)
     assert np.array_equal(dl2, 2.0 * dl1)
+
+
+@pytest.mark.parametrize("shape", [(3,), (7, 1)])
+def test_rhs_rejects_lam_of_wrong_shape(case_problem, shape):
+    s = State(np.zeros(case_problem.m), np.zeros(shape))
+    with pytest.raises(DimensionMismatch, match=r"lambda has shape"):
+        rhs(case_problem, s, 1.0)
 
 
 def test_rhs_zero_at_equilibrium(one_dim_problem):

@@ -9,8 +9,8 @@ pinned at a kink of h are kept. Prints worst cases over the whole campaign.
 Exits 1, with one line on stderr, when any instance fails the decay envelope,
 leaves Omega by more than MEMBER_TOL, ends farther than GAP_TOL from the
 equilibrium or with an endpoint KKT residual above KKT_TOL, or when the
-oracle's equilibrium itself has a KKT residual above ORACLE_KKT_TOL; exits 0
-otherwise.
+oracle's equilibrium itself has a KKT residual above ORACLE_KKT_TOL; exits 2
+on a bad flag, --count below 1 included; exits 0 otherwise.
 """
 
 import argparse
@@ -42,6 +42,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--dt", type=float, default=2e-3)
     args = ap.parse_args()
+    if args.count < 1:   # a campaign of no instance checks nothing
+        ap.error(f"--count must be at least 1, got {args.count}")
 
     rng = np.random.default_rng(args.seed)
     cfg = IntegratorConfig(dt=args.dt, t_end=60.0, stop_tol=1e-8)

@@ -8,15 +8,18 @@ dual gradient A x*(lam) + B y - C.
 
 integrate takes forward-backward steps of the same inclusion. h' splits into
 a continuous part d, taken explicitly, and its jumps, whose antiderivative g
-is taken implicitly through prox_{dtau g} together with the box. A y on a
+is taken implicitly together with the box: y+ is the argmin over Omega of
+dtau g(s) + |s|^2/2 - v's, read from one atom table
+(SeparablePiecewise.prox_atoms). A y on a
 kink whose target lies inside the kink's interval lands on it exactly, so
 kink-pinned solves stop at stop_tol instead of chattering around the kink.
 Without kinks the step is projected Euler. The stopping norm is the step
 residual ||((y+ - y)/dtau, dlam)||.
 
 The step is piecewise affine in (y, lam). integrate writes the step of each
-mode (the pieces of h and regions of the jump prox it reads, the clip into
-Omega and the piece of x*(lam)) as one affine map M and advances it in
+mode (the pieces of h it reads, the atom of the prox table that holds each
+y+_j, a kink, a bound of Omega or an open interval between two of them, and
+the piece of x*(lam)) as one affine map M and advances it in
 blocks of BLOCK_STEPS steps and more, a few numpy calls per block. The
 first block after a read doubles on its states with the squares of M; a
 block that continues the mode takes its states from the last block's in
@@ -26,7 +29,7 @@ leaves the mode. One set of mode buffers (M, F, lower, upper) serves a
 whole run, and every read (_reread) rewrites in place only the rows that
 failed: the first, after _piece_rows allocates the buffers, every row of
 every coordinate; each later one, at the step that left the mode, the
-rows of each coordinate whose piece, prox region or clip changed and,
+rows of each coordinate whose piece or prox atom changed and,
 where a row of the piece of x* failed, that piece's rows, solved from
 the old piece's active pattern (see integrate). That pays where modes
 last long, as in the benchmark's solves, which change mode a few times
@@ -51,7 +54,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,6 +94,10 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        for f in fields(self):   # a bool is a number to Python, but never a valid setting
+            value = getattr(self, f.name)
+            if isinstance(value, (bool, np.bool_)):
+                raise InvalidConfig(f"{f.name} must be a number, got {value!r}")
         if not all(map(math.isfinite, (self.dt, self.tau, self.t_end, self.stop_tol))):
             raise InvalidConfig("dt, tau, t_end and stop_tol must be finite")
         if self.dt <= 0 or self.tau <= 0 or self.t_end <= 0:
@@ -170,8 +177,8 @@ def _piece_rows(P: Problem, dtau: float, lam: np.ndarray, rows=None, start=None)
     depend only on P, as T has a row per coordinate of X with a finite
     bound and lo < hi, and writes the rows no mode changes: the identity
     rows I_y of F, the -dtau B' columns of V, the B columns of D and M's
-    last row. at, the flat table indices of each y_j's piece and v_j's
-    region, is left for the first read to set. start, the piece read
+    last row. at, the flat table indices of each y_j's piece and y+_j's
+    atom, is left for the first read to set. start, the piece read
     before, starts x_star_piece's solve at its pattern.
     """
     m, p = P.m, P.p
@@ -179,7 +186,7 @@ def _piece_rows(P: Problem, dtau: float, lam: np.ndarray, rows=None, start=None)
     piece = x_star_piece(P, lam, start)
     x0, X1, T0, T1, tlo, thi, _ = piece
     if rows is None:
-        nb = 3 * m + T0.size
+        nb = 2 * m + T0.size
         M, F = np.zeros((N, N)), np.zeros((nb + m + p, N))
         F.ravel()[:m * (N + 1):N + 1] = 1.0   # I_y
         F[m:2 * m, m:-1] = P.Bt * -dtau
@@ -188,9 +195,9 @@ def _piece_rows(P: Problem, dtau: float, lam: np.ndarray, rows=None, start=None)
         rows = M, F, np.empty(nb), np.empty(nb), [0] * (2 * m)
     M, F, lower, upper, _ = rows
     nb = lower.size
-    lower[3 * m:] = tlo
-    upper[3 * m:] = thi
-    T, D, L = F[3 * m:nb], F[nb + m:], M[m:-1]
+    lower[2 * m:] = tlo
+    upper[2 * m:] = thi
+    T, D, L = F[2 * m:nb], F[nb + m:], M[m:-1]
     T[:, m:-1] = T1
     T[:, -1] = T0
     D[:, m:-1] = P.A @ X1
@@ -204,38 +211,40 @@ def _piece_rows(P: Problem, dtau: float, lam: np.ndarray, rows=None, start=None)
     return rows, piece
 
 
-def _reread(P: Problem, dtau: float, z: np.ndarray, pieces, regions, rows, piece, failed):
+def _reread(P: Problem, dtau: float, z: np.ndarray, pieces, atoms, rows, piece, failed):
     """Rewrite the mode buffers rows of the step from z where the rows failed; return (rows, piece).
 
     rows = (M, F, lower, upper, at) are the buffers of _piece_rows for a
-    piece of x*(lam): z+ = M z, and F z stacks y, v, u, the piece's rows T,
-    then y+ - y and dlam, with brackets (lower, upper) on [y, v, u, T]; at
-    holds the flat indices of each y_j's piece of h in pieces and v_j's
-    prox region in regions. failed flags the bracket rows [y, v, u, T] that
-    fail at z. Where a row of T fails, _piece_rows writes the piece of x*
-    at z's lam over the old one, its solve started at the old piece's
-    pattern. For each coordinate j whose y, v or u row fails, j's piece
-    index steps to y_j (PieceTable.step), which rewrites the diagonal entry
-    and last column of row j of V, from v = y + dtau (-B'lam - c2 y - qd);
-    its region index then steps to v_j of v = V z, which rewrites row j of
-    U, and the clip into Omega of u_j of u = U z rewrites row j of Y (the y
-    rows of M) and of Y - I_y; each with its bracket. A row no failed row
-    depends on is not touched, so the rows of coordinates whose brackets
-    pass keep what the read that wrote them found, which is what a read of
-    every row at z finds, save where a value that passed its bracket in the
-    block's product would fail it in the read's: a tie that rounding breaks
-    either way.
+    piece of x*(lam): z+ = M z, and F z stacks y, v, the piece's rows T,
+    then y+ - y and dlam, with brackets (lower, upper) on [y, v, T]; at
+    holds the flat indices of each y_j's piece of h in pieces and of the
+    atom of y+_j in atoms (model.SeparablePiecewise.prox_atoms). failed
+    flags the bracket rows [y, v, T] that fail at z. Where a row of T
+    fails, _piece_rows writes the piece of x* at z's lam over the old one,
+    its solve started at the old piece's pattern. For each coordinate j
+    whose y or v row fails, j's piece index steps to y_j
+    (PieceTable.step), which rewrites the diagonal entry and last column of
+    row j of V, from v = y + dtau (-B'lam - c2 y - qd); its atom index then
+    steps to v_j of v = V z, which rewrites row j of Y (the y rows of M)
+    and of Y - I_y: on a point atom, a kink or a bound of Omega, zeros and
+    the point, and on an interval atom V_j less the atom's q in the last
+    column; each with its bracket. A row no failed row depends on is not
+    touched, so the rows of coordinates whose brackets pass keep what the
+    read that wrote them found, which is what a read of every row at z
+    finds, save where a value that passed its bracket in the block's
+    product would fail it in the read's: a tie that rounding breaks either
+    way.
     """
     m = P.m
     flat = np.flatnonzero(failed).tolist()
-    if flat[-1] >= 3 * m:   # a row of T
+    if flat[-1] >= 2 * m:   # a row of T
         rows, piece = _piece_rows(P, dtau, z[m:-1], rows, piece)
-    coords = sorted({i % m for i in flat if i < 3 * m})
+    coords = sorted({i % m for i in flat if i < 2 * m})
     if not coords:
         return rows, piece
     M, F, lower, upper, at = rows
     nb = lower.size
-    V, U = F[m:2 * m], F[2 * m:3 * m]
+    V = F[m:2 * m]
     c2, qd, _, ylo, yhi = pieces.columns
     for j in coords:
         i = at[j] = pieces.step(at[j], z[j])
@@ -243,26 +252,17 @@ def _reread(P: Problem, dtau: float, z: np.ndarray, pieces, regions, rows, piece
         V[j, -1] = qd[i] * -dtau
         lower[j], upper[j] = ylo[i], yhi[i]
     v = V.dot(z)
-    slope, icpt, vlo, vhi = regions.columns
+    left, right, _, q, vlo, vhi = atoms.columns
     for j in coords:
-        i = at[m + j] = regions.step(at[m + j], v[j])
-        Uj = U[j]
-        np.multiply(V[j], slope[i], out=Uj)
-        Uj[-1] += icpt[i]
+        i = at[m + j] = atoms.step(at[m + j], v[j])
+        Yj = M[j]
+        if left[i] == right[i]:   # y+_j sits on the point
+            Yj[:] = 0.0
+            Yj[-1] = left[i]
+        else:   # y+_j = v_j - q
+            Yj[:] = V[j]
+            Yj[-1] -= q[i]
         lower[m + j], upper[m + j] = vlo[i], vhi[i]
-    u = U.dot(z)
-    lo, hi = P.Omega.lo, P.Omega.hi
-    for j in coords:
-        k, Yj = 2 * m + j, M[j]
-        if u[j] <= lo[j]:
-            Yj[:] = 0.0
-            Yj[-1], lower[k], upper[k] = lo[j], -np.inf, lo[j]
-        elif u[j] > hi[j]:
-            Yj[:] = 0.0
-            Yj[-1], lower[k], upper[k] = hi[j], hi[j], np.inf
-        else:
-            Yj[:] = U[j]
-            lower[k], upper[k] = lo[j], hi[j]
         np.subtract(Yj, F[j], out=F[nb + j])
     return rows, piece
 
@@ -317,15 +317,16 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     dtau = dt * tau, one step from (y, lam) is
 
         v    = y + dtau * (-B'lam - d(y))
-        y+   = clip(prox_{dtau g}(v), lo, hi)
+        y+   = argmin over [lo, hi] of dtau g(s) + |s|^2 / 2 - v's
         lam+ = lam + dtau * (grad phi(lam) + B y - C),
 
     explicit on d and implicit on the jumps and on Omega. Explicit on the
     curvature of h, the step decays no slower than the flow it follows.
 
     Fixed points are exactly the KKT points. lam+ = lam iff
-    A x*(lam) + B y = C. Per coordinate, clip(prox_{dtau g_j}) is the prox
-    of dtau g_j plus the indicator of [lo_j, hi_j], so y+_j = y_j iff
+    A x*(lam) + B y = C. Per coordinate, y+_j is the prox of dtau g_j plus
+    the indicator of [lo_j, hi_j], which in one dimension is
+    clip(prox_{dtau g_j}(v_j), lo_j, hi_j), so y+_j = y_j iff
     v_j - y_j lies in dtau (dg_j(y_j) + N_j(y_j)), that is, iff
     0 lies in d_j(y_j) + dg_j(y_j) + (B'lam)_j + N_j(y_j)
     = dh_j(y_j) + (B'lam)_j + N_j(y_j), the y condition of KKT. At a kink
@@ -336,11 +337,20 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     exactly. Without kinks, prox_{dtau g} is the identity and the step is
     projected Euler.
 
+    y+ is read from one atom table, P.hpack.prox_atoms(dtau, lo, hi), built
+    once per call: y+_j is the argmin over [lo_j, hi_j] of the convex
+    piecewise quadratic with the breakpoints of h_j, curvature 1 and slope
+    dtau S_j, at the target v_j. Its points are lo_j, the kinks inside
+    (lo_j, hi_j) and hi_j. y+_j sits on a point while v_j lies in the
+    point's closed sticking interval: [b_ji + dtau S_ji,
+    b_ji + dtau (S_ji + J_ji)] at a kink, (-inf, lo_j + dtau S_j] at lo_j
+    and [hi_j + dtau S_j, inf) at hi_j, S_j taken on the piece inside
+    Omega_j. Between two neighbouring points, y+_j = v_j - dtau S_j.
+
     The step is piecewise affine in z = [y, lam, 1]. Its mode is the piece
-    of h holding each y_j and the prox region holding each v_j (rows of two
-    PieceTables, with their brackets), whether the clip into Omega keeps
-    u_j = prox(v)_j or takes lo_j or hi_j, and the affine piece of x*(lam)
-    (inner.x_star_piece). In one mode the step is z+ = M z, and y, v, u, the
+    of h holding each y_j and the atom holding each v_j (rows of two
+    PieceTables, with their brackets) and the affine piece of x*(lam)
+    (inner.x_star_piece). In one mode the step is z+ = M z, and y, v, the
     rows T of the piece of x*, y+ - y and dlam are rows F z. The mode lives
     in one set of buffers (M, F, lower, upper) per run, whose shapes depend
     only on P. The first read, at z_0, allocates them in _piece_rows, which
@@ -349,11 +359,11 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     identity rows for y, the -dtau B' columns of V, the B columns of D, M's
     last row). Every read (_reread) then rewrites only the rows that fail:
     the first, at z_0, the rows of every coordinate, the y rows Y of M, the
-    diagonal and last column of V, U and Y - I_y in F, and the brackets of
-    y, v and u, its table indices stepped from y_0's intervals (found by
+    diagonal and last column of V and Y - I_y in F, and the brackets of y
+    and v, its table indices stepped from y_0's intervals (found by
     PieceTable.index); every later one, at the step z_e that left the mode,
-    what failed there (inside[:, e]): the rows of each coordinate whose y,
-    v or u bracket failed, its table indices stepped from the old ones
+    what failed there (inside[:, e]): the rows of each coordinate whose y
+    or v bracket failed, its table indices stepped from the old ones
     (PieceTable.step), and, where a row of T failed, the piece's own rows,
     solved from the old piece's active pattern with no table lookup. The
     rows whose brackets passed are those a read of every row at z_e writes,
@@ -378,7 +388,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     once per mode and size. The rows F z_j of a block come from one more
     product, one column per step. Vectorized tests, each a reduction
     over the rows of a column, then find the first step that leaves the
-    mode (a bracket lower < [y, v, u, T] <= upper fails), whose residual
+    mode (a bracket lower < [y, v, T] <= upper fails), whose residual
     meets stop_tol or is not finite, or that is the last, and the kept rows
     are copied once into the sample buffer. The mode is read again at the
     step that left it. The mode read at z is the mode of the step from z, so
@@ -417,7 +427,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
               f"L = {P.drift_lipschitz:.3g}; reduce dt")
     if not math.isfinite(dtau * float(P.hpack.jump_sum.max())):   # the prox table overflows
         raise NonFiniteState(f"dt * tau times the jumps of h' is not finite; {advice}")
-    pieces, regions = P.hpack.pieces, P.hpack.jump_prox(dtau)
+    pieces, atoms = P.hpack.pieces, P.hpack.prox_atoms(dtau, P.Omega.lo, P.Omega.hi)
     n_steps = math.ceil(cfg.t_end / dt - 1e-12)   # >= 1: IntegratorConfig checks it
 
     # never sized by t_end alone: integration may stop at stop_tol long before it
@@ -452,14 +462,14 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     z = np.concatenate([y, lam, [1.0]])
     k = 0          # step index of the block's first state
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up raises NonFiniteState
-        # the first read allocates the mode buffers and rewrites every y, v and u row at z,
+        # the first read allocates the mode buffers and rewrites every y and v row at z,
         # each table index stepped from y's interval: v is y moved by a step of dtau
         rows, piece = _piece_rows(P, dtau, z[m:-1])
         M, F, lower, upper, at = rows
-        at[:] = pieces.index(z[:m]).tolist() + regions.index(z[:m]).tolist()
+        at[:] = pieces.index(z[:m]).tolist() + atoms.index(z[:m]).tolist()
         nb = lower.size
-        failed = np.arange(nb) < 3 * m
-        rows, piece = _reread(P, dtau, z, pieces, regions, rows, piece, failed)
+        failed = np.arange(nb) < 2 * m
+        rows, piece = _reread(P, dtau, z, pieces, atoms, rows, piece, failed)
         lower, upper = lower[:, None], upper[:, None]
         cap = K * max(1, min(RUN_STEPS, RUN_PRODUCT // F.size) // K)   # longest block
         read = True    # the mode was read at z
@@ -506,7 +516,7 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
             if e > 0:
                 keep(S, drift, e, False)
             z, k = S[e].copy(), k + e
-            rows, piece = _reread(P, dtau, z, pieces, regions, rows, piece, ~inside[:, e])
+            rows, piece = _reread(P, dtau, z, pieces, atoms, rows, piece, ~inside[:, e])
             read = True
 
     steps = np.arange(n) * every   # the recorded step indices; the last is step k

@@ -1,4 +1,4 @@
-"""Clip patterns, active faces and tangent-cone projection for boxes.
+"""Active faces and tangent-cone projection for boxes.
 
 Every query works on the bounds alone: a free set is the box [-inf, inf]^n,
 whose clamp is the identity and which has no active face.

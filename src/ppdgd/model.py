@@ -320,11 +320,14 @@ class PieceTable:
 class SeparablePiecewise:
     """m piecewise-quadratic coordinates packed into padded arrays.
 
-    pieces is the PieceTable of h: its edges are the breakpoints and its
-    columns c2, q - S and q, so piece k of coordinate j covers (lower, upper].
-    It serves the vectorized Clarke intervals and subgradient selection (the
-    field rhs), the piece rows of the forward-backward step (integrate) and,
-    through atoms, the segments and the y of the equilibrium oracle.
+    The arrays are the breakpoints bp, each piece's c2 = 2p and q, and
+    jump_sum, the sum S of the derivative jumps below each piece. pieces is
+    the PieceTable of h: its edges are the breakpoints and its columns c2,
+    q - S and q, so piece k of coordinate j covers (lower, upper]. It serves
+    the vectorized Clarke intervals and subgradient selection (the field
+    rhs) and the piece rows of the forward-backward step (integrate). Two
+    AtomTables are built from the same arrays: atoms, the segments and the
+    y of the equilibrium oracle, and prox_atoms, the step's implicit half.
     Padding breakpoints are +inf, so they never count below a finite y, and
     padding pieces carry an empty interval (+inf, +inf] that holds no finite y.
     """
@@ -373,44 +376,20 @@ class SeparablePiecewise:
         glo, ghi = self.clarke(y)
         return glo if ghi is glo else np.minimum(np.maximum(target, glo), ghi)
 
-    def jump_prox(self, t: float) -> "JumpProx":
-        """Table of prox_{t g}, g_j(s) = sum_i J_ji (s - b_ji)_+ the jump part of h_j."""
-        return JumpProx(self.bp, self.jump_sum, t)
-
     def atoms(self, lo: np.ndarray, hi: np.ndarray) -> "AtomTable":
         """Table of where argmin over [lo_j, hi_j] of h_j(s) - t_j s sits, for a target t."""
-        return AtomTable(self, lo, hi)
+        return AtomTable(self.bp, self.c2, self.q, lo, hi)
 
+    def prox_atoms(self, t: float, lo: np.ndarray, hi: np.ndarray) -> "AtomTable":
+        """Table of the prox of t g plus the box [lo, hi], g the jump part of h.
 
-class JumpProx(PieceTable):
-    """prox_{t g} for the jump part g_j(s) = sum_i J_ji (s - b_ji)_+ of h, as a table.
-
-    The prox of coordinate j sticks at b_i for v in [b_i + t S_i, b_i + t S_{i+1}]
-    (S_i: the jumps below b_i) and is v - t S_k on the k-th gap between those
-    intervals. The 2K thresholds split the v axis into 2K + 1 regions, each
-    affine in v with slope 1 or 0, with columns slope and intercept. A region
-    starts at its threshold: thr <= v is pred(thr) < v, so the edges are the
-    thresholds' predecessor floats, and an upper threshold is stored one ulp
-    up, so each sticking interval is closed.
-    """
-
-    def __init__(self, bp: np.ndarray, jump_sum: np.ndarray, t: float):
-        m, kmax = bp.shape
-        thr = np.empty((m, 2 * kmax))
-        thr[:, 0::2] = bp + t * jump_sum[:, :-1]
-        thr[:, 1::2] = np.nextafter(bp + t * jump_sum[:, 1:], np.inf)
-        # equal rounded thresholds of neighbouring kinks must still count in order
-        thr = np.maximum.accumulate(thr, axis=1)
-        slope = np.ones((m, 2 * kmax + 1))
-        icpt = np.empty((m, 2 * kmax + 1))
-        slope[:, 1::2] = 0.0
-        icpt[:, 0::2] = -(t * jump_sum)   # -0.0 without jumps: v + -0.0 is v, bit for bit
-        icpt[:, 1::2] = bp
-        super().__init__(np.nextafter(thr, -np.inf), slope, icpt)
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        slope, icpt, _, _ = self.rows(v)
-        return slope * v + icpt
+        g_j(s) = sum_i J_ji (s - b_ji)_+. The argmin over [lo_j, hi_j] of
+        t g_j(s) + s^2 / 2 - v_j s is the atom table's minimizer at the
+        target v_j of the function with the breakpoints of h_j, curvature 1
+        and slope t S_jk on piece k: in one dimension, the prox of t g_j
+        clipped into the box.
+        """
+        return AtomTable(self.bp, 1.0, t * self.jump_sum, lo, hi)
 
 
 class AtomTable(PieceTable):
@@ -427,23 +406,26 @@ class AtomTable(PieceTable):
     edges are dr and the predecessor floats of dl. The columns are the ends
     left <= right of the atom's closure (left == right on a point, +inf
     past the last point), then c2 and q of the piece under an interval (1
-    and 0 on a point).
+    and 0 on a point). The function is given by the padded arrays of its
+    pieces, as in SeparablePiecewise: breakpoints bp, and c2 (an array like
+    q, or one number for every piece) and q per piece.
     """
 
-    def __init__(self, hpack: SeparablePiecewise, lo: np.ndarray, hi: np.ndarray):
-        m = lo.size
-        inside = (hpack.bp > lo[:, None]) & (hpack.bp < hi[:, None])
-        pts = np.sort(np.column_stack([lo, np.where(inside, hpack.bp, np.inf),
+    def __init__(self, bp: np.ndarray, c2, q: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        m, width = q.shape
+        inside = (bp > lo[:, None]) & (bp < hi[:, None])
+        pts = np.sort(np.column_stack([lo, np.where(inside, bp, np.inf),
                                        np.where(hi > lo, hi, np.inf)]), axis=1)
         last = np.isfinite(pts).sum(axis=1) - 1
         pts = pts[:, :last.max() + 1]
         npts = pts.shape[1]
         # padding points are never reached
         s = np.where(np.arange(npts) <= last[:, None], pts, lo[:, None])
-        # hpack.clarke and pieces.rows at every point at once: the piece holding
-        # each point (at a breakpoint, the left one) and the one right of it
-        flat = (hpack.bp[:, None, :] < s[:, :, None]).sum(axis=2) + hpack.pieces.offsets[:, None]
-        c2_col, _, q_col, _, upper = hpack.pieces.columns
+        # the piece holding each point (at a breakpoint, the left one) and the
+        # one right of it, as flat indices into the pieces' arrays
+        flat = (bp[:, None, :] < s[:, :, None]).sum(axis=2) + (np.arange(m) * width)[:, None]
+        c2_col, q_col = np.broadcast_to(c2, q.shape).ravel(), q.ravel()
+        upper = np.hstack([bp, np.full((m, 1), np.inf)]).ravel()
         dl = c2_col[flat] * s + q_col[flat]
         right = flat + (upper[flat] == s)
         dr = c2_col[right] * s + q_col[right]

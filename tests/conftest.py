@@ -22,6 +22,12 @@ def kinked(bps, jumps, curvs):
     return PiecewiseScalarFn(np.array(bps, dtype=float), np.array(pieces))
 
 
+def atom_argmin(table, t):
+    """The minimizer an AtomTable holds for each target t_j: (t - q) / c2 clamped into its atom."""
+    left, right, c2, q, _, _ = table.rows(t)
+    return np.clip((t - q) / c2, left, right)
+
+
 @pytest.fixture(scope="session")
 def case_problem():
     return build_case()

@@ -642,13 +642,15 @@ def test_sample_rate_does_not_overflow_at_huge_t(one_dim_problem):
     assert abs(rep.sample_rate - np.log(2.0) / 1e299) <= 1e-12 * np.log(2.0) / 1e299
 
 
+def _one_dim_report(P, tau):
+    """certify_envelope of one_dim_problem's run from y = 0.7 at tau, dt 1e-3, to t = 8."""
+    traj = integrate(P, State(np.array([0.7]), np.zeros(1)),
+                     IntegratorConfig(dt=1e-3, tau=tau, t_end=8.0, record_every=10))
+    return certify_envelope(P, traj, equilibrium_oracle(P))
+
+
 def test_tau_scaling_of_certified_exponent(one_dim_problem):
-    eq = equilibrium_oracle(one_dim_problem)
-    reports = []
-    for tau in (1.0, 2.0):
-        traj = integrate(one_dim_problem, State(np.array([0.7]), np.zeros(1)),
-                         IntegratorConfig(dt=1e-3, tau=tau, t_end=8.0, record_every=10))
-        reports.append(certify_envelope(one_dim_problem, traj, eq))
+    reports = [_one_dim_report(one_dim_problem, tau) for tau in (1.0, 2.0)]
     assert reports[0].tau == 1.0 and reports[1].tau == 2.0
     exp1 = 0.5 * reports[0].gamma_bound * reports[0].tau
     exp2 = 0.5 * reports[1].gamma_bound * reports[1].tau
@@ -665,6 +667,15 @@ def test_tau_scaling_of_certified_exponent(one_dim_problem):
         assert rep.sample_rate >= 0.5 * rep.gamma_bound
         decay.append(tau * rep.sample_rate)
     assert decay[0] < decay[1] < decay[2]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+@pytest.mark.parametrize("tau", [1.0, 2.0])
+def test_one_dim_envelope_holds_in_the_tau_scaling_runs(one_dim_problem, tau):
+    # the runs of test_tau_scaling_of_certified_exponent: sample_rate reads
+    # 0.9999993 at tau 1 and 0.9999973 at tau 2, just under gamma/2 = 1, as
+    # the explicit step lags the flow
+    assert _one_dim_report(one_dim_problem, tau).envelope_ok
 
 
 def test_oracle_dynamics_agreement_randomized():

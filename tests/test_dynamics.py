@@ -14,6 +14,7 @@ from ppdgd import (
     DimensionMismatch,
     InitialPointOutsideOmega,
     IntegratorConfig,
+    InvalidConfig,
     NonFiniteState,
     PiecewiseScalarFn,
     QuadraticSmoothFn,
@@ -33,7 +34,7 @@ from ppdgd.inner import KKT_TOL, x_star_piece
 from ppdgd.model import PieceTable, SeparablePiecewise
 from ppdgd.random_problems import random_piecewise, random_problem
 
-from conftest import kinked
+from conftest import atom_argmin, kinked
 from oracles import project_box, select_subgradient
 
 
@@ -143,6 +144,14 @@ def test_one_dimensional_convergence_to_kkt_point(one_dim_problem):
     vals = 0.5 * grid**2 + 0.5 * grid**2  # x = -y
     y_best = grid[np.argmin(vals)]
     assert abs(traj.y[-1, 0] - y_best) <= 1e-4
+
+
+@pytest.mark.parametrize("name", ["dt", "tau", "t_end", "stop_tol", "record_every"])
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_integrator_config_rejects_a_bool(name, value):
+    # True would pass as 1 and False as 0; problem files reject a bool as a number too
+    with pytest.raises(InvalidConfig, match=f"^{name} must be a number, got {value!r}$"):
+        IntegratorConfig(**{name: value})
 
 
 def test_initial_point_outside_omega_rejected(one_dim_problem):
@@ -315,7 +324,7 @@ def _assert_close_rows(P, traj, want, tol):
 
 @pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("steps", [1, 5000])
-def test_euler_steps_match_public_field_ops(steps, every, case_problem, monkeypatch):
+def test_euler_steps_match_public_field_ops(steps, every, case_problem, benchmark_runs, monkeypatch):
     # every recorded row of integrate against a plain loop of the forward-backward
     # step over per-coordinate PiecewiseScalarFn data and the public dual field,
     # up to the order of rounding;
@@ -336,9 +345,13 @@ def test_euler_steps_match_public_field_ops(steps, every, case_problem, monkeypa
     y0 = y0.copy()
     y0[j] = P.h[j].breakpoints[0]
     starts.append((P, y0, lam0))
-    # last, the case study from 0: RUN_PRODUCT caps its blocks at 384 steps,
-    # whose last doubling level is partial and whose M^384 is a product of two squares
+    # the case study from 0, and last the boxed_dense draw problem_03 from 0 (X = [-1, 1]^7,
+    # m 10, p 3): RUN_PRODUCT caps its blocks at 384 steps, whose last doubling level is
+    # partial and whose M^384 is a product of two squares
     starts.append((case_problem, np.zeros(case_problem.m), np.zeros(case_problem.p)))
+    _, P, y0, lam0, _ = benchmark_runs[10]
+    assert (P.n, P.m, P.p) == (7, 10, 3) and not y0.any() and not lam0.any()
+    starts.append((P, y0, lam0))
     blocks = _spy_blocks(monkeypatch)
     for P, y0, lam0 in starts:
         blocks.clear()
@@ -439,15 +452,18 @@ def test_jump_prox_table_matches_brute_force_scalar_prox(t):
         # kinks 1e-12 apart: at t = 1e6 their rounded thresholds coincide
         kinked([0.3, 0.3 + 1e-12], [0.125, 0.25], [1.0, 1.0, 1.0]),
     ]
-    fns.append(fns[1])
-    lo = np.array([-1.0, -1.0, -2.0, -1.0, 0.25])
-    hi = np.array([1.0, 1.0, 2.0, 1.0, 0.25])   # the last row has lo == hi
+    fns += [fns[1], fns[1]]
+    # the last two rows have lo on a kink, and lo == hi on a kink
+    lo = np.array([-1.0, -1.0, -2.0, -1.0, -0.5, 0.25])
+    hi = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 0.25])
     hpack = SeparablePiecewise(tuple(fns))
-    table = hpack.jump_prox(t)
+    table = hpack.prox_atoms(t, lo, hi)
     for j, fn in enumerate(fns):
         b, S = fn.breakpoints, hpack.jump_sum[j]
         sticky = [(b[i] + t * S[i], b[i] + t * S[i + 1], b[i]) for i in range(b.size)]
-        ends = [s for start, end, _ in sticky for s in (start, end)]
+        # v at or below lo + t S sticks at lo, at or above hi + t S at hi
+        faces = [lo[j] + t * S[bisect.bisect_right(b, lo[j])], hi[j] + t * S[bisect.bisect_left(b, hi[j])]]
+        ends = [s for start, end, _ in sticky for s in (start, end)] + faces
         values = [-3.0, 0.0, 3.0] + [x for s in ends
                                      for x in (np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf))]
         values += [0.5 * (start + end) for start, end, _ in sticky]
@@ -455,7 +471,7 @@ def test_jump_prox_table_matches_brute_force_scalar_prox(t):
         for x in values:
             v = np.zeros(len(fns))
             v[j] = x
-            u = min(max(table(v)[j], lo[j]), hi[j])
+            u = atom_argmin(table, v)[j]
             exact = _jump_prox_exact(fn, x, t, lo[j], hi[j])
             assert abs(Fraction(u) - exact) <= 8 * np.spacing(scale), (j, x, u, float(exact))
             # on a closed sticking interval, the first one when rounding makes
@@ -530,18 +546,24 @@ def _mode_problem(mode, h, C):
 
 
 def _thresholds(P, dt):
-    """(2K, m) prox thresholds of the jump table: its edges are their predecessor floats."""
-    with np.errstate(over="ignore"):   # the padding edges are the float maximum
-        return np.nextafter(P.hpack.jump_prox(dt).edgesT, np.inf)
+    """Thresholds of the prox atoms of h over Omega, one column per coordinate.
+
+    The edges of the table are their predecessor floats. With K kinks
+    inside Omega_j, column j holds one ulp above the sticking interval
+    (-inf, lo + dt S] of lo, the ends of each kink's closed sticking
+    interval, the second one ulp up, then the start of hi's [hi + dt S, inf);
+    the rest is +inf padding.
+    """
+    return np.nextafter(P.hpack.prox_atoms(dt, P.Omega.lo, P.Omega.hi).edgesT, np.inf)
 
 
 def _mode_changes(P, dt, y, lam):
-    """Per step after the first: did some y_j change its piece, did some v_j change its prox region."""
+    """Per step after the first: did some y_j change its piece, did some v_j change its prox atom."""
     forward, thr = _reference_forward(P, dt), _thresholds(P, dt)
     pieces = [[bisect.bisect_left(fn.breakpoints, yk[j]) for j, fn in enumerate(P.h)] for yk in y]
-    regions = [[np.searchsorted(thr[:, j], vj, side="right") for j, vj in enumerate(forward(yk, lk))]
-               for yk, lk in zip(y, lam)]
-    return tuple(np.any(np.diff(idx, axis=0), axis=1) for idx in (pieces, regions))
+    atoms = [[np.searchsorted(thr[:, j], vj, side="right") for j, vj in enumerate(forward(yk, lk))]
+             for yk, lk in zip(y, lam)]
+    return tuple(np.any(np.diff(idx, axis=0), axis=1) for idx in (pieces, atoms))
 
 
 def _landing_lam(P, dt, y0, goal, step):
@@ -577,7 +599,7 @@ def _ulps(x):
 
 
 def _near_edge(P, dt, y, lam):
-    """Does some y_j lie within 4 ulps of a breakpoint, or the reference v_j of a prox threshold?"""
+    """Does some y_j lie within 4 ulps of a breakpoint, or the reference v_j of a prox-atom threshold?"""
     v, thr = _reference_forward(P, dt)(y, lam), _thresholds(P, dt)
     for j, fn in enumerate(P.h):
         edges = (y[j], fn.breakpoints), (v[j], thr[np.isfinite(thr[:, j]), j])
@@ -614,20 +636,24 @@ def _edge_runs(mode, dt):
     """(P, y0, lam0, steps) of the runs of test_cached_step_matches_reference_at_bracket_edges.
 
     - y(0) on a breakpoint and one ulp either side;
-    - v at the first step on a prox threshold and one ulp either side;
+    - v at the first step on a prox-atom threshold, of a kink or of a face
+      of Omega, and one ulp either side;
     - y landing on the kink at 0.35 from the piece above, after which the
       reference v falls one ulp below the sticking interval, while the
       cached piece above would have kept it inside;
     - v at the second step on the upper threshold of the sticking interval
       at -0.5, which the cached sticking region would have kept;
-    - one long run across many pieces and regions.
+    - one long run across many pieces and prox atoms.
     """
     # kinks at -0.5 (jump 0.25) and 0.35 (jump 97, where the curvature changes
     # from 1 to 1.1); at 0.35 the left and right pieces give d values that
     # differ by rounding, by several ulp(0.35) / dt
     P = _mode_problem(mode, [kinked([-0.5, 0.35], [0.25, 97.0], [1.0, 1.0, 1.1])], [0.0])
     b_low, b_kink = P.h[0].breakpoints
+    # thr[0] and thr[5] are the faces' thresholds; thr[1] and thr[3] start
+    # the kinks' sticking intervals, which end one ulp below thr[2] and thr[4]
     thr = _thresholds(P, dt)[:, 0]
+    assert thr.size == 6
     runs = [(np.array([y]), np.array([0.1])) for b in (b_low, b_kink) for y in _ulps(b)]
     y0 = np.zeros(1)
     runs += [(y0, _landing_lam(P, dt, y0, v, 0)) for T in thr for v in _ulps(T)]
@@ -636,18 +662,18 @@ def _edge_runs(mode, dt):
     # the kink at 0.35 from above: y(0) = 0.4 sticks at the kink on the first
     # step, and at the second v lands one ulp below its sticking interval
     y0 = np.array([0.4])
-    lam0 = _landing_lam(P, dt, y0, np.nextafter(thr[2], -np.inf), 1)
+    lam0 = _landing_lam(P, dt, y0, np.nextafter(thr[3], -np.inf), 1)
     _, y, lam, *_ = _reference_rows(P, y0, lam0, dt, 2, 1)
     assert y[1, 0] == b_kink and y[2, 0] != b_kink
     c2_right, q_right = 2.0 * P.h[0].coeffs[2, 0], P.h[0].coeffs[2, 1]
     d_right = c2_right * b_kink + (q_right - P.hpack.jump_sum[0, 2])
     v_right = b_kink + dt * (lam[1, 0] - d_right)   # v with the rows of the piece above
-    assert thr[2] <= v_right < thr[3] and forward(y[1], lam[1])[0] < thr[2]
+    assert thr[3] <= v_right < thr[4] and forward(y[1], lam[1])[0] < thr[3]
     runs.append((y0, lam0))
     # pinned on the kink at -0.5, v leaves its sticking interval exactly on
     # the upper threshold at the second step
     y0 = np.array([b_low])
-    lam0 = _landing_lam(P, dt, y0, thr[1], 1)
+    lam0 = _landing_lam(P, dt, y0, thr[2], 1)
     _, y, *_ = _reference_rows(P, y0, lam0, dt, 2, 1)
     assert y[1, 0] == b_low and y[2, 0] != b_low
     runs.append((y0, lam0))
@@ -664,7 +690,7 @@ def _edge_runs(mode, dt):
 
 @pytest.mark.parametrize("mode", ["free", "box_diag", "box_dense"])
 def test_cached_step_matches_reference_at_bracket_edges(mode):
-    # integrate reads the piece of each y_j and the prox region of each v_j
+    # integrate reads the piece of each y_j and the prox atom of each v_j
     # once per mode and steps in that mode while [y, v] stays inside their
     # brackets. The rows must still match the reference loop, which looks
     # both up on every step, up to ties that rounding breaks either way, on
@@ -722,7 +748,7 @@ def test_integrate_reads_a_mode_only_where_it_changes(monkeypatch):
             assert len(integrate(P, State(eq.y_star, eq.lambda_star), cfg)) == 501
             assert len(reads) == 1
     # on a random instance: the first step, then once per step at which some
-    # y_j changes its piece, some v_j its prox region, some y+_j its clip
+    # y_j changes its piece, some v_j its prox atom, some y+_j its clip
     # into Omega or x*(lam) its bound pattern
     rng = np.random.default_rng(20240811)
     P = random_problem(rng)
@@ -935,7 +961,7 @@ def _piece_owned(P, rows):
     """Copies of the rows of the mode buffers rows that the piece of x* owns: L, T, D and T's brackets."""
     M, F, lower, upper, _ = rows
     m, nb = P.m, lower.size
-    return tuple(a.copy() for a in (M[m:-1], F[3 * m:nb], F[nb + m:], lower[3 * m:], upper[3 * m:]))
+    return tuple(a.copy() for a in (M[m:-1], F[2 * m:nb], F[nb + m:], lower[2 * m:], upper[2 * m:]))
 
 
 def _spy_pieces(monkeypatch):
@@ -1011,41 +1037,34 @@ def _vstack_piece_rows(P, dtau, lam):
     return L, D, T, lower, upper
 
 
-def _vstack_step_map(P, dtau, z, pieces, regions, piece):
+def _vstack_step_map(P, dtau, z, pieces, atoms, piece):
     """The mode of the step from z as fresh (M, F, lower, upper), stacked from its blocks.
 
     The reference for the mode buffers after a read, which hold the same
     values; piece is _vstack_piece_rows of the piece in the buffers.
     """
     m, p = P.m, P.p
-    lo, hi = P.Omega.lo, P.Omega.hi
     c2, qd, _, ylo, yhi = pieces.rows(z[:m])
     V = np.empty((m, m + p + 1))
     V[:, :m] = np.diag(1.0 - dtau * c2)
     V[:, m:-1] = -dtau * P.Bt
     V[:, -1] = -dtau * qd
-    slope, icpt, vlo, vhi = regions.rows(V.dot(z))
-    U = slope[:, None] * V
-    U[:, -1] += icpt
-    u = U.dot(z)
-    at_lo = u <= lo
-    at_hi = ~at_lo & (u > hi)
-    ulo = np.where(at_lo, -np.inf, np.where(at_hi, hi, lo))
-    uhi = np.where(at_lo, lo, np.where(at_hi, np.inf, hi))
-    Y = np.where((at_lo | at_hi)[:, None], 0.0, U)
-    Y[:, -1] = np.where(at_lo, lo, np.where(at_hi, hi, U[:, -1]))
+    left, right, _, q, vlo, vhi = atoms.rows(V.dot(z))
+    point = left == right   # y+_j on a kink or a bound of Omega
+    Y = np.where(point[:, None], 0.0, V)
+    Y[:, -1] = np.where(point, left, V[:, -1] - q)
     L, D, T, tlo, thi = piece
     M = np.vstack([Y, L, np.eye(1, m + p + 1, m + p)])
     I_y = np.eye(m, m + p + 1)
-    F = np.vstack([I_y, V, U, T, Y - I_y, D])
-    return M, F, np.concatenate([ylo, vlo, ulo, tlo]), np.concatenate([yhi, vhi, uhi, thi])
+    F = np.vstack([I_y, V, T, Y - I_y, D])
+    return M, F, np.concatenate([ylo, vlo, tlo]), np.concatenate([yhi, vhi, thi])
 
 
 def test_mode_buffers_match_stacked_assembly(monkeypatch, benchmark_runs, weakly_active_box_dense,
                                             short_mode_draw):
     # the first read of a run writes its mode into buffers that every later
     # read rewrites where the mode changed: the piece of x* where a row of T
-    # failed, the rows of each coordinate whose y, v or u row failed. A copy
+    # failed, the rows of each coordinate whose y or v row failed. A copy
     # of M, F and the brackets taken after every read, full, coordinate or
     # piece-only, must equal the fresh stacked assembly at the same state and
     # at a fresh piece of x*, solved from the clamp at the lam of the piece
@@ -1058,14 +1077,14 @@ def test_mode_buffers_match_stacked_assembly(monkeypatch, benchmark_runs, weakly
         piece_lams.append(lam.copy())
         return piece_rows(P, dtau, lam, *args)
 
-    def spy_reread(P, dtau, z, pieces, regions, rows, piece, failed):
+    def spy_reread(P, dtau, z, pieces, atoms, rows, piece, failed):
         before = lookups[0]
-        rows, piece = reread(P, dtau, z, pieces, regions, rows, piece, failed)
-        if not reads:   # the first read of a run rewrites every y, v and u row
-            assert failed[:3 * P.m].all() and not failed[3 * P.m:].any()
-        kind = "full" if not reads else "coordinate" if failed[:3 * P.m].any() else "piece"
+        rows, piece = reread(P, dtau, z, pieces, atoms, rows, piece, failed)
+        if not reads:   # the first read of a run rewrites every y and v row
+            assert failed[:2 * P.m].all() and not failed[2 * P.m:].any()
+        kind = "full" if not reads else "coordinate" if failed[:2 * P.m].any() else "piece"
         assert kind != "piece" or lookups[0] == before
-        reads.append((kind, z.copy(), piece_lams[-1], pieces, regions, tuple(a.copy() for a in rows[:4])))
+        reads.append((kind, z.copy(), piece_lams[-1], pieces, atoms, tuple(a.copy() for a in rows[:4])))
         return rows, piece
 
     def counted(lookup):
@@ -1087,7 +1106,7 @@ def test_mode_buffers_match_stacked_assembly(monkeypatch, benchmark_runs, weakly
         yield "short_mode", *short_mode_draw, IntegratorConfig(dt=2e-3, t_end=0.6, stop_tol=0.0)
 
     kinds = ("full", "coordinate", "piece")
-    counts = {}   # per run: reads of each kind, then reads with a clipped y+_j
+    counts = {}   # per run: reads of each kind, then reads with a y+_j on a nonzero point
     piece_reads = 0
     for run, P, y0, lam0, cfg in runs():
         reads.clear()
@@ -1096,12 +1115,12 @@ def test_mode_buffers_match_stacked_assembly(monkeypatch, benchmark_runs, weakly
         piece_reads += len(piece_lams)
         dtau = cfg.dt * cfg.tau
         tally = counts.setdefault(run, np.zeros(4, dtype=int))
-        for kind, z, lam, pieces, regions, got in reads:
-            want = _vstack_step_map(P, dtau, z, pieces, regions, _vstack_piece_rows(P, dtau, lam))
+        for kind, z, lam, pieces, atoms, got in reads:
+            want = _vstack_step_map(P, dtau, z, pieces, atoms, _vstack_piece_rows(P, dtau, lam))
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (run, kind, z)
             tally[kinds.index(kind)] += 1
-            Y = got[0][:P.m]   # a clipped y+_j has a row of zeros but for its nonzero bound
+            Y = got[0][:P.m]   # a y+_j on a point has a row of zeros but for the point
             tally[3] += np.any((Y[:, :-1] == 0.0).all(axis=1) & (Y[:, -1] != 0.0))
     # one full read per run; 84 re-reads per boxed_dense job
     assert counts["boxed_dense"][:3].tolist() == [9, 73, 11], counts

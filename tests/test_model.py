@@ -19,6 +19,8 @@ from ppdgd import (
 from ppdgd.model import PieceTable, SeparablePiecewise
 from ppdgd.random_problems import random_piecewise
 
+from conftest import atom_argmin
+
 
 def quad(p):
     return PiecewiseScalarFn.quadratic(p)
@@ -420,38 +422,46 @@ def test_piece_table_lookup_is_searchsorted_left(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_jump_prox_region_is_searchsorted_right_with_closed_sticking_intervals(seed):
-    # thr <= v is read as pred(thr) < v: the region of v is the number of
-    # thresholds at or below it, and v on either end of the sticking interval
-    # [b + t S_i, b + t S_{i+1}] of a kink b still sticks
+    # the prox atoms of h over a box [lo, hi] that holds every kink: thr <= v
+    # is read as pred(thr) < v, so the atom of v is the number of thresholds
+    # at or below it. The thresholds are one ulp above lo (v <= lo sticks at
+    # lo), the ends of each kink's closed sticking interval
+    # [b + t S_i, b + t S_{i+1}] and hi + t S_K (v at or above it sticks at
+    # hi); v on either end of a sticking interval still sticks at its kink
     rng = np.random.default_rng(seed)
     m, t = int(rng.integers(1, 5)), float(10.0 ** rng.uniform(-6.0, 6.0))
     kinks = rng.integers(0, 4, size=m) * (seed % 5 != 0)   # every fifth seed: K = 0
     pack = SeparablePiecewise([random_piecewise(rng, -1.0, 1.0, int(k)) for k in kinks])
-    table = pack.jump_prox(t)
+    lo, hi = np.full(m, -2.0), np.full(m, 2.0)
+    table = pack.prox_atoms(t, lo, hi)
     starts = pack.bp + t * pack.jump_sum[:, :-1]
     ends = pack.bp + t * pack.jump_sum[:, 1:]
-    # sticking intervals are closed: a region ends one ulp above an end
-    thresholds = np.empty((m, 2 * pack.bp.shape[1]))
-    thresholds[:, 0::2], thresholds[:, 1::2] = starts, np.nextafter(ends, np.inf)
-    ticks = np.concatenate([starts.ravel(), ends.ravel()])
+    top = hi + t * pack.jump_sum[np.arange(m), kinks]
+    ticks = np.concatenate([starts.ravel(), ends.ravel(), lo, top])
     ticks = ticks[np.isfinite(ticks)]
     probes = np.unique(np.concatenate(
         [np.nextafter(ticks, -np.inf), ticks, np.nextafter(ticks, np.inf), [-1e300, 0.0, 1e300]]))
     index, lower, upper = _lookups(table, probes, m)
-    want = np.array([[np.searchsorted(row, x, side="right") for row in thresholds] for x in probes])
-    assert np.array_equal(index, want)
-    for j in range(m):
-        stuck = (starts[j] <= probes[:, None]) & (probes[:, None] <= ends[j])
-        assert np.array_equal(index[:, j] % 2 == 1, stuck.any(axis=1)), j
+    for j, k in enumerate(kinks):
+        # sticking intervals are closed: an atom after one starts one ulp above its end
+        thresholds = np.empty(2 * k + 2)
+        thresholds[0], thresholds[-1] = np.nextafter(lo[j], np.inf), top[j]
+        thresholds[1:-1:2], thresholds[2:-1:2] = starts[j, :k], np.nextafter(ends[j, :k], np.inf)
+        thresholds = np.maximum.accumulate(thresholds)
+        assert np.array_equal(index[:, j], np.searchsorted(thresholds, probes, side="right")), j
+        stuck = (starts[j, :k] <= probes[:, None]) & (probes[:, None] <= ends[j, :k])
+        kink_atom = (index[:, j] % 2 == 0) & (0 < index[:, j]) & (index[:, j] < 2 * k + 2)
+        assert np.array_equal(kink_atom, stuck.any(axis=1)), j
         for probe, kink in np.argwhere(stuck):
-            assert table(np.full(m, probes[probe]))[j] == pack.bp[j, kink], (j, probes[probe])
+            y = atom_argmin(table, np.full(m, probes[probe]))
+            assert y[j] == pack.bp[j, kink], (j, probes[probe])
     assert np.all(lower < probes[:, None]) and np.all(probes[:, None] <= upper)
     _check_brackets(probes, lower, upper, index)
 
 
 def test_piece_table_step_walks_to_index_from_every_interval(benchmark_runs, short_mode_draw):
     # step walks from any interval of a row to the one index gives, and never
-    # leaves the row. On the pieces and jump-prox tables integrate reads on
+    # leaves the row. On the pieces and prox-atom tables integrate reads on
     # the benchmark's solves, from every interval of each row (padded ones
     # included), for values on each edge, one ulp either side, beyond the
     # first and last edge, at +-inf and NaN. A -inf value fails even the
@@ -460,10 +470,13 @@ def test_piece_table_step_walks_to_index_from_every_interval(benchmark_runs, sho
     # about 100 and 200 intervals, the values sit at every 4th edge and the
     # walks start at the row's ends, next to the answer and at every 32nd
     # interval
+    def prox_atoms(P, dtau):
+        return P.hpack.prox_atoms(dtau, P.Omega.lo, P.Omega.hi)
+
     tables = [(table, 1, 1) for _, P, _, _, cfg in benchmark_runs
-              for table in (P.hpack.pieces, P.hpack.jump_prox(cfg.dt * cfg.tau))]
+              for table in (P.hpack.pieces, prox_atoms(P, cfg.dt * cfg.tau))]
     P = short_mode_draw[0]
-    tables += [(P.hpack.pieces, 4, 32), (P.hpack.jump_prox(2e-3), 4, 32)]
+    tables += [(P.hpack.pieces, 4, 32), (prox_atoms(P, 2e-3), 4, 32)]
     walks = 0
     for table, every_edge, every_start in tables:
         m, width = table.offsets.size, table.width
@@ -471,9 +484,8 @@ def test_piece_table_step_walks_to_index_from_every_interval(benchmark_runs, sho
         for j, row in enumerate(table.edgesT.T):
             real = row[np.isfinite(row)]
             at = np.concatenate([real[::every_edge], real[-1:]])
-            with np.errstate(over="ignore"):   # jump-prox padding edges are the largest float
-                probes = np.concatenate([np.nextafter(at, -np.inf), at, np.nextafter(at, np.inf),
-                                         real[:1] - 1.0, real[-1:] + 1.0, [0.0, -np.inf, np.inf, np.nan]])
+            probes = np.concatenate([np.nextafter(at, -np.inf), at, np.nextafter(at, np.inf),
+                                     real[:1] - 1.0, real[-1:] + 1.0, [0.0, -np.inf, np.inf, np.nan]])
             first = table.offsets[j]
             for v in probes:
                 want = int(table.index(np.full(m, v))[j])

@@ -10,7 +10,8 @@ Exits 1, with one line on stderr, when any instance fails the decay envelope,
 leaves Omega by more than MEMBER_TOL, ends farther than GAP_TOL from the
 equilibrium or with an endpoint KKT residual above KKT_TOL, or when the
 oracle's equilibrium itself has a KKT residual above ORACLE_KKT_TOL; exits 2
-on a bad flag, --count below 1 included; exits 0 otherwise.
+on a bad flag, --count below 1, --seed below 0 and a --dt the integrator
+rejects included; exits 0 otherwise.
 """
 
 import argparse
@@ -21,6 +22,7 @@ import numpy as np
 
 from ppdgd import (
     IntegratorConfig,
+    InvalidConfig,
     State,
     certify_envelope,
     equilibrium_oracle,
@@ -44,9 +46,14 @@ def main() -> int:
     args = ap.parse_args()
     if args.count < 1:   # a campaign of no instance checks nothing
         ap.error(f"--count must be at least 1, got {args.count}")
+    if args.seed < 0:   # default_rng takes no negative seed
+        ap.error(f"--seed must be at least 0, got {args.seed}")
+    try:
+        cfg = IntegratorConfig(dt=args.dt, t_end=60.0, stop_tol=1e-8)
+    except InvalidConfig as exc:
+        ap.error(f"--dt {args.dt!r}: {exc}")
 
     rng = np.random.default_rng(args.seed)
-    cfg = IntegratorConfig(dt=args.dt, t_end=60.0, stop_tol=1e-8)
     worst_gap = worst_kkt = worst_oracle_kkt = worst_violation = 0.0
     worst_ratio = np.inf
     failures = []

@@ -37,16 +37,19 @@ in thousands of steps; where the mode changes every few steps, each read
 costs more than the steps it batches.
 
 integrate copies each recorded sample (the start, every record_every-th step
-and the last step) once, [y, lam] into one preallocated buffer of m + p
-columns and its residual into another. They start with room for the whole
-run, capped at RECORD_BLOCK rows, and double when full, so a long t_end
-costs no memory up front. t is the recorded step index times dt, built at
-return. The Trajectory gets y and lam column-major (Fortran order), one
-contiguous run of samples per coordinate, so the passes over samples that
-follow (envelope_series, BoxSet.violation) run one long numpy loop per
-coordinate rather than one short one per sample. Trajectory.write_csv
-hands them to export.write_csv, which formats a block of rows per numpy
-pass.
+and the last step) once, from its block straight into its column: [y, lam]
+into one column-major (Fortran order) buffer of m + p columns and its
+residual into another. They are sized for the samples of a run to t_end,
+capped at RECORD_BLOCK bytes, so a long t_end costs no memory up front (and
+the buffer stays below the size at which numpy asks for huge pages); a run
+that outgrows them doubles them, up to that count. t is the recorded step
+index times dt, built at return. The Trajectory gets y and lam column-major,
+one contiguous run of samples per coordinate, so the passes over samples
+that follow (envelope_series, BoxSet.violation) run one long numpy loop per
+coordinate rather than one short one per sample; a run to t_end fills its
+buffer and returns views of it, with no copy, and only a run that stopped
+early copies its samples out. Trajectory.write_csv hands them to
+export.write_csv, which formats a block of rows per numpy pass.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .geometry import _check_dim, _check_member, active_faces, tangent_rule
 from .inner import _check_lam, _grad_phi, x_star_piece
 from .model import DATA_RANGE, Problem
 
-RECORD_BLOCK = 4096   # rows of the first sample buffer
+RECORD_BLOCK = 2 ** 21   # bytes of the first sample buffer: numpy asks for huge pages from 4 MB
 BLOCK_STEPS = 128     # steps of a mode's first block, doubled per block up to the longest
 RUN_STEPS = 1024      # steps of a mode's longest block
 # bound on steps * N_z * rows of a block's product F S': OpenBLAS threads larger products.
@@ -401,8 +404,10 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     steps are those of a step-by-step loop up to the order of rounding.
 
     Records the initial condition, every record_every-th accepted step and
-    the final state, each with the residual of the step taken from it; the
-    Trajectory's y and lam are column-major.
+    the final state, each with the residual of the step taken from it, in a
+    column-major buffer sized for a run to t_end (at most RECORD_BLOCK bytes
+    up front, doubled as the run outgrows it); the Trajectory's y and lam
+    are column-major, views of that buffer where the run reached t_end.
     Terminates at cfg.t_end or as soon as the tau-normalized step residual
     ||((y+ - y)/dtau, dlam)|| drops to cfg.stop_tol; that last step is not
     taken. Raises InitialPointOutsideOmega, or NonFiniteState (step size too
@@ -430,9 +435,12 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     pieces, atoms = P.hpack.pieces, P.hpack.prox_atoms(dtau, P.Omega.lo, P.Omega.hi)
     n_steps = math.ceil(cfg.t_end / dt - 1e-12)   # >= 1: IntegratorConfig checks it
 
-    # never sized by t_end alone: integration may stop at stop_tol long before it
-    rows = min(n_steps // every + 2, RECORD_BLOCK)
-    zs, drifts = np.empty((rows, m + p)), np.empty(rows)
+    # the samples of a run to t_end (the start, every record_every-th step and the last),
+    # column-major; never more than RECORD_BLOCK bytes up front, as integration may stop at
+    # stop_tol long before t_end
+    total = n_steps // every + 1 + (n_steps % every != 0)
+    rows = min(total, max(1, RECORD_BLOCK // (8 * (m + p))))
+    zs, drifts = np.empty((rows, m + p), order="F"), np.empty(rows)
     n = 0
 
     def keep(S, drift, count, final):
@@ -444,16 +452,20 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
         grid = slice((-k) % every, count, every)
         kept = len(range(count)[grid])
         last = final and (k + count - 1) % every != 0
-        while n + kept + last > drifts.size:
-            zs, drifts = (np.concatenate((b, np.empty_like(b))) for b in (zs, drifts))
+        while n + kept + last > drifts.size:   # grow toward the samples of a run to t_end
+            room = min(2 * drifts.size, total)
+            grown = np.empty((room, m + p), order="F")
+            grown[:n] = zs[:n]
+            zs, drifts = grown, np.concatenate((drifts[:n], np.empty(room - n)))
         end = n + kept
         zs[n:end], drifts[n:end] = S[grid, :-1], drift[grid]
         if last:
             zs[end], drifts[end] = S[count - 1, :-1], drift[count - 1]
             end += 1
-        recorded = np.abs(zs[n:end, m:])
-        if recorded.max(initial=0.0) > DATA_RANGE:   # |lam - lam*|^2 would overflow
-            i = int(np.argmax((recorded > DATA_RANGE).any(axis=1)))
+        recorded = zs[n:end, m:]
+        # |lam - lam*|^2 would overflow
+        if recorded.max(initial=0.0) > DATA_RANGE or recorded.min(initial=0.0) < -DATA_RANGE:
+            i = int(np.argmax((np.abs(recorded) > DATA_RANGE).any(axis=1)))
             step = k + count - 1 if i == kept else k + grid.start + i * every
             raise NonFiniteState(f"recorded lam left [-{DATA_RANGE:g}, {DATA_RANGE:g}] at "
                                  f"t = {step * dt}; {advice}")
@@ -523,9 +535,9 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     steps[-1] = k
     return Trajectory(
         t=steps * dt,
-        y=np.asfortranarray(zs[:n, :m]),
+        y=np.asfortranarray(zs[:n, :m]),   # a copy only where the run stopped before t_end
         lam=np.asfortranarray(zs[:n, m:]),
-        drift_norm=drifts[:n].copy(),
+        drift_norm=drifts[:n],
         config=cfg,
         terminated_by=TerminationReason.STOP_TOL if stop else TerminationReason.TIME_LIMIT,
     )

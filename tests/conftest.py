@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ppdgd
 from ppdgd import (
     BoxSet,
     PiecewiseScalarFn,
@@ -26,6 +30,14 @@ def atom_argmin(table, t):
     """The minimizer an AtomTable holds for each target t_j: (t - q) / c2 clamped into its atom."""
     left, right, c2, q, _, _ = table.rows(t)
     return np.clip((t - q) / c2, left, right)
+
+
+def subprocess_env() -> dict:
+    """os.environ with this ppdgd's source first on PYTHONPATH, for a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ppdgd.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 import bisect
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -34,7 +36,7 @@ from ppdgd.inner import KKT_TOL, x_star_piece
 from ppdgd.model import PieceTable, SeparablePiecewise
 from ppdgd.random_problems import random_piecewise, random_problem
 
-from conftest import atom_argmin, kinked
+from conftest import atom_argmin, kinked, subprocess_env
 from oracles import project_box, select_subgradient
 
 
@@ -1139,6 +1141,30 @@ def test_early_stop_allocates_nothing_in_proportion_to_t_end():
     assert len(traj) == 1
 
 
+@pytest.mark.parametrize("every", [1, 7])
+def test_sample_buffer_growth_keeps_the_samples(every, benchmark_runs, monkeypatch):
+    # a first sample buffer of three rows grows on nearly every block; the
+    # samples must be the bits the default buffer records, column-major, and
+    # a run to t_end, which fills its buffer, returns it without a copy
+    runs = [(benchmark_runs[0], TerminationReason.STOP_TOL),     # random_campaign
+            (benchmark_runs[7], TerminationReason.TIME_LIMIT)]   # boxed_dense
+    for (_, P, y0, lam0, cfg), reason in runs:
+        cfg = dataclasses.replace(cfg, record_every=every)
+        want = integrate(P, State(y0, lam0), cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "RECORD_BLOCK", 3 * 8 * (P.m + P.p))
+            got = integrate(P, State(y0, lam0), cfg)
+        assert got.terminated_by is want.terminated_by is reason
+        assert len(got) > 100
+        for name in ("t", "y", "lam", "drift_norm"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        for traj in (got, want):
+            assert traj.y.flags.f_contiguous and traj.lam.flags.f_contiguous
+            views = traj.y.base is not None and traj.y.base is traj.lam.base
+            assert views == (reason is TerminationReason.TIME_LIMIT)
+
+
 def _draw_with_n_z_60():
     """The first random_problem(default_rng(5), max_dim=40) draw with N_z = m + p + 1 >= 60."""
     rng = np.random.default_rng(5)
@@ -1149,8 +1175,9 @@ def _draw_with_n_z_60():
 
 
 def test_integrate_memory_stays_near_its_samples(case_problem):
-    # the sample buffers grow by doubling and the Trajectory gets trimmed
-    # copies, so the peak stays within three times the returned samples, plus
+    # the sample buffers grow by doubling, to the samples of a run to t_end,
+    # and the Trajectory gets them or trimmed copies of them, so the peak
+    # stays within three times the returned samples, plus
     # what one mode's tables and one block take: the case-study feeder
     # (N_z = 15) at the CLI defaults runs 50,000 steps to t_end, and the
     # draw of _draw_with_n_z_60 (n 40, m 33, p 26) 1000 steps
@@ -1167,6 +1194,38 @@ def test_integrate_memory_stays_near_its_samples(case_problem):
         assert len(traj) == rows
         samples = sum(a.nbytes for a in (traj.t, traj.y, traj.lam, traj.drift_norm))
         assert peak <= 3 * samples + 2 ** 20, (P.m + P.p + 1, peak, samples)
+
+
+_PEAK_RSS_RUN = """
+import resource
+import numpy as np
+from ppdgd import IntegratorConfig, State, integrate
+from ppdgd.random_problems import random_problem
+rng = np.random.default_rng([20240811, 2])
+for _ in range(4):   # certify_files' problem_04 of perfbench
+    P = random_problem(rng, free_x=True)
+s0 = State(np.zeros(P.m), np.zeros(P.p))
+integrate(P, s0, IntegratorConfig(dt=1e-3, t_end=0.5))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+traj = integrate(P, s0, IntegratorConfig(dt=1e-3, t_end=5000.0))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(after - before, len(traj), traj.terminated_by.value)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KB, as Linux gives it")
+def test_early_stop_peak_rss_stays_near_its_samples():
+    # numpy asks the kernel for huge pages on arrays of 4 MB and more, so under
+    # transparent huge pages set to madvise, touching the start of each column
+    # of a first sample buffer of 2^20 rows (75 MB) faults in 2 MB: its 9
+    # columns raised the peak by 38 MB. A first buffer capped at RECORD_BLOCK
+    # bytes raises it by 3 MB, and one of 4,096 rows by 4 MB, for the 17,696
+    # samples this run keeps (1.4 MB)
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_RUN], capture_output=True,
+                          text=True, timeout=120, env=subprocess_env(), check=True)
+    rise_kb, samples, reason = proc.stdout.split()
+    assert (int(samples), reason) == (17_696, "stop_tol")
+    assert int(rise_kb) <= 10 * 1024, proc.stdout
 
 
 def test_trajectory_csv_format(tmp_path, one_dim_problem):

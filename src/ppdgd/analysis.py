@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, EquilibriumUnverified, InfeasibleProblem, OracleFailed,
                      PointOutsideSet)
-from .geometry import active_faces
-from .model import MEMBER_TOL, Problem
+from .model import MEMBER_TOL, Problem, optimality_interval
 from .dynamics import Trajectory
 
 KKT_TARGET = 1e-6
@@ -98,21 +97,15 @@ def _interval_distance(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(low, -high), 0.0)   # 0.0 second: max(0.0, -0.0) is -0.0
 
 
-def _normal_interval(v: np.ndarray, S):
-    """Shift interval ends by the normal-cone interval of S at v."""
-    at_lo, at_hi = active_faces(v, S)
-    low = np.where(at_lo, -np.inf, 0.0)
-    high = np.where(at_hi, np.inf, 0.0)
-    return low, high
-
-
 def kkt_residual(P: Problem, x, y, lam) -> KktResidual:
     """First-order optimality residuals of a candidate triple.
 
     r_x: componentwise distance of 0 to grad f(x) + A'lam + N_X(x);
     r_y: distance of 0 to the generalized gradient of h at y plus B'lam plus
-    the normal cone of Omega; r_eq: infinity norm of Ax + By - C. The total
-    vanishes exactly at a saddle point.
+    the normal cone of Omega (model.optimality_interval, whose least-norm
+    point is the field's y part at tau 1, so r_y is max |dy| there); r_eq:
+    infinity norm of Ax + By - C. The total vanishes exactly at a saddle
+    point.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -125,13 +118,9 @@ def kkt_residual(P: Problem, x, y, lam) -> KktResidual:
         raise PointOutsideSet("y violates Omega beyond 1e-9")
 
     w = P.f.grad(x) + P.A.T @ lam
-    nlo, nhi = _normal_interval(x, P.X)
+    nlo, nhi = P.X.normal_interval(x)
     r_x = float(np.max(_interval_distance(w + nlo, w + nhi)))
-
-    bt = P.Bt @ lam
-    glo, ghi = P.hpack.clarke(y)
-    nlo, nhi = _normal_interval(y, P.Omega)
-    r_y = float(np.max(_interval_distance(glo + bt + nlo, ghi + bt + nhi)))
+    r_y = float(np.max(_interval_distance(*optimality_interval(P, y, lam))))
 
     r_eq = float(np.max(np.abs(P.A @ x + P.B @ y - P.C)))
     # np.max keeps a NaN wherever it sits; Python's max drops one that is not first

@@ -1,10 +1,12 @@
 """Right-hand side and fixed-step integration of the projected dynamics.
 
-rhs evaluates the field of the differential inclusion: its y part is the raw
-drift -g - B'lam, with g the minimal-norm subgradient of h (the target -B'lam
-clamped into the generalized-gradient interval, which reproduces sliding
-along kinks), projected onto the tangent cone of Omega; its lam part is the
-dual gradient A x*(lam) + B y - C.
+rhs evaluates the field of the differential inclusion: its y part is the
+least-norm point of -(dh(y) + B'lam + N_Omega(y)), read from the interval
+that the KKT check reads too (model.optimality_interval). That is the drift
+-g - B'lam, g the minimal-norm subgradient of h (the target -B'lam clamped
+into the generalized-gradient interval, which reproduces sliding along
+kinks), projected onto the tangent cone of Omega. Its lam part is the dual
+gradient A x*(lam) + B y - C.
 
 integrate takes forward-backward steps of the same inclusion. h' splits into
 a continuous part d, taken explicitly, and its jumps, whose antiderivative g
@@ -19,13 +21,13 @@ residual ||((y+ - y)/dtau, dlam)||.
 The step is piecewise affine in (y, lam). integrate writes the step of each
 mode (the pieces of h it reads, the atom of the prox table that holds each
 y+_j, a kink, a bound of Omega or an open interval between two of them, and
-the piece of x*(lam)) as one affine map M and advances it in
-blocks of BLOCK_STEPS steps and more, a few numpy calls per block. The
+the piece of x*(lam)) as one affine map M and advances it in blocks of
+BLOCK_STEPS steps times a power of two, a few numpy calls per block. The
 first block after a read doubles on its states with the squares of M; a
 block that continues the mode takes its states from the last block's in
-one product by (M^s)', s that block's size. It reads a mode once per
-state, takes the first step as read and reads again only at a step that
-leaves the mode. One set of mode buffers (M, F, lower, upper) serves a
+one product by (M^s)', s that block's size, so M^s is a kept square. It
+reads a mode once per state, takes the first step as read and reads again
+only at a step that leaves the mode. One set of mode buffers (M, F, lower, upper) serves a
 whole run, and every read (_reread) rewrites in place only the rows that
 failed: the first, after _piece_rows allocates the buffers, every row of
 every coordinate; each later one, at the step that left the mode, the
@@ -61,10 +63,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InitialPointOutsideOmega, InvalidConfig, NonFiniteState
-from .geometry import _check_dim, _check_member, active_faces, tangent_rule
+from .errors import (DimensionMismatch, InitialPointOutsideOmega, InvalidConfig, NonFiniteState,
+                     PointOutsideSet)
 from .inner import _check_lam, _grad_phi, x_star_piece
-from .model import DATA_RANGE, Problem
+from .model import DATA_RANGE, MEMBER_TOL, Problem, optimality_interval
 
 RECORD_BLOCK = 2 ** 21   # bytes of the first sample buffer: numpy asks for huge pages from 4 MB
 BLOCK_STEPS = 128     # steps of a mode's first block, doubled per block up to the longest
@@ -151,21 +153,31 @@ class Trajectory:
         write_csv(path, cols, (self.t, self.y, self.lam, self.drift_norm))
 
 
+def _check_y(P: Problem, y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (P.m,):
+        raise DimensionMismatch(f"y has shape {y.shape}, expected ({P.m},)")
+    return y
+
+
 def rhs(P: Problem, s: State, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Field of the tau-scaled dynamics at state s.
 
-    dy = tau * tangent-cone projection of (-g - B'lam) at y, and
+    dy = -tau times the least-norm point of dh(y) + B'lam + N_Omega(y)
+    (model.optimality_interval), that is tau times the tangent-cone
+    projection of -g - B'lam at y, g the minimal-norm subgradient; and
     dlam = tau * (grad phi(lam) + B y - C). Raises DimensionMismatch when
     s.y or s.lam has the wrong shape, PointOutsideSet when s.y is not in
     Omega and NonFiniteState when s.lam is not finite.
     """
-    y = _check_dim(s.y, P.Omega, "y")
-    _check_member(y, P.Omega)
+    y = _check_y(P, s.y)
+    viol = P.Omega.violation(y)
+    if not viol <= MEMBER_TOL:   # a NaN coordinate fails too
+        raise PointOutsideSet(f"point violates the box by {viol:.3e}")
     lam = _check_lam(P, s.lam)
     dlam = _grad_phi(P, lam) + P.B @ y - P.C   # first, before any product with a non-finite lam
-    target = -(P.Bt @ lam)
-    raw = target - P.hpack.select(y, target)
-    dy = tangent_rule(raw, *active_faces(y, P.Omega))
+    low, high = optimality_interval(P, y, lam)
+    dy = 0.0 - np.clip(0.0, low, high)   # the least-norm point negated; 0.0 - 0.0 keeps a zero +0.0
     return tau * dy, tau * dlam
 
 
@@ -286,17 +298,6 @@ def _states(squares: list, z: np.ndarray, size: int) -> np.ndarray:
     return S
 
 
-def _power(squares: list, s: int) -> np.ndarray:
-    """(M^s)' as the product of the squares (M^(2^i))' over the bits of s; appends the ones it lacks."""
-    bits = [i for i in range(s.bit_length()) if s >> i & 1]
-    while len(squares) <= bits[-1]:
-        squares.append(squares[-1].dot(squares[-1]))
-    power = squares[bits[0]]
-    for i in bits[1:]:
-        power = power.dot(squares[i])
-    return power
-
-
 def _next_states(S: np.ndarray, power: np.ndarray, size: int) -> np.ndarray:
     """z_s .. z_(s + size - 1) from the block S = z_0 .. z_(s-1), s >= size / 2, and power = (M^s)'.
 
@@ -379,17 +380,18 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     at each read), so no step sees a row of another mode. The mode's first
     block takes K = BLOCK_STEPS steps and each block after it twice as
     many, up to RUN_STEPS steps and no more than keeps the block's products
-    below RUN_PRODUCT (a multiple of K), and none holds a state past
-    z_(n_steps), the last of a run to t_end. The first block after a read,
+    below RUN_PRODUCT (K times the largest power of two that does, or K),
+    and none holds a state past z_(n_steps), the last of a run to t_end.
+    The first block after a read,
     of s steps, gets its states z_0 .. z_(s-1) by doubling on them
     (_states), in ceil(log2 s) products with the squares M^(2^i), which are
     kept for the mode. A block that continues the mode after a block of s
     steps gets its states from that block's in one product by (M^s)', and
     its second half, when it is twice as long, from its first half in one
-    more (_next_states). M^s is a kept square, or at a cap that is no power
-    of two the product of the squares over the bits of s (_power), formed
-    once per mode and size. The rows F z_j of a block come from one more
-    product, one column per step. Vectorized tests, each a reduction
+    more (_next_states). Each continued block's s is a power of two, so M^s
+    is a kept square, formed once per mode and size as the square of the
+    last. The rows F z_j of a block come from one more product, one column
+    per step. Vectorized tests, each a reduction
     over the rows of a column, then find the first step that leaves the
     mode (a bracket lower < [y, v, T] <= upper fails), whose residual
     meets stop_tol or is not finite, or that is the last, and the kept rows
@@ -410,16 +412,12 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
     are column-major, views of that buffer where the run reached t_end.
     Terminates at cfg.t_end or as soon as the tau-normalized step residual
     ||((y+ - y)/dtau, dlam)|| drops to cfg.stop_tol; that last step is not
-    taken. Raises InitialPointOutsideOmega, or NonFiniteState (step size too
-    large) when a step is not finite or, as soon as it is recorded, a lam
-    outside DATA_RANGE.
+    taken. Raises DimensionMismatch when s0.y or s0.lam has the wrong shape
+    (as rhs does), InitialPointOutsideOmega when s0.y is not in Omega, or
+    NonFiniteState (step size too large) when a step is not finite or, as
+    soon as it is recorded, a lam outside DATA_RANGE.
     """
-    y = np.asarray(s0.y, dtype=float).copy()
-    lam = np.asarray(s0.lam, dtype=float).copy()
-    if y.shape != (P.m,) or lam.shape != (P.p,):
-        raise InitialPointOutsideOmega(
-            f"state shapes {y.shape}/{lam.shape}, expected ({P.m},)/({P.p},)"
-        )
+    y, lam = _check_y(P, s0.y), _check_lam(P, s0.lam)
     if not P.Omega.contains(y):
         raise InitialPointOutsideOmega("y(0) violates Omega beyond 1e-9")
 
@@ -483,7 +481,8 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
         failed = np.arange(nb) < 2 * m
         rows, piece = _reread(P, dtau, z, pieces, atoms, rows, piece, failed)
         lower, upper = lower[:, None], upper[:, None]
-        cap = K * max(1, min(RUN_STEPS, RUN_PRODUCT // F.size) // K)   # longest block
+        # the longest block, a power of two times K, so (M^s)' is a kept square
+        cap = K << max(0, (min(RUN_STEPS, RUN_PRODUCT // F.size) // K).bit_length() - 1)
         read = True    # the mode was read at z
         while True:
             if read:
@@ -492,9 +491,10 @@ def integrate(P: Problem, s0: State, cfg: IntegratorConfig) -> Trajectory:
                 S = _states(squares, z, size)
                 s = 0   # the block size whose power (M^s)' is at hand
             else:   # the block continues the last one, S of s steps
-                if len(S) != s:
+                if len(S) != s:   # s doubled: squares ends at (M^(s/2))', so (M^s)' is next
                     s = len(S)
-                    power = _power(squares, s)
+                    power = squares[-1].dot(squares[-1])
+                    squares.append(power)
                 size = min(2 * s, cap, n_steps - k + 1)
                 S = _next_states(S, power, size)
             G = F.dot(S.T)   # the rows F z_j, one column per step

@@ -121,6 +121,15 @@ class BoxSet:
         with np.errstate(invalid="ignore"):
             return float(np.max(np.maximum(self.lo - low, high - self.hi), initial=0.0))
 
+    def normal_interval(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Componentwise ends [low, high] of the normal cone of the box at v.
+
+        low is -inf on an active lower face and high +inf on an active upper
+        one (within ACTIVITY_TOL), each 0 elsewhere; a free set has no face.
+        """
+        return (np.where(v <= self.lo + ACTIVITY_TOL, -np.inf, 0.0),
+                np.where(v >= self.hi - ACTIVITY_TOL, np.inf, 0.0))
+
     def contains(self, v) -> bool:
         """True iff v lies in the box within MEMBER_TOL."""
         v = np.asarray(v, dtype=float)
@@ -324,10 +333,10 @@ class SeparablePiecewise:
     jump_sum, the sum S of the derivative jumps below each piece. pieces is
     the PieceTable of h: its edges are the breakpoints and its columns c2,
     q - S and q, so piece k of coordinate j covers (lower, upper]. It serves
-    the vectorized Clarke intervals and subgradient selection (the field
-    rhs) and the piece rows of the forward-backward step (integrate). Two
-    AtomTables are built from the same arrays: atoms, the segments and the
-    y of the equilibrium oracle, and prox_atoms, the step's implicit half.
+    the vectorized Clarke intervals (optimality_interval) and the piece
+    rows of the forward-backward step (integrate). Two AtomTables are built
+    from the same arrays: atoms, the segments and the y of the equilibrium
+    oracle, and prox_atoms, the step's implicit half.
     Padding breakpoints are +inf, so they never count below a finite y, and
     padding pieces carry an empty interval (+inf, +inf] that holds no finite y.
     """
@@ -370,11 +379,6 @@ class SeparablePiecewise:
             return glo, glo
         rflat = flat + hit
         return glo, c2[rflat] * y + q[rflat]
-
-    def select(self, y: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Minimal-norm selection: target clamped componentwise into the interval at y."""
-        glo, ghi = self.clarke(y)
-        return glo if ghi is glo else np.minimum(np.maximum(target, glo), ghi)
 
     def atoms(self, lo: np.ndarray, hi: np.ndarray) -> "AtomTable":
         """Table of where argmin over [lo_j, hi_j] of h_j(s) - t_j s sits, for a target t."""
@@ -481,6 +485,22 @@ class Problem:
     @property
     def p(self) -> int:
         return self.C.size
+
+
+def optimality_interval(P: Problem, y: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Componentwise ends [low, high] of dh(y) + B'lam + N_Omega(y) (unchecked).
+
+    The y condition of KKT is 0 in this interval, and the field's y part is
+    -tau times its least-norm point: the target -(B'lam)_j clamped into the
+    Clarke interval of h_j, which slides y_j along a kink, then the outward
+    part cut at an active face of Omega. Off kinks and faces the interval is
+    one point; a kink widens it by the jump, an active face opens an end to
+    infinity.
+    """
+    bt = P.Bt @ lam
+    glo, ghi = P.hpack.clarke(y)
+    nlo, nhi = P.Omega.normal_interval(y)
+    return glo + bt + nlo, ghi + bt + nhi
 
 
 def build_problem(f: QuadraticSmoothFn, h, A, B, C, X: BoxSet, Omega: BoxSet) -> Problem:

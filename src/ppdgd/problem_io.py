@@ -2,7 +2,8 @@
 
     {"n": int, "m": int, "p": int,
      "H": [[...], ...] row-major, or {"diag": [...]},
-     "c": [...], "A": [[...], ...], "B": [[...], ...], "C": [...],
+     "c": [...], "d": number (optional, 0 if absent),
+     "A": [[...], ...], "B": [[...], ...], "C": [...],
      "h": [{"breakpoints": [...], "pieces": [{"p":, "q":, "r":}, ...]}, ...],
      "X": {"kind": "free"} or {"kind": "box", "lo": [...], "hi": [...]},
      "Omega": {"kind": "box", "lo": [...], "hi": [...]}}
@@ -123,6 +124,7 @@ def problem_from_dict(doc: dict) -> Problem:
         raise ProblemFormatError("$.n/$.m/$.p: dimensions must be >= 1")
     H = _hessian(_get(doc, "H", root), n, "$.H")
     c = _vector(_get(doc, "c", root), n, "$.c")
+    d = _number(doc["d"], "$.d") if "d" in doc else 0.0
     A = _matrix(_get(doc, "A", root), p, n, "$.A")
     B = _matrix(_get(doc, "B", root), p, m, "$.B")
     C = _vector(_get(doc, "C", root), p, "$.C")
@@ -134,7 +136,7 @@ def problem_from_dict(doc: dict) -> Problem:
     h = [_piecewise(v, f"$.h[{j}]") for j, v in enumerate(h_raw)]
     X = _box_set(_get(doc, "X", root), n, "$.X", allow_free=True)
     Omega = _box_set(_get(doc, "Omega", root), m, "$.Omega", allow_free=False)
-    return build_problem(QuadraticSmoothFn(H, c), h, A, B, C, X, Omega)
+    return build_problem(QuadraticSmoothFn(H, c, d), h, A, B, C, X, Omega)
 
 
 def load_problem(path) -> Problem:
@@ -161,6 +163,7 @@ def problem_to_dict(P: Problem) -> dict:
         "n": P.n, "m": P.m, "p": P.p,
         "H": H,
         "c": P.f.c.tolist(),
+        "d": float(P.f.d),
         "A": P.A.tolist(),
         "B": P.B.tolist(),
         "C": P.C.tolist(),

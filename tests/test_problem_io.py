@@ -6,10 +6,12 @@ import pytest
 from ppdgd import (
     ProblemFormatError,
     RankDeficient,
+    build_case,
     dump_problem,
     load_problem,
     problem_from_dict,
     problem_to_dict,
+    solve_inner,
 )
 
 
@@ -50,11 +52,31 @@ def test_load_round_trip(doc, tmp_path):
     assert P.kappa1 == pytest.approx(2.0)
     out = tmp_path / "copy.json"
     dump_problem(P, out)
-    assert json.loads(out.read_text()) == doc
+    assert json.loads(out.read_text()) == {**doc, "d": 0.0}   # a file without "d" has d = 0
     P2 = load_problem(out)
     assert np.array_equal(P2.A, P.A)
     assert np.array_equal(P2.hpack.bp, P.hpack.bp)
     assert P2.gamma == P.gamma
+
+
+def test_constant_of_f_round_trips(tmp_path):
+    # the case study's f = (a/2)||U - 1||^2 has d = a n / 2 = 28, which phi carries
+    P = build_case()
+    path = tmp_path / "case.json"
+    dump_problem(P, path)
+    assert json.loads(path.read_text())["d"] == 28.0
+    Q = load_problem(path)
+    assert Q.f.d == P.f.d
+    assert solve_inner(Q, np.zeros(Q.p)).phi == solve_inner(P, np.zeros(P.p)).phi
+
+
+def test_missing_constant_of_f_reads_as_zero_and_a_bad_one_is_cited():
+    doc = minimal_doc()
+    assert "d" not in doc and problem_from_dict(doc).f.d == 0.0
+    assert problem_from_dict({**doc, "d": -2.5}).f.d == -2.5
+    for bad in ("2", None, True, float("nan")):
+        with pytest.raises(ProblemFormatError, match=r"^\$\.d: expected "):
+            problem_from_dict({**doc, "d": bad})
 
 
 def test_dense_and_diagonal_hessian_forms():
